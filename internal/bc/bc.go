@@ -15,7 +15,6 @@ package bc
 import (
 	"repro/internal/core"
 	"repro/internal/index"
-	"repro/internal/tuner"
 )
 
 // BC is the online tuner. It selects recommendations from a fixed
@@ -120,5 +119,3 @@ func (b *BC) clamp(a index.ID) {
 		b.delta[a] = lo
 	}
 }
-
-var _ tuner.CostTuner = (*BC)(nil)

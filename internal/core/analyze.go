@@ -217,8 +217,7 @@ func (t *WFIT) finishAnalysis(a *Analysis) {
 		// normalized — t.partition always is (see repartition and the
 		// constructors) and Choose returns Normalize output — so the
 		// comparison needs none of Equal's re-sorting copies.
-		doi := t.doiFunc(d)
-		newPartition := t.partn.Choose(d, t.partition, doi)
+		newPartition := t.partn.Choose(d, t.partition, t.doiFunc())
 		if !newPartition.EqualNormalized(t.partition) {
 			t.repartition(newPartition)
 			t.repartitions++

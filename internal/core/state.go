@@ -163,6 +163,33 @@ func RestoreWFIT(opt *whatif.Optimizer, st *TunerState) (*WFIT, error) {
 		t.parts = append(t.parts, a)
 	}
 
+	// The histories must name registry indices and end at or before the
+	// restored statement count: the next statement appends at N+1.
+	checkHistory := func(what string, w interaction.WindowState, ids ...index.ID) error {
+		for _, id := range ids {
+			if id == index.Invalid || int(id) > regLen {
+				return fmt.Errorf("core: %s history for index ID %d outside registry size %d", what, id, regLen)
+			}
+		}
+		if k := len(w.Pos); k > 0 && w.Pos[k-1] > st.N {
+			return fmt.Errorf("core: %s history position %d beyond statement count %d", what, w.Pos[k-1], st.N)
+		}
+		return nil
+	}
+	for _, e := range st.IdxStats.Entries {
+		if err := checkHistory("benefit", e.Window, e.ID); err != nil {
+			return nil, err
+		}
+	}
+	for _, e := range st.IntStats.Entries {
+		if e.A >= e.B {
+			return nil, fmt.Errorf("core: interaction history for unordered pair (%d, %d)", e.A, e.B)
+		}
+		if err := checkHistory("interaction", e.Window, e.A, e.B); err != nil {
+			return nil, err
+		}
+	}
+
 	var err error
 	if t.idxStats, err = interaction.RestoreBenefitStats(st.IdxStats); err != nil {
 		return nil, err

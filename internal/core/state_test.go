@@ -1,0 +1,136 @@
+package core
+
+import (
+	"math"
+	"strings"
+	"testing"
+
+	"repro/internal/index"
+	"repro/internal/interaction"
+)
+
+// cloneStats deep-copies the exported histories, whose windows alias the
+// live tuner's, so a test can corrupt them without touching the tuner.
+func cloneStats(st *TunerState) *TunerState {
+	c := *st
+	cp := func(w interaction.WindowState) interaction.WindowState {
+		w.Pos = append([]int(nil), w.Pos...)
+		w.Vals = append([]float64(nil), w.Vals...)
+		return w
+	}
+	c.IdxStats.Entries = nil
+	for _, e := range st.IdxStats.Entries {
+		c.IdxStats.Entries = append(c.IdxStats.Entries, interaction.BenefitWindow{ID: e.ID, Window: cp(e.Window)})
+	}
+	c.IntStats.Entries = nil
+	for _, e := range st.IntStats.Entries {
+		c.IntStats.Entries = append(c.IntStats.Entries, interaction.PairWindow{A: e.A, B: e.B, Window: cp(e.Window)})
+	}
+	return &c
+}
+
+// TestRestoreRejectsImpossibleHistories feeds RestoreWFIT statistics
+// histories the live tuner cannot produce. Each must be refused with an
+// error: restored unchecked, the first two crash the tuner later — an ID
+// beyond the registry panics in the next CompactRegistry (index out of
+// range in Remap), and a position beyond the statement count panics in
+// Window.Add on the next statement.
+func TestRestoreRejectsImpossibleHistories(t *testing.T) {
+	e := newWFITEnv(t)
+	w := NewWFIT(e.opt, DefaultOptions())
+	for i := 1; i <= 30; i++ {
+		switch i % 3 {
+		case 0:
+			w.AnalyzeQuery(e.lineitemQuery(i, 0.001))
+		case 1:
+			w.AnalyzeQuery(e.tradeQuery(i))
+		default:
+			w.AnalyzeQuery(e.taxUpdate(i))
+		}
+	}
+	// A definition nothing references, so compaction has work to do.
+	e.internIndex("tpch.orders", "o_orderdate")
+	st := w.ExportState()
+	if len(st.IdxStats.Entries) == 0 || len(st.IntStats.Entries) == 0 {
+		t.Fatalf("setup: want benefit and interaction histories, got %d and %d",
+			len(st.IdxStats.Entries), len(st.IntStats.Entries))
+	}
+	if _, err := RestoreWFIT(e.opt, cloneStats(st)); err != nil {
+		t.Fatalf("restoring the tuner's own state: %v", err)
+	}
+	regLen := index.ID(e.reg.Len())
+
+	cases := []struct {
+		name    string
+		corrupt func(st *TunerState)
+		want    string
+		then    func(w *WFIT) // what crashed a tuner restored unchecked
+	}{
+		{"benefit ID beyond registry", func(st *TunerState) {
+			st.IdxStats.Entries = append(st.IdxStats.Entries, interaction.BenefitWindow{
+				ID: regLen + 5, Window: interaction.WindowState{Cap: st.IdxStats.Hist, Pos: []int{st.N}, Vals: []float64{1}}})
+		}, "outside registry", func(w *WFIT) { w.CompactRegistry() }},
+		{"benefit position beyond N", func(st *TunerState) {
+			ws := &st.IdxStats.Entries[0].Window
+			ws.Pos[len(ws.Pos)-1] = st.N + 10
+		}, "beyond statement count", func(w *WFIT) {
+			for i := 0; i < 3; i++ {
+				w.AnalyzeQuery(e.tradeQuery(w.StatementsSeen() + 1))
+			}
+		}},
+		{"interaction ID beyond registry", func(st *TunerState) {
+			st.IntStats.Entries[0].B = regLen + 1
+		}, "outside registry", nil},
+		{"interaction ID invalid", func(st *TunerState) {
+			st.IntStats.Entries[0].A = index.Invalid
+		}, "outside registry", nil},
+		{"interaction pair unordered", func(st *TunerState) {
+			p := &st.IntStats.Entries[0]
+			p.A, p.B = p.B, p.A
+		}, "unordered pair", nil},
+		{"interaction position beyond N", func(st *TunerState) {
+			ws := &st.IntStats.Entries[0].Window
+			ws.Pos[len(ws.Pos)-1] = st.N + 1
+		}, "beyond statement count", nil},
+		{"decreasing positions", func(st *TunerState) {
+			st.IdxStats.Entries[0].Window = interaction.WindowState{Cap: st.IdxStats.Hist, Pos: []int{5, 4}, Vals: []float64{1, 1}}
+		}, "decrease", nil},
+		{"zero value", func(st *TunerState) {
+			st.IdxStats.Entries[0].Window.Vals[0] = 0
+		}, "not finite and positive", nil},
+		{"negative value", func(st *TunerState) {
+			st.IntStats.Entries[0].Window.Vals[0] = -1
+		}, "not finite and positive", nil},
+		{"NaN value", func(st *TunerState) {
+			st.IdxStats.Entries[0].Window.Vals[0] = math.NaN()
+		}, "not finite and positive", nil},
+		{"infinite value", func(st *TunerState) {
+			st.IdxStats.Entries[0].Window.Vals[0] = math.Inf(1)
+		}, "not finite and positive", nil},
+		{"entries over the cap", func(st *TunerState) {
+			st.IdxStats.Entries[0].Window = interaction.WindowState{Cap: 1, Pos: []int{1, 2}, Vals: []float64{1, 1}}
+		}, "over its cap", nil},
+	}
+	for _, c := range cases {
+		bad := cloneStats(st)
+		c.corrupt(bad)
+		restored, err := RestoreWFIT(e.opt, bad)
+		if err != nil {
+			if !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: RestoreWFIT error = %v, want one mentioning %q", c.name, err, c.want)
+			}
+			continue
+		}
+		t.Errorf("%s: RestoreWFIT accepted the state", c.name)
+		if c.then != nil {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s: the restored tuner then panicked: %v", c.name, r)
+					}
+				}()
+				c.then(restored)
+			}()
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/cost"
@@ -84,19 +83,6 @@ type WFIT struct {
 	intStats *interaction.InteractionStats
 	partn    *interaction.Partitioner
 	rng      *interaction.Rand // the partitioner's random source (snapshot state)
-
-	// Per-statement doi cache, flat over (i, j) position pairs within the
-	// current candidate set d — |d| is bounded by IdxCnt plus the
-	// materialized set, so the pair table stays small no matter how large
-	// the mined universe grows. Positions resolve through an
-	// epoch-stamped id→position table (linear in the registry, refreshed
-	// in O(|d|) per statement).
-	doiIDs      []index.ID
-	doiVals     []float64
-	doiSeen     []bool
-	doiPos      []int32
-	doiPosStamp []uint32
-	doiPosEpoch uint32
 
 	scoreScratch []scoredCandidate // chooseTop scratch
 
@@ -324,78 +310,39 @@ func (t *WFIT) activePins() index.Set {
 	return index.NewSet(ids...)
 }
 
-// doiFunc returns the current degree-of-interaction estimator over the
-// candidate set d, honoring the independence assumption and the doi
-// threshold. The estimator is a pure function of (pair, t.n), and
-// choosePartition asks for the same pairs across its baseline evaluation
-// and every randomized restart, so values are memoized for the duration
-// of the statement — identical numbers, one history-window scan per pair
-// instead of ten. The memo is a flat |d|×|d| table indexed by position
-// in d; pairs outside d (which choosePartition never asks for) fall
-// through to an uncached evaluation.
-func (t *WFIT) doiFunc(d index.Set) interaction.DoiFunc {
+// doiFunc returns the current degree-of-interaction estimator, honoring
+// the independence assumption and the doi threshold. It is a pure
+// function of (pair, t.n); choosePartition evaluates it once per pair of
+// the candidate set.
+func (t *WFIT) doiFunc() interaction.DoiFunc {
 	if t.options.AssumeIndependent {
 		return func(a, b index.ID) float64 { return 0 }
 	}
-	t.doiIDs = append(t.doiIDs[:0], d.IDs()...)
-	n := len(t.doiIDs)
-	if cap(t.doiVals) < n*n {
-		t.doiVals = make([]float64, n*n)
-		t.doiSeen = make([]bool, n*n)
-	}
-	t.doiVals = t.doiVals[:n*n]
-	t.doiSeen = t.doiSeen[:n*n]
-	clear(t.doiSeen)
-	if need := t.reg.Len() + 1; len(t.doiPos) < need {
-		t.doiPos = make([]int32, (need+63)&^63)
-		t.doiPosStamp = make([]uint32, len(t.doiPos))
-		t.doiPosEpoch = 0
-	}
-	t.doiPosEpoch++
-	if t.doiPosEpoch == 0 {
-		clear(t.doiPosStamp)
-		t.doiPosEpoch = 1
-	}
-	for i, id := range t.doiIDs {
-		t.doiPos[id] = int32(i)
-		t.doiPosStamp[id] = t.doiPosEpoch
-	}
-	posEpoch := t.doiPosEpoch
-	pos := func(id index.ID) int {
-		if int(id) < len(t.doiPosStamp) && t.doiPosStamp[id] == posEpoch {
-			return int(t.doiPos[id])
-		}
-		return -1
-	}
-	current := func(a, b index.ID) float64 {
+	return func(a, b index.ID) float64 {
 		v := t.intStats.Current(a, b, t.n)
 		if v <= t.options.DoiThreshold {
 			return 0
 		}
 		return v
 	}
-	return func(a, b index.ID) float64 {
-		i, j := pos(a), pos(b)
-		if i < 0 || j < 0 {
-			return current(a, b)
-		}
-		k := i*n + j
-		if t.doiSeen[k] {
-			return t.doiVals[k]
-		}
-		v := current(a, b)
-		t.doiVals[k] = v
-		t.doiSeen[k] = true
-		t.doiVals[j*n+i] = v
-		t.doiSeen[j*n+i] = true
-		return v
-	}
 }
 
-// scoredCandidate is one chooseTop entry (index and its current score).
+// scoredCandidate is one chooseTop entry: an index and its score. While
+// w is non-nil the score is only an upper bound on the index's penalized
+// score over window w.
 type scoredCandidate struct {
 	id    index.ID
 	score float64
+	w     *interaction.Window
+}
+
+// before reports whether a ranks ahead of b: score descending, then ID
+// ascending.
+func (a scoredCandidate) before(b scoredCandidate) bool {
+	if a.score != b.score {
+		return a.score > b.score
+	}
+	return a.id < b.id
 }
 
 // chooseTop implements topIndices: keep the materialized set M and the
@@ -408,6 +355,11 @@ type scoredCandidate struct {
 // closes the gap that stability rule leaves for fresh F+ votes: a
 // just-voted index has an empty window, scores 0, and would otherwise be
 // evicted by the very next statement.
+//
+// Candidates are taken from a max-heap in score order. A newcomer enters
+// it with an exact upper bound on its score (Window.PenalizedBound) and
+// is scored exactly only when that bound reaches the top, so the order
+// taken is the full sort's, while most of the universe costs O(1).
 func (t *WFIT) chooseTop() index.Set {
 	m := t.materialized.Intersect(t.universe).Union(t.activePins())
 	budget := t.options.IdxCnt - m.Len()
@@ -416,27 +368,26 @@ func (t *WFIT) chooseTop() index.Set {
 	}
 	currentC := t.partsetC
 
-	entries := t.scoreScratch[:0]
-	t.universe.Each(func(a index.ID) {
+	h := t.scoreScratch[:0]
+	for k := 0; k < t.universe.Len(); k++ {
+		a := t.universe.At(k)
 		if m.Contains(a) {
-			return
+			continue
 		}
 		if currentC.Contains(a) {
-			entries = append(entries, scoredCandidate{a, t.idxStats.Current(a, t.n)})
-			return
+			h = append(h, scoredCandidate{id: a, score: t.idxStats.Current(a, t.n)})
+			continue
 		}
-		if t.idxStats.Current(a, t.n) <= 0 {
-			return // never beneficial: not worth monitoring yet
+		w := t.idxStats.Window(a)
+		if w == nil || !w.Positive(t.n) {
+			continue // never beneficial: not worth monitoring yet
 		}
-		entries = append(entries, scoredCandidate{a, t.idxStats.CurrentPenalized(a, t.n, t.reg.CreateCost(a))})
-	})
-	t.scoreScratch = entries
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].score != entries[j].score {
-			return entries[i].score > entries[j].score
-		}
-		return entries[i].id < entries[j].id
-	})
+		h = append(h, scoredCandidate{id: a, score: w.PenalizedBound(t.n, t.reg.CreateCost(a)), w: w})
+	}
+	t.scoreScratch = h
+	for k := len(h)/2 - 1; k >= 0; k-- {
+		siftDown(h, k)
+	}
 	// Greedy fill with nested-family dedup: an index whose key columns
 	// nest with an already-chosen index on the same table is a
 	// near-redundant alternative; monitoring both wastes a slot and
@@ -444,23 +395,45 @@ func (t *WFIT) chooseTop() index.Set {
 	// are always kept (the partition must cover them).
 	d := m
 	taken := 0
-	for _, entry := range entries {
-		if taken >= budget {
-			break
+	for taken < budget && len(h) > 0 {
+		top := h[0]
+		if top.w != nil {
+			h[0] = scoredCandidate{id: top.id, score: top.w.CurrentPenalized(t.n, t.reg.CreateCost(top.id))}
+			siftDown(h, 0)
+			continue
 		}
-		def := t.reg.Get(entry.id)
+		h[0] = h[len(h)-1]
+		h = h[:len(h)-1]
+		siftDown(h, 0)
+		def := t.reg.Get(top.id)
 		redundant := false
-		d.Each(func(chosen index.ID) {
-			if index.Nested(def, t.reg.Get(chosen)) {
-				redundant = true
-			}
-		})
+		for k := 0; k < d.Len() && !redundant; k++ {
+			redundant = index.Nested(def, t.reg.Get(d.At(k)))
+		}
 		if !redundant {
-			d = d.Add(entry.id)
+			d = d.Add(top.id)
 			taken++
 		}
 	}
 	return d
+}
+
+// siftDown restores the max-heap order (by before) of h below slot k.
+func siftDown(h []scoredCandidate, k int) {
+	for {
+		c := 2*k + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(h[k]) {
+			return
+		}
+		h[k], h[c] = h[c], h[k]
+		k = c
+	}
 }
 
 // repartition implements Figure 5: initialize one WFA per new part with
@@ -588,10 +561,6 @@ func (t *WFIT) CompactRegistry() int {
 		}
 		t.pinned = pinned
 	}
-	// The doi position scratch is keyed by now-stale IDs; wipe the stamps
-	// so the next statement rebuilds it.
-	clear(t.doiPosStamp)
-	t.doiPosEpoch = 0
 	t.opt.Invalidate()
 	return dropped
 }

@@ -299,9 +299,9 @@ func TestWFITInterfaceCompliance(t *testing.T) {
 	ex := cost.NewExtractor(e.model)
 	cands := ex.Extract(e.tradeQuery(0))
 	plus := NewWFAPlus(e.reg, interaction.Singletons(cands), index.EmptySet)
-	// WFAPlus must be drivable through the generic priced-statement
-	// contract (tuner.CostTuner; spelled out structurally here because
-	// the tuner package depends on core) with an IBG as StatementCost.
+	// WFAPlus must be drivable through the priced-statement surface the
+	// experiment harness's WFA+ adapter uses (AnalyzeStatement, then
+	// Recommend) with an IBG as StatementCost.
 	var tn interface {
 		AnalyzeStatement(sc StatementCost)
 		Recommend() index.Set

@@ -3,6 +3,7 @@ package interaction
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/index"
@@ -112,12 +113,14 @@ func (p Partition) Validate() bool {
 }
 
 // DoiFunc reports the (current) degree of interaction of an index pair.
+// Choose expects a pure, symmetric function with finite, non-negative
+// values: it evaluates each pair of the candidate set once.
 type DoiFunc func(a, b index.ID) float64
 
 // Loss returns the total doi mass across part boundaries — the error the
-// partition introduces in the decomposed cost formula (2.1). Plain index
-// loops: choosePartition evaluates Loss for every candidate partition of
-// every statement, where closure-based iteration was measurable.
+// partition introduces in the decomposed cost formula (2.1). Choose sums
+// the same terms in the same order from its pair matrix
+// (Partitioner.loss), so the two agree bit for bit.
 func (p Partition) Loss(doi DoiFunc) float64 {
 	total := 0.0
 	for i := 0; i < len(p); i++ {
@@ -196,9 +199,16 @@ type rngSource interface {
 // for a feasible partition (Σ 2^|Pk| ≤ StateCnt, parts ≤ MaxPartSize)
 // minimizing the cross-part interaction loss. A Partitioner is not safe
 // for concurrent use: besides the random source, it keeps scratch
-// buffers (cross-loss matrix, merge state, candidate edges) that Choose
-// reuses across calls — WFIT calls it once per statement, where fresh
-// per-restart allocations dominated the search's cost.
+// buffers that Choose reuses across calls — WFIT calls it once per
+// statement, on the serialized apply path.
+//
+// The search works on positions in the candidate set d (ascending ID
+// order). doi is evaluated once per pair, into the singleton cross-loss
+// matrix; every candidate partition is scored from that matrix, and a
+// merge round touches only parts with an interacting partner. A part is
+// named by its slot, the position of its smallest member, and its
+// members are only materialized as index sets for a partition that is
+// kept.
 type Partitioner struct {
 	// StateCnt bounds Σ 2^|Pk|; non-positive means unbounded.
 	StateCnt int
@@ -211,15 +221,20 @@ type Partitioner struct {
 	Rand rngSource
 
 	// scratch reused across Choose calls
-	singles   []index.Set // singleton partition of d, shared by restarts
-	parts     []index.Set
-	baseCross []float64 // singleton cross-loss matrix, shared by restarts
-	cross     []float64 // working n×n cross-loss matrix, flattened
-	baseRows  []uint64  // per-part bitmask of positive-loss partners (n ≤ 64)
-	rows      []uint64
-	alive     []bool
-	edges     []mergeEdge
-	out       []index.Set // restart result scratch
+	ids      []index.ID
+	base     []float64 // n×n singleton cross-loss matrix, both halves
+	cross    []float64 // one restart's cross-loss matrix between slots
+	words    int       // uint64 words per bitset
+	baseRows []uint64  // per position: bitset of positive-loss partners
+	rows     []uint64  // one restart's partner bitsets, per slot
+	baseLive []uint64  // positions with a positive-loss partner
+	live     []uint64  // alive slots whose partner bitset may be non-empty
+	size     []int     // part size per slot
+	parent   []int     // the slot a merged slot was folded into
+	rank     []int     // part number of each position
+	members  []int     // positions grouped by part, ascending within one
+	starts   []int     // members[starts[p]:starts[p+1]] is part p
+	edges    []mergeEdge
 }
 
 // Choose computes a feasible partition of d, seeded by the current
@@ -230,237 +245,294 @@ func (pt *Partitioner) Choose(d index.Set, current Partition, doi DoiFunc) Parti
 	if maxPart <= 0 {
 		maxPart = 20
 	}
-	feasible := func(p Partition) bool {
-		if p.MaxPartSize() > maxPart {
-			return false
-		}
-		return pt.StateCnt <= 0 || p.States() <= pt.StateCnt
-	}
+	pt.load(d, doi)
+	n := len(pt.ids)
 
-	var bestSoln Partition
+	var best Partition
 	bestLoss := math.Inf(1)
-	consider := func(p Partition) {
-		if !feasible(p) {
-			return
-		}
-		if l := p.Loss(doi); l < bestLoss {
-			bestLoss = l
-			bestSoln = p.Normalize()
-		}
-	}
-	// considerNormalized is consider for partitions already in Normalize
-	// form (randomMerge output is by construction: merges keep the
-	// lowest-membered part in place), saving the re-sort and filter.
-	considerNormalized := func(p Partition) {
-		if !feasible(p) {
-			return
-		}
-		if l := p.Loss(doi); l < bestLoss {
-			bestLoss = l
-			bestSoln = append(Partition{}, p...)
-		}
-	}
 
 	// Baseline: the current partition restricted to d, plus singletons
-	// for new indices.
-	var baseline Partition
-	covered := index.EmptySet
+	// for new indices, in that part order.
+	rank := pt.rank
+	for x := range rank {
+		rank[x] = -1
+	}
+	parts := 0
 	for _, part := range current {
-		kept := part.Intersect(d)
-		if !kept.Empty() {
-			baseline = append(baseline, kept)
-			covered = covered.Union(kept)
+		kept := false
+		for k := 0; k < part.Len(); k++ {
+			if x, ok := slices.BinarySearch(pt.ids, part.At(k)); ok {
+				rank[x] = parts
+				kept = true
+			}
+		}
+		if kept {
+			parts++
 		}
 	}
-	d.Minus(covered).Each(func(id index.ID) {
-		baseline = append(baseline, index.NewSet(id))
-	})
-	consider(baseline)
+	for x := 0; x < n; x++ {
+		if rank[x] < 0 {
+			rank[x] = parts
+			parts++
+		}
+	}
+	pt.group(parts)
+	if l, ok := pt.score(maxPart, bestLoss); ok {
+		bestLoss, best = l, pt.partition().Normalize()
+	}
 
-	// Randomized merge restarts, all growing from the same singleton
-	// start state: the singleton part list and its pairwise cross-loss
-	// matrix are computed once, and each restart works on private copies
-	// (the sets themselves are immutable and shared).
+	// Randomized merge restarts, all growing from the singleton start
+	// state. Their output is in Normalize form by construction: slots
+	// ascend and a part's slot is its smallest member.
 	randCnt := pt.RandCnt
 	if randCnt <= 0 {
 		randCnt = 8
 	}
-	pt.singles = append(pt.singles[:0], Singletons(d)...)
-	n := len(pt.singles)
-	if cap(pt.baseCross) < n*n {
-		pt.baseCross = make([]float64, n*n)
-		pt.cross = make([]float64, n*n)
-		pt.alive = make([]bool, n)
-	}
-	pt.baseCross = pt.baseCross[:n*n]
-	useRows := n <= 64
-	if useRows {
-		if cap(pt.baseRows) < n {
-			pt.baseRows = make([]uint64, n)
-			pt.rows = make([]uint64, n)
-		}
-		pt.baseRows = pt.baseRows[:n]
-		clear(pt.baseRows)
-	}
-	ids := d.IDs()
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			l := doi(ids[i], ids[j])
-			pt.baseCross[i*n+j] = l
-			if useRows && l > 0 {
-				pt.baseRows[i] |= 1 << j
-				pt.baseRows[j] |= 1 << i
-			}
-		}
-	}
 	for iter := 0; iter < randCnt; iter++ {
-		considerNormalized(pt.randomMerge(doi, maxPart))
+		pt.group(pt.randomMerge(maxPart))
+		if l, ok := pt.score(maxPart, bestLoss); ok {
+			bestLoss, best = l, pt.partition()
+		}
 	}
 
-	if bestSoln == nil {
+	if best == nil {
 		// Nothing feasible (e.g. StateCnt < 2|d|): fall back to
 		// singletons regardless, which is the least stateful option.
 		return Singletons(d)
 	}
-	return bestSoln
+	return best
 }
 
-// randomMerge runs one randomized merging pass from the precomputed
-// singleton start state, using the Partitioner's scratch buffers. The
-// returned partition is in Normalize form by construction — merges fold
-// the higher-membered part into the lower one, so surviving parts stay
-// ordered by smallest member — and aliases scratch that the next restart
-// overwrites; callers must copy what they keep.
-func (pt *Partitioner) randomMerge(doi DoiFunc, maxPart int) Partition {
-	parts := append(pt.parts[:0], pt.singles...)
-	pt.parts = parts
-	states := len(parts) * 2
-	// cross[i*n+j] caches the cross loss of parts i and j, seeded from
-	// the shared singleton matrix.
-	n := len(parts)
-	cross := append(pt.cross[:0], pt.baseCross...)
-	pt.cross = cross
-	get := func(i, j int) float64 {
-		if i > j {
-			i, j = j, i
-		}
-		return cross[i*n+j]
+// load sizes the scratch for d and fills the singleton cross-loss matrix
+// and partner bitsets, evaluating doi once per pair.
+func (pt *Partitioner) load(d index.Set, doi DoiFunc) {
+	n := d.Len()
+	pt.ids = pt.ids[:0]
+	for k := 0; k < n; k++ {
+		pt.ids = append(pt.ids, d.At(k))
 	}
-	alive := pt.alive[:n]
-	for i := range alive {
-		alive[i] = true
-	}
-	// With n ≤ 64 parts, each part carries a bitmask of its positive-loss
-	// partners, so the per-round candidate scan touches only interacting
-	// pairs instead of all n²/2 — losses are sums of non-negative doi, so
-	// positivity is monotone under merging and the masks just OR.
-	useRows := n <= 64
-	var aliveMask uint64
-	var rows []uint64
-	if useRows {
-		rows = append(pt.rows[:0], pt.baseRows...)
-		pt.rows = rows
-		if n == 64 {
-			aliveMask = ^uint64(0)
-		} else {
-			aliveMask = 1<<n - 1
+	words := (n + 63) >> 6
+	pt.words = words
+	pt.base = resize(pt.base, n*n)
+	pt.baseRows = resize(pt.baseRows, n*words)
+	pt.baseLive = resize(pt.baseLive, words)
+	pt.size = resize(pt.size, n)
+	pt.parent = resize(pt.parent, n)
+	pt.rank = resize(pt.rank, n)
+	pt.members = resize(pt.members, n)
+	clear(pt.baseRows)
+	clear(pt.baseLive)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			l := doi(pt.ids[i], pt.ids[j])
+			pt.base[i*n+j], pt.base[j*n+i] = l, l
+			if l > 0 {
+				pt.baseRows[i*words+j>>6] |= 1 << (j & 63)
+				pt.baseRows[j*words+i>>6] |= 1 << (i & 63)
+				pt.baseLive[i>>6] |= 1 << (i & 63)
+				pt.baseLive[j>>6] |= 1 << (j & 63)
+			}
 		}
 	}
+}
+
+// randomMerge runs one randomized merging pass from the singleton start
+// state: each round lists every feasible merge of two interacting parts,
+// in (slot, slot) order, and draws one with probability proportional to
+// its weight — interaction loss, normalized by the state cost of the
+// merge, with singleton pairs preferred. It leaves the resulting parts
+// in pt.rank, numbered in slot order, and returns their count.
+func (pt *Partitioner) randomMerge(maxPart int) int {
+	n, words := len(pt.ids), pt.words
+	cross := append(pt.cross[:0], pt.base...)
+	rows := append(pt.rows[:0], pt.baseRows...)
+	live := append(pt.live[:0], pt.baseLive...)
+	pt.cross, pt.rows, pt.live = cross, rows, live
+	size, parent := pt.size, pt.parent
+	for x := range size {
+		size[x], parent[x] = 1, x
+	}
+	states := 2 * n
 
 	for {
-		candidates := pt.edges[:0]
+		// Losses are sums of non-negative doi, so an interacting pair
+		// stays interacting under merging: the partner bitsets just OR,
+		// and only slots in live can contribute an edge. A pair found
+		// infeasible leaves the bitsets, and with it every later pair of
+		// parts that contain it; the cross loss of such pairs is never
+		// read again.
+		edges := pt.edges[:0]
 		onlySingles := false
-		addEdge := func(i, j int, l float64) {
-			si, sj := parts[i].Len(), parts[j].Len()
-			if si+sj > maxPart {
-				return
-			}
-			if pt.StateCnt > 0 {
-				newStates := states - (1 << si) - (1 << sj) + (1 << (si + sj))
-				if newStates > pt.StateCnt {
-					return
-				}
-			}
-			e := mergeEdge{i: i, j: j, loss: l}
-			if si == 1 && sj == 1 {
-				e.weight = l
-				if !onlySingles {
-					onlySingles = true
-					candidates = candidates[:0]
-				}
-				candidates = append(candidates, e)
-			} else if !onlySingles {
-				denom := float64(int(1)<<(si+sj) - int(1)<<si - int(1)<<sj)
-				e.weight = l / denom
-				candidates = append(candidates, e)
-			}
-		}
-		for i := 0; i < n; i++ {
-			if !alive[i] {
-				continue
-			}
-			if useRows {
-				for m := rows[i] & aliveMask & (^uint64(0) << (i + 1)); m != 0; m &= m - 1 {
-					j := bits.TrailingZeros64(m)
-					addEdge(i, j, get(i, j))
-				}
-			} else {
-				for j := i + 1; j < n; j++ {
-					if !alive[j] {
-						continue
+		for w, lw := range live {
+			for ; lw != 0; lw &= lw - 1 {
+				i := w<<6 | bits.TrailingZeros64(lw)
+				si := size[i]
+				row := rows[i*words : (i+1)*words]
+				for v := (i + 1) >> 6; v < words; v++ {
+					m := row[v]
+					if v == (i+1)>>6 {
+						m &= ^uint64(0) << ((i + 1) & 63)
 					}
-					if l := get(i, j); l > 0 {
-						addEdge(i, j, l)
+					for ; m != 0; m &= m - 1 {
+						j := v<<6 | bits.TrailingZeros64(m)
+						sj := size[j]
+						if si+sj > maxPart || pt.StateCnt > 0 && states-(1<<si)-(1<<sj)+(1<<(si+sj)) > pt.StateCnt {
+							// Parts only grow and states only rise, so
+							// no later merge of parts containing these two
+							// is feasible either: drop the pair for good.
+							row[v] &^= 1 << (j & 63)
+							rows[j*words+i>>6] &^= 1 << (i & 63)
+							continue
+						}
+						l := cross[i*n+j]
+						if si == 1 && sj == 1 {
+							if !onlySingles {
+								onlySingles = true
+								edges = edges[:0]
+							}
+							edges = append(edges, mergeEdge{i: i, j: j, weight: l})
+						} else if !onlySingles {
+							denom := float64(int(1)<<(si+sj) - int(1)<<si - int(1)<<sj)
+							edges = append(edges, mergeEdge{i: i, j: j, weight: l / denom})
+						}
 					}
 				}
 			}
 		}
-		pt.edges = candidates
-		if len(candidates) == 0 {
+		pt.edges = edges
+		if len(edges) == 0 {
 			break
 		}
-		pick := weightedPick(candidates, pt.Rand)
-		i, j := candidates[pick].i, candidates[pick].j
-		// Merge j into i.
-		si, sj := parts[i].Len(), parts[j].Len()
+		e := edges[weightedPick(edges, pt.Rand)]
+		i, j := e.i, e.j
+		// Merge j into i. Only j's partners change their loss to i: any
+		// other slot's loss to j is zero, or its pair with j was dropped.
+		si, sj := size[i], size[j]
 		states += (1 << (si + sj)) - (1 << si) - (1 << sj)
-		parts[i] = parts[i].Union(parts[j])
-		alive[j] = false
-		for k := 0; k < n; k++ {
-			if k == i || !alive[k] {
-				continue
+		size[i] = si + sj
+		parent[j] = i
+		rowI, rowJ := rows[i*words:(i+1)*words], rows[j*words:(j+1)*words]
+		for v, m := range rowJ {
+			for ; m != 0; m &= m - 1 {
+				k := v<<6 | bits.TrailingZeros64(m)
+				if k == i {
+					continue
+				}
+				l := cross[i*n+k] + cross[j*n+k]
+				cross[i*n+k], cross[k*n+i] = l, l
+				rows[k*words+j>>6] &^= 1 << (j & 63)
+				rows[k*words+i>>6] |= 1 << (i & 63)
 			}
-			merged := get(i, k) + get(j, k)
-			if k < i {
-				cross[k*n+i] = merged
-			} else {
-				cross[i*n+k] = merged
-			}
+			rowI[v] |= rowJ[v]
 		}
-		if useRows {
-			aliveMask &^= 1 << j
-			rows[i] = (rows[i] | rows[j]) &^ (1<<i | 1<<j)
-			for m := rows[j] & aliveMask &^ (1 << i); m != 0; m &= m - 1 {
-				k := bits.TrailingZeros64(m)
-				rows[k] = rows[k]&^(1<<j) | 1<<i
-			}
+		rowI[i>>6] &^= 1 << (i & 63)
+		rowI[j>>6] &^= 1 << (j & 63)
+		live[j>>6] &^= 1 << (j & 63)
+		if !slices.ContainsFunc(rowI, func(m uint64) bool { return m != 0 }) {
+			live[i>>6] &^= 1 << (i & 63)
 		}
 	}
 
-	out := pt.out[:0]
-	for i := 0; i < n; i++ {
-		if alive[i] {
-			out = append(out, parts[i])
+	// Number the surviving slots in order; a merged slot's parent is a
+	// smaller slot, so one ascending pass resolves every position.
+	parts := 0
+	for x := 0; x < n; x++ {
+		if parent[x] == x {
+			pt.rank[x] = parts
+			parts++
+		} else {
+			pt.rank[x] = pt.rank[parent[x]]
 		}
 	}
-	pt.out = out
-	return Partition(out)
+	return parts
+}
+
+// group lists the positions of parts parts, numbered by pt.rank, in part
+// order and ascending within each part (a counting sort).
+func (pt *Partitioner) group(parts int) {
+	starts := resize(pt.starts, parts+2)
+	clear(starts)
+	for _, p := range pt.rank {
+		starts[p+2]++
+	}
+	for p := 2; p < len(starts); p++ {
+		starts[p] += starts[p-1]
+	}
+	for x, p := range pt.rank {
+		pt.members[starts[p+1]] = x
+		starts[p+1]++
+	}
+	pt.starts = starts[:parts+1]
+}
+
+// score reports the grouped partition's loss when it is feasible and the
+// loss is below limit.
+func (pt *Partitioner) score(maxPart int, limit float64) (float64, bool) {
+	states := 0
+	for p := 0; p+1 < len(pt.starts); p++ {
+		s := pt.starts[p+1] - pt.starts[p]
+		if s > maxPart {
+			return 0, false
+		}
+		states += 1 << s
+	}
+	if pt.StateCnt > 0 && states > pt.StateCnt {
+		return 0, false
+	}
+	l := pt.loss(limit)
+	return l, l < limit
+}
+
+// loss sums the grouped partition's cross-part doi from the singleton
+// matrix in Partition.Loss's order — parts in order, members ascending —
+// so it equals Loss bit for bit. Terms are non-negative, so the sum stops
+// once it reaches limit.
+func (pt *Partitioner) loss(limit float64) float64 {
+	n := len(pt.ids)
+	total := 0.0
+	for p := 0; p+1 < len(pt.starts); p++ {
+		mp := pt.members[pt.starts[p]:pt.starts[p+1]]
+		for q := p + 1; q+1 < len(pt.starts); q++ {
+			mq := pt.members[pt.starts[q]:pt.starts[q+1]]
+			for _, x := range mp {
+				row := pt.base[x*n : x*n+n]
+				for _, y := range mq {
+					total += row[y]
+				}
+			}
+		}
+		if total >= limit {
+			break
+		}
+	}
+	return total
+}
+
+// partition materializes the grouped parts as index sets.
+func (pt *Partitioner) partition() Partition {
+	out := make(Partition, len(pt.starts)-1)
+	var ids []index.ID
+	for p := range out {
+		ids = ids[:0]
+		for _, x := range pt.members[pt.starts[p]:pt.starts[p+1]] {
+			ids = append(ids, pt.ids[x])
+		}
+		out[p] = index.NewSet(ids...)
+	}
+	return out
+}
+
+// resize returns s with length n, reallocating only to grow.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // mergeEdge is a candidate merge of two parts during randomized search.
 type mergeEdge struct {
 	i, j   int
-	loss   float64
 	weight float64
 }
 

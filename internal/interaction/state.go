@@ -60,10 +60,23 @@ func (w *Window) Export() WindowState {
 	return WindowState{Cap: w.cap, Dropped: w.dropped, Pos: w.pos, Vals: w.vals}
 }
 
-// RestoreWindow rebuilds a window from an exported state.
+// RestoreWindow rebuilds a window from an exported state. It rejects
+// histories no live window holds: positions that decrease, values that
+// are not finite and positive, or more entries than a positive cap.
 func RestoreWindow(st WindowState) (*Window, error) {
 	if len(st.Pos) != len(st.Vals) {
 		return nil, fmt.Errorf("interaction: window state has %d positions but %d values", len(st.Pos), len(st.Vals))
+	}
+	if st.Cap > 0 && len(st.Pos) > st.Cap {
+		return nil, fmt.Errorf("interaction: window state holds %d entries over its cap %d", len(st.Pos), st.Cap)
+	}
+	for i, v := range st.Vals {
+		if !recordable(v) {
+			return nil, fmt.Errorf("interaction: window state value %v at entry %d is not finite and positive", v, i)
+		}
+		if i > 0 && st.Pos[i] < st.Pos[i-1] {
+			return nil, fmt.Errorf("interaction: window state positions decrease at entry %d (%d after %d)", i, st.Pos[i], st.Pos[i-1])
+		}
 	}
 	w := NewWindow(st.Cap)
 	w.pos = append([]int(nil), st.Pos...)

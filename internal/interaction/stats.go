@@ -26,6 +26,12 @@ type Window struct {
 	pos     []int     // ascending workload positions
 	vals    []float64 // parallel to pos
 	dropped int       // entries expired by the cap
+
+	// The penalized sum behind PenalizedBound, cached until the next Add
+	// (derived state: never exported).
+	sumPenalty float64
+	sum        float64
+	sumValid   bool
 }
 
 // NewWindow creates a history bounded to cap entries (cap <= 0 means
@@ -36,14 +42,16 @@ func NewWindow(cap int) *Window {
 
 // Add appends a measurement at workload position n. Positions must be
 // non-decreasing; non-positive values are ignored, matching the paper's
-// rule of recording only entries with βn > 0 (or doi > 0).
+// rule of recording only entries with βn > 0 (or doi > 0), and so are
+// non-finite ones: every retained value is finite and positive.
 func (w *Window) Add(n int, v float64) {
-	if v <= 0 {
+	if !recordable(v) {
 		return
 	}
 	if len(w.pos) > 0 && n < w.pos[len(w.pos)-1] {
 		panic("interaction: Window positions must be non-decreasing")
 	}
+	w.sumValid = false
 	w.pos = append(w.pos, n)
 	w.vals = append(w.vals, v)
 	if w.cap > 0 && len(w.pos) > w.cap {
@@ -53,6 +61,10 @@ func (w *Window) Add(n int, v float64) {
 		w.dropped += over
 	}
 }
+
+// recordable reports whether v is finite and positive, the only values a
+// Window retains.
+func recordable(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // Len reports the number of retained entries.
 func (w *Window) Len() int { return len(w.pos) }
@@ -80,11 +92,7 @@ func (w *Window) CurrentPenalized(n int, penalty float64) float64 {
 	acc := -penalty
 	for i := len(w.pos) - 1; i >= 0; i-- {
 		acc += w.vals[i]
-		denom := float64(n - w.pos[i] + 1)
-		if denom < 1 {
-			denom = 1
-		}
-		if v := acc / denom; v > best {
+		if v := acc / denominator(n, w.pos[i]); v > best {
 			best = v
 		}
 	}
@@ -94,6 +102,50 @@ func (w *Window) CurrentPenalized(n int, penalty float64) float64 {
 		best = 0
 	}
 	return best
+}
+
+// Positive reports whether Current(n) > 0. The newest entry's ratio is
+// positive unless it underflows, so this is O(1) except in that case.
+func (w *Window) Positive(n int) bool {
+	k := len(w.pos)
+	if k == 0 {
+		return false
+	}
+	if w.vals[k-1]/denominator(n, w.pos[k-1]) > 0 {
+		return true
+	}
+	return w.Current(n) > 0
+}
+
+// PenalizedBound returns an upper bound on CurrentPenalized(n, penalty)
+// for a non-empty window, computed with the same float operations. Values
+// are positive, so the running sum CurrentPenalized accumulates only
+// grows, and the full sum over the smallest denominator (the largest, if
+// the sum is negative) bounds every ratio it takes the maximum of. The
+// sum is cached until the next Add, so the bound is O(1) for a window
+// that did not change.
+func (w *Window) PenalizedBound(n int, penalty float64) float64 {
+	if !w.sumValid || w.sumPenalty != penalty {
+		acc := -penalty
+		for i := len(w.pos) - 1; i >= 0; i-- {
+			acc += w.vals[i]
+		}
+		w.sum, w.sumPenalty, w.sumValid = acc, penalty, true
+	}
+	if w.sum >= 0 {
+		return w.sum / denominator(n, w.pos[len(w.pos)-1])
+	}
+	return w.sum / denominator(n, w.pos[0])
+}
+
+// denominator is the recency weight N − n + 1 of an entry at position
+// pos, at least 1.
+func denominator(n, pos int) float64 {
+	d := float64(n - pos + 1)
+	if d < 1 {
+		d = 1
+	}
+	return d
 }
 
 // LastPos returns the workload position of the most recent entry, or 0
@@ -127,9 +179,10 @@ func NewBenefitStats(histSize int) *BenefitStats {
 	return &BenefitStats{hist: histSize, m: make(map[index.ID]*Window)}
 }
 
-// Add records βn for index a at position n (ignored unless positive).
+// Add records βn for index a at position n (ignored unless finite and
+// positive).
 func (s *BenefitStats) Add(a index.ID, n int, beta float64) {
-	if beta <= 0 {
+	if !recordable(beta) {
 		return
 	}
 	w, ok := s.m[a]
@@ -147,6 +200,9 @@ func (s *BenefitStats) Current(a index.ID, n int) float64 {
 	}
 	return 0
 }
+
+// Window returns a's benefit history, or nil when none is retained.
+func (s *BenefitStats) Window(a index.ID) *Window { return s.m[a] }
 
 // CurrentPenalized returns benefit*_N(a) with a one-time cost charged
 // against the accumulated benefit (see Window.CurrentPenalized).
@@ -224,9 +280,10 @@ func NewInteractionStats(histSize int) *InteractionStats {
 	return &InteractionStats{hist: histSize, m: make(map[Pair]*Window)}
 }
 
-// Add records doi_qn(a,b) = d at position n (ignored unless positive).
+// Add records doi_qn(a,b) = d at position n (ignored unless finite and
+// positive).
 func (s *InteractionStats) Add(a, b index.ID, n int, d float64) {
-	if d <= 0 || a == b {
+	if !recordable(d) || a == b {
 		return
 	}
 	p := MakePair(a, b)

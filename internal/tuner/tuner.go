@@ -55,18 +55,6 @@ type Core interface {
 	SetMaterialized(m index.Set)
 }
 
-// CostTuner is the priced-statement tuning contract the experiment
-// baselines implement (WFA+ under a fixed partition, BC): observe one
-// statement already priced by a StatementCost and update the internal
-// recommendation. This is the vestigial core.Tuner, folded into the
-// engine package.
-type CostTuner interface {
-	AnalyzeStatement(sc core.StatementCost)
-	Recommend() index.Set
-}
-
-var _ CostTuner = (*core.WFAPlus)(nil)
-
 // Status is the engine-generic gauge set surfaced through /status and
 // the wfit_session_* metrics. Engines without a notion for a gauge
 // report zero.
