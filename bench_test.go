@@ -239,8 +239,8 @@ func microEnv(b *testing.B) *microFixture {
 	return micro
 }
 
-// BenchmarkWhatIfCost measures one uncached what-if optimization of a
-// two-table join query.
+// BenchmarkWhatIfCost measures one what-if optimization of a two-table
+// join query.
 func BenchmarkWhatIfCost(b *testing.B) {
 	m := microEnv(b)
 	cfg := m.cands
@@ -250,14 +250,12 @@ func BenchmarkWhatIfCost(b *testing.B) {
 	}
 }
 
-// BenchmarkIBGBuild measures index-benefit-graph construction (with a
-// fresh uncached optimizer each iteration).
+// BenchmarkIBGBuild measures index-benefit-graph construction.
 func BenchmarkIBGBuild(b *testing.B) {
 	m := microEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o := whatif.New(m.model)
-		g := ibg.Build(o, m.query, m.cands)
+		g := ibg.Build(m.optm, m.query, m.cands)
 		if g.NodeCount() == 0 {
 			b.Fatal("empty IBG")
 		}

@@ -35,10 +35,6 @@ func main() {
 	os.Exit(realMain())
 }
 
-// perfSchema is the BENCH_wfit.json schema version stamped on every
-// report this binary writes (see bench.PerfReport for the history).
-const perfSchema = "wfit-perf/v8"
-
 // realMain carries the program body so error paths return instead of
 // calling os.Exit directly — the deferred profile writers must flush
 // even when a run fails partway.
@@ -102,7 +98,7 @@ func realMain() int {
 		if code != 0 {
 			return code
 		}
-		return writeReport(&bench.PerfReport{Schema: perfSchema, Pipeline: p}, *benchout)
+		return writeReport(&bench.PerfReport{Schema: bench.PerfSchema, Pipeline: p}, *benchout)
 	}
 
 	if *failover {
@@ -110,7 +106,7 @@ func realMain() int {
 		if code != 0 {
 			return code
 		}
-		return writeReport(&bench.PerfReport{Schema: perfSchema, Failover: p}, *benchout)
+		return writeReport(&bench.PerfReport{Schema: bench.PerfSchema, Failover: p}, *benchout)
 	}
 
 	var soakReport *bench.SoakReport
@@ -129,7 +125,7 @@ func realMain() int {
 	if (soakReport != nil || gauntletReport != nil) && !*perf && *fig == 0 && !*overhead {
 		// Soak/gauntlet-only invocation: no experiment environment needed.
 		return writeReport(&bench.PerfReport{
-			Schema:   perfSchema,
+			Schema:   bench.PerfSchema,
 			Soak:     soakReport,
 			Gauntlet: gauntletReport,
 		}, *benchout)
@@ -161,7 +157,7 @@ func realMain() int {
 	writeRideAlongs := func(code int) int {
 		if code == 0 && (soakReport != nil || gauntletReport != nil) {
 			return writeReport(&bench.PerfReport{
-				Schema:   perfSchema,
+				Schema:   bench.PerfSchema,
 				Soak:     soakReport,
 				Gauntlet: gauntletReport,
 			}, *benchout)
@@ -352,17 +348,19 @@ func writeReport(r *bench.PerfReport, outPath string) int {
 
 // runPerf measures the per-statement analysis loop serially and with the
 // worker pool, optionally drives the service-mode loadgen, prints the
-// comparison, and writes the JSON trajectory. It returns a process exit
-// code instead of exiting so deferred profile writers still run.
+// comparison, and writes the JSON trajectory. Serial and parallel
+// trajectories that differ fail the run before anything is written. It
+// returns a process exit code instead of exiting so deferred profile
+// writers still run.
 func runPerf(env *bench.Env, outPath string, service, pipeline, obsBench bool, soak *bench.SoakReport, gauntlet *bench.GauntletReport) int {
 	fmt.Println("\nAnalysis-loop perf: full WFIT, serial (workers=1) vs parallel (one worker per core)")
 	r := env.RunPerfComparison()
 	r.Soak = soak
 	r.Gauntlet = gauntlet
 	show := func(label string, s *bench.PerfSide) {
-		fmt.Printf("  %-8s %8.1f µs/stmt (p50 %.1f, p90 %.1f, p99 %.1f, max %.1f), %d what-if calls, cache hit rate %.1f%%\n",
+		fmt.Printf("  %-8s %8.1f µs/stmt (p50 %.1f, p90 %.1f, p99 %.1f, max %.1f), %d what-if calls\n",
 			label, s.USPerStmtMean, s.USPerStmtP50, s.USPerStmtP90, s.USPerStmtP99, s.USPerStmtMax,
-			s.WhatIfCalls, 100*s.CacheHitRate)
+			s.WhatIfCalls)
 		fmt.Printf("  %-8s %8.0f allocs/stmt, %.0f bytes/stmt mean (p50 %.0f, p90 %.0f, max %.0f)\n",
 			"", s.AllocsPerStmtMean, s.BytesPerStmtMean,
 			s.BytesPerStmtP50, s.BytesPerStmtP90, s.BytesPerStmtMax)
@@ -371,6 +369,10 @@ func runPerf(env *bench.Env, outPath string, service, pipeline, obsBench bool, s
 	show("parallel", r.Parallel)
 	fmt.Printf("  speedup %.2fx on %d core(s); OPT-normalized final ratio %.3f; identical results: %v\n",
 		r.Speedup, r.Cores, r.Parallel.FinalRatio, r.RatiosMatch)
+	if !r.RatiosMatch {
+		fmt.Fprintln(os.Stderr, "perf bench: SERIAL AND PARALLEL TRAJECTORIES DIFFER")
+		return 1
+	}
 
 	if service {
 		fmt.Println("\nService perf: wfit-serve loadgen, concurrent sessions over HTTP")

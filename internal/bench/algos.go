@@ -108,11 +108,8 @@ func (a *EngineAlgo) SetMaterialized(m index.Set)    { a.eng.SetMaterialized(m) 
 // repartition counts).
 func (a *EngineAlgo) Engine() tuner.Engine { return a.eng }
 
-// WhatIfCalls reports the real optimizer invocations performed so far.
+// WhatIfCalls reports the what-if optimizations performed so far.
 func (a *EngineAlgo) WhatIfCalls() int64 { return a.opt.Calls() }
-
-// Optimizer exposes the private what-if optimizer (cache statistics).
-func (a *EngineAlgo) Optimizer() *whatif.Optimizer { return a.opt }
 
 // IBGNodeCounts returns per-statement IBG sizes (what-if calls/query).
 func (a *EngineAlgo) IBGNodeCounts() []int { return a.ibgNodes }

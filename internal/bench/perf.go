@@ -35,12 +35,8 @@ type PerfSide struct {
 	BytesPerStmtP50   float64 `json:"bytes_per_stmt_p50"`
 	BytesPerStmtP90   float64 `json:"bytes_per_stmt_p90"`
 	BytesPerStmtMax   float64 `json:"bytes_per_stmt_max"`
-	// WhatIfCalls counts real optimizer invocations; CacheHits counts
-	// probes served by the what-if cache; CacheHitRate is
-	// hits / (hits + calls).
-	WhatIfCalls  int64   `json:"whatif_calls"`
-	CacheHits    int64   `json:"cache_hits"`
-	CacheHitRate float64 `json:"cache_hit_rate"`
+	// WhatIfCalls counts what-if optimizations.
+	WhatIfCalls int64 `json:"whatif_calls"`
 	// WhatIfPerStmt summarizes IBG sizes (= what-if calls per statement).
 	WhatIfPerStmt Overhead `json:"whatif_per_stmt"`
 	// FinalRatio is totWork(OPT)/totWork after the whole workload — the
@@ -65,7 +61,9 @@ type PerfSide struct {
 // latency across promotion and steady-state replication lag); v7 added
 // the Obs section (metrics-off vs metrics-on ingest overhead and the
 // slowest-statement trace attribution); v8 added the Gauntlet section
-// (the engine × scenario matrix of OPT-normalized total work).
+// (the engine × scenario matrix of OPT-normalized total work); v9
+// dropped the perf sides' cache_hits and cache_hit_rate (the what-if
+// optimizer no longer memoizes, so whatif_calls counts every probe).
 type PerfReport struct {
 	Schema     string `json:"schema"`
 	GoVersion  string `json:"go_version"`
@@ -104,6 +102,10 @@ type PerfReport struct {
 	Gauntlet *GauntletReport `json:"gauntlet,omitempty"`
 }
 
+// PerfSchema is the schema version stamped on every PerfReport (see
+// PerfReport for the history).
+const PerfSchema = "wfit-perf/v9"
+
 // RunPerf evaluates the full WFIT once with the given worker bound and
 // returns the measured side. It runs alone (no concurrent runs) and
 // starts from a collected heap, so back-to-back measurements don't bias
@@ -123,15 +125,11 @@ func (e *Env) RunPerf(workers int) *PerfSide {
 		WallMSTotal:        float64(run.AnalyzeTime.Microseconds()) / 1e3,
 		PerStmtWallUS:      make([]float64, n),
 		WhatIfCalls:        algo.WhatIfCalls(),
-		CacheHits:          algo.Optimizer().Hits(),
 		WhatIfPerStmt:      NewOverhead(algo.IBGNodeCounts()),
 		FinalRatio:         run.Ratio[len(run.Ratio)-1],
 		TotalWork:          run.TotWork[len(run.TotWork)-1],
 		OptNormalizedRatio: run.Ratio,
 		totWork:            run.TotWork,
-	}
-	if probes := side.WhatIfCalls + side.CacheHits; probes > 0 {
-		side.CacheHitRate = float64(side.CacheHits) / float64(probes)
 	}
 	sorted := make([]float64, n)
 	for i, d := range run.StmtAnalyze {
@@ -182,7 +180,7 @@ func (e *Env) RunPerfComparison() *PerfReport {
 	serial := e.RunPerf(1)
 	parallel := e.RunPerf(0)
 	r := &PerfReport{
-		Schema:      "wfit-perf/v8",
+		Schema:      PerfSchema,
 		GoVersion:   runtime.Version(),
 		Cores:       runtime.NumCPU(),
 		Statements:  len(e.Workload.Statements),

@@ -24,10 +24,10 @@ type PipelineOptions struct {
 	Statements int
 	// Warmup statements stream through each session before measurement
 	// starts (default 200 — one workload phase). The cold start mines a
-	// template pool from scratch (large IBGs, an empty what-if cache,
-	// early repartitions); sustained ingest throughput is the serving
-	// property this section reports, and the cold start is priced by the
-	// perf section's full trajectories instead.
+	// template pool from scratch (large IBGs, early repartitions);
+	// sustained ingest throughput is the serving property this section
+	// reports, and the cold start is priced by the perf section's full
+	// trajectories instead.
 	Warmup int
 	// ClientBatch is the statements per HTTP request in the batched
 	// modes (default 32; the serial modes always send 1).

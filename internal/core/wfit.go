@@ -519,9 +519,8 @@ func (t *WFIT) repartition(newPartition interaction.Partition) {
 // retained structure: candidate sets, the stable partition, the per-part
 // WFA bit assignments (relative bit positions survive because the remap
 // is monotone, so work-function tables and recommendation masks are
-// untouched), the benefit/interaction histories, the vote pins, and the
-// what-if cache (invalidated — its keys embed the old IDs). It returns
-// the number of definitions dropped.
+// untouched), the benefit/interaction histories, and the vote pins. It
+// returns the number of definitions dropped.
 //
 // Compaction is the second half of the memory bound: retirement shrinks
 // the universe, compaction reclaims the interned definitions and keeps
@@ -561,7 +560,6 @@ func (t *WFIT) CompactRegistry() int {
 		}
 		t.pinned = pinned
 	}
-	t.opt.Invalidate()
 	return dropped
 }
 

@@ -107,9 +107,8 @@ func (m *Model) Relevant(s *stmt.Statement, id index.ID) bool {
 
 // RestrictConfig drops from cfg every index irrelevant to s. The cost
 // model guarantees Cost(s, cfg) == Cost(s, RestrictConfig(s, cfg)). When
-// every member is relevant — the common case for IBG probes, whose
-// configurations are subsets of an already-restricted root — cfg itself
-// is returned and nothing is allocated.
+// every member is relevant, cfg itself is returned and nothing is
+// allocated.
 func (m *Model) RestrictConfig(s *stmt.Statement, cfg index.Set) index.Set {
 	relevant := 0
 	cfg.Each(func(id index.ID) {

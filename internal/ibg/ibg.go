@@ -182,8 +182,8 @@ func (b *builder) reset() {
 
 // Build constructs the IBG of s over the candidate set, restricted to the
 // indices the cost model considers relevant to s. Each node costs exactly
-// one what-if optimization (served through opt, so repeated builds reuse
-// its cache).
+// one what-if optimization through opt, so a build adds NodeCount to
+// opt.Calls.
 func Build(opt *whatif.Optimizer, s *stmt.Statement, candidates index.Set) *Graph {
 	return BuildWorkers(opt, s, candidates, 1)
 }

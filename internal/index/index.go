@@ -218,8 +218,7 @@ func RestoreRegistry(defs []Index) (*Registry, error) {
 // Compact must not run concurrently with readers that hold IDs: every ID
 // minted before the call is reinterpreted (or invalidated) by it. The
 // tuner runs it between statements, behind the session's single-writer
-// loop, and follows it by remapping all retained state and invalidating
-// the what-if cache.
+// loop, and follows it by remapping all retained state.
 func (r *Registry) Compact(live Set) []ID {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -531,20 +530,14 @@ func (s Set) Key() string {
 	if s.Empty() {
 		return ""
 	}
-	return string(s.AppendKey(make([]byte, 0, 4*len(s.ids))))
-}
-
-// AppendKey appends the canonical Key representation to b and returns
-// the extended slice. Callers on hot paths (the what-if cache) use it
-// with a reused buffer so a probe costs no allocation beyond the lookup.
-func (s Set) AppendKey(b []byte) []byte {
+	b := make([]byte, 0, 4*len(s.ids))
 	for i, id := range s.ids {
 		if i > 0 {
 			b = append(b, ',')
 		}
 		b = strconv.AppendUint(b, uint64(id), 10)
 	}
-	return b
+	return string(b)
 }
 
 // String renders the set with index definitions resolved through reg, or

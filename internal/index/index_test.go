@@ -162,6 +162,14 @@ func TestSetKeyDistinct(t *testing.T) {
 	if EmptySet.Key() != "" {
 		t.Fatalf("EmptySet key = %q", EmptySet.Key())
 	}
+	for _, c := range []struct {
+		s    Set
+		want string
+	}{{NewSet(1), "1"}, {NewSet(3, 1, 2), "1,2,3"}, {NewSet(1000000, 42), "42,1000000"}} {
+		if got := c.s.Key(); got != c.want {
+			t.Fatalf("Key = %q, want %q", got, c.want)
+		}
+	}
 }
 
 func TestSetImmutability(t *testing.T) {
@@ -376,20 +384,6 @@ func TestFirst(t *testing.T) {
 	}
 	if got := NewSet(9, 3, 7).First(); got != 3 {
 		t.Fatalf("First = %v, want 3", got)
-	}
-}
-
-func TestAppendKeyMatchesKey(t *testing.T) {
-	sets := []Set{EmptySet, NewSet(1), NewSet(3, 1, 2), NewSet(1000000, 42)}
-	for _, s := range sets {
-		if got := string(s.AppendKey(nil)); got != s.Key() {
-			t.Fatalf("AppendKey = %q, Key = %q", got, s.Key())
-		}
-	}
-	// Appending extends rather than replaces.
-	b := []byte("prefix:")
-	if got := string(NewSet(5).AppendKey(b)); got != "prefix:5" {
-		t.Fatalf("AppendKey with prefix = %q", got)
 	}
 }
 

@@ -2,7 +2,10 @@ package lint
 
 import (
 	"os"
+	"os/exec"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -63,6 +66,24 @@ func TestLoadResolvesDeps(t *testing.T) {
 	}
 	if pkg.Types.Scope().Lookup("Catalog") == nil {
 		t.Error("type Catalog not found in loaded package scope")
+	}
+}
+
+// TestDeterministicPkgsExist keeps the deterministic set honest: an
+// entry that names no package in the module guards nothing, and a
+// renamed package would silently drop out of the nondeterminism check.
+func TestDeterministicPkgsExist(t *testing.T) {
+	cmd := exec.Command("go", "list", "./...")
+	cmd.Dir = moduleRoot(t)
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list ./...: %v", err)
+	}
+	pkgs := strings.Fields(string(out))
+	for _, p := range deterministicPkgs {
+		if !slices.ContainsFunc(pkgs, func(path string) bool { return path == p || strings.HasPrefix(path, p+"/") }) {
+			t.Errorf("deterministicPkgs entry %q matches no package in the module", p)
+		}
 	}
 }
 

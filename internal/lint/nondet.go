@@ -16,7 +16,6 @@ var deterministicPkgs = []string{
 	ModulePath + "/internal/state",
 	ModulePath + "/internal/interaction",
 	ModulePath + "/internal/index",
-	ModulePath + "/internal/wfa",
 	ModulePath + "/internal/whatif",
 	// Every tuner engine (the wfit adapter, the bandit, and whatever
 	// registers next) replays from the same WAL stream: the whole

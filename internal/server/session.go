@@ -9,10 +9,9 @@
 // cost model, and what-if optimizer, sharing only the immutable catalog.
 // This is a deliberate deviation from a single shared optimizer — registry
 // ID assignment must be deterministic per session for recovery to be
-// bit-identical (IDs order work-function bits and break score ties), and
-// the optimizer's cache keys configurations by those IDs. The
-// concurrency-safe optimizer still earns its keep inside a session, where
-// the analysis pipeline fans IBG construction across workers.
+// bit-identical (IDs order work-function bits and break score ties). The
+// optimizer is safe for concurrent use, so the analysis pipeline can fan
+// a session's IBG construction across workers.
 package server
 
 import (
@@ -274,12 +273,10 @@ type SessionStatus struct {
 	GroupCommitRecords int64 `json:"group_commit_records"`
 	SpecHits           int64 `json:"spec_hits"`
 	SpecMisses         int64 `json:"spec_misses"`
-	// What-if gauges: real optimizer invocations versus probes served by
-	// the session's what-if cache, and how many checkpoints the session
-	// has taken (each one a snapshot + WAL truncation).
-	WhatIfCalls     int64 `json:"whatif_calls"`
-	WhatIfCacheHits int64 `json:"whatif_cache_hits"`
-	Checkpoints     int64 `json:"checkpoints"`
+	// What-if optimizations the session has run, and how many
+	// checkpoints it has taken (each one a snapshot + WAL truncation).
+	WhatIfCalls int64 `json:"whatif_calls"`
+	Checkpoints int64 `json:"checkpoints"`
 	// Replication gauges (primaries with a shipper attached only; see
 	// README "Replication & failover").
 	Replication *ReplicationStatus `json:"replication,omitempty"`
@@ -1312,7 +1309,6 @@ func (s *Session) Status() SessionStatus {
 		SpecHits:           s.specHits,
 		SpecMisses:         s.specMisses,
 		WhatIfCalls:        s.opt.Calls(),
-		WhatIfCacheHits:    s.opt.Hits(),
 		Checkpoints:        s.checkpoints,
 	}
 	if s.shipper != nil {

@@ -103,8 +103,7 @@ type Statement struct {
 	// columns) the cost model asks for on every what-if optimization —
 	// tens of thousands of times per statement across an IBG build. The
 	// cache is built once on first use; a statement must not be mutated
-	// after its first cost evaluation (the what-if cache already keys
-	// entries by statement identity, so that was the contract anyway).
+	// after its first cost evaluation.
 	tablesOnce sync.Once
 	tableViews map[string]*TableView
 }

@@ -466,7 +466,6 @@ func (t *Bandit) CompactRegistry() int {
 	t.stats.Remap(remap)
 	t.pinned = remapVotes(t.pinned, remap)
 	t.banned = remapVotes(t.banned, remap)
-	t.opt.Invalidate()
 	return dropped
 }
 

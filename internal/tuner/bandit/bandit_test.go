@@ -1,0 +1,91 @@
+package bandit
+
+import (
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/cost"
+	"repro/internal/datagen"
+	"repro/internal/index"
+	"repro/internal/stmt"
+	"repro/internal/whatif"
+)
+
+// tableQuery returns a selective single-predicate query.
+func tableQuery(id int, table, column string) *stmt.Statement {
+	return &stmt.Statement{
+		ID: id, Kind: stmt.Query,
+		Tables: []string{table},
+		Preds:  []stmt.Pred{{Table: table, Column: column, Selectivity: 0.001}},
+	}
+}
+
+// rotatingQuery alternates every 25 statements between a lineitem phase
+// and a phase cycling through four other tables, so arms mined in one
+// phase retire in the next and are mined again when it comes back.
+func rotatingQuery(n int) *stmt.Statement {
+	if (n/25)%2 == 0 {
+		return tableQuery(n, "tpch.lineitem", "l_shipdate")
+	}
+	switch n % 4 {
+	case 0:
+		return tableQuery(n, "tpce.trade", "t_dts")
+	case 1:
+		return tableQuery(n, "tpcc.orderline", "ol_amount")
+	case 2:
+		return tableQuery(n, "tpce.daily_market", "dm_vol")
+	default:
+		return tableQuery(n, "nref.protein", "mol_weight")
+	}
+}
+
+// definitionKeys renders s as its sorted definition keys. Sets render in
+// ID order, and a definition compacted away and then mined again gets a
+// new, higher ID, so ID order alone can differ between two engines that
+// recommend the same indices.
+func definitionKeys(reg *index.Registry, s index.Set) string {
+	keys := make([]string, 0, s.Len())
+	s.Each(func(id index.ID) { keys = append(keys, reg.Get(id).Key()) })
+	sort.Strings(keys)
+	return strings.Join(keys, ", ")
+}
+
+// TestCompactRegistryPreservesDecisions runs two identical bandits with
+// retirement enabled — one compacting periodically, one never — over the
+// same stream and checks they recommend the same indices by definition
+// at every step. Compaction renumbers IDs monotonically and the what-if
+// optimizer holds nothing keyed by ID, so behavior must not change.
+func TestCompactRegistryPreservesDecisions(t *testing.T) {
+	cat, _ := datagen.Build()
+	mk := func() (*index.Registry, *Bandit) {
+		reg := index.NewRegistry()
+		options := core.DefaultOptions()
+		options.IdxCnt = 4
+		options.HistSize = 10
+		options.RetireAfter = 20
+		options.Workers = 1
+		return reg, New(whatif.New(cost.NewModel(cat, reg, cost.DefaultParams())), options)
+	}
+	regA, a := mk()
+	regB, b := mk()
+
+	dropped := 0
+	for n := 1; n <= 200; n++ {
+		a.AnalyzeQuery(rotatingQuery(n))
+		b.AnalyzeQuery(rotatingQuery(n))
+		if n%40 == 0 {
+			dropped += a.CompactRegistry()
+		}
+		if ra, rb := definitionKeys(regA, a.Recommend()), definitionKeys(regB, b.Recommend()); ra != rb {
+			t.Fatalf("statement %d: recommendations diverged after compaction:\n  compacted: %s\n  reference: %s", n, ra, rb)
+		}
+	}
+	if dropped == 0 {
+		t.Fatalf("compaction never dropped a registry entry")
+	}
+	if ra, rb := a.Status().Retired, b.Status().Retired; ra != rb {
+		t.Errorf("retirement diverged: %d vs %d", ra, rb)
+	}
+}

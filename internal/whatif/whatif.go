@@ -1,14 +1,12 @@
 // Package whatif wraps the cost model behind the what-if optimizer
-// interface that index advisors consume, adding memoization and call
-// accounting. The paper reports tuning overhead partly as the number of
-// what-if optimizations per query (§6.2); Calls counts exactly those —
-// cache hits are free, mirroring how the IBG lets WFIT answer repeated
-// configuration probes without re-invoking the optimizer.
+// interface that index advisors consume, adding call accounting. The
+// paper reports tuning overhead partly as the number of what-if
+// optimizations per query (§6.2); Calls counts exactly those. Repeated
+// configuration probes of one statement are answered by its IBG, which
+// costs one call per node, so there is nothing left to memoize here.
 package whatif
 
 import (
-	"hash/maphash"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/cost"
@@ -16,121 +14,26 @@ import (
 	"repro/internal/stmt"
 )
 
-// DefaultCapacity bounds the cache at a size that comfortably holds the
-// working set of a paper-scale run (a few hundred IBG nodes per statement
-// over a bounded statement window) while keeping long workload streams
-// from pinning every statement ever probed.
-const DefaultCapacity = 1 << 16
-
-// shardCount is the number of independently locked cache shards. A power
-// of two so shard selection is a mask; 16 ways is enough that the IBG
-// builder's worker pool rarely collides on a shard lock.
-const shardCount = 16
-
-// Optimizer is a caching, call-counting what-if optimizer. It is safe for
-// concurrent use: the memo is sharded across independently locked,
-// LRU-bounded segments, and the call/hit counters are atomic. Probes
-// build their configuration key in a pooled buffer and look it up
-// through a per-statement inner map, so a cache hit allocates nothing.
+// Optimizer is a call-counting what-if optimizer. It is safe for
+// concurrent use: the model is read-only and the counter is atomic.
 type Optimizer struct {
 	model *cost.Model
-	seed  maphash.Seed
-	shard [shardCount]shard
 	calls atomic.Int64
-	hits  atomic.Int64
 }
 
-// entry is one resident cache line, threaded on its shard's LRU list.
-type entry struct {
-	s          *stmt.Statement
-	cfg        string
-	cost       float64
-	used       index.Set
-	prev, next *entry
-}
-
-// shard is one lock domain of the cache: a two-level map (statement →
-// configuration key → entry) for allocation-free lookup plus an
-// intrusive doubly linked list in recency order (head = most recent).
-type shard struct {
-	mu         sync.Mutex
-	m          map[*stmt.Statement]map[string]*entry
-	head, tail *entry
-	n          int // resident entries across all inner maps
-	capacity   int
-}
-
-// keyBufPool recycles the scratch buffers probes render their
-// configuration keys into.
-var keyBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 64)
-	return &b
-}}
-
-// New wraps the model with the default cache capacity.
+// New wraps the model.
 func New(m *cost.Model) *Optimizer {
-	return NewWithCapacity(m, DefaultCapacity)
-}
-
-// NewWithCapacity wraps the model with a cache bounded to at most
-// capacity entries in total (capacity <= 0 selects DefaultCapacity). The
-// bound is enforced per shard by rounding capacity down to a multiple of
-// the shard count, so skewed traffic can only leave the total below the
-// nominal bound, never above it — except for capacities smaller than the
-// shard count, which round up to one entry per shard.
-func NewWithCapacity(m *cost.Model, capacity int) *Optimizer {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
-	perShard := capacity / shardCount
-	if perShard < 1 {
-		perShard = 1
-	}
-	o := &Optimizer{model: m, seed: maphash.MakeSeed()}
-	for i := range o.shard {
-		o.shard[i] = shard{m: make(map[*stmt.Statement]map[string]*entry), capacity: perShard}
-	}
-	return o
+	return &Optimizer{model: m}
 }
 
 // Model exposes the underlying cost model.
 func (o *Optimizer) Model() *cost.Model { return o.model }
 
-// shardFor hashes a probe to a lock domain. The statement's identity and
-// the configuration key both contribute, so probes for one statement
-// spread across shards.
-func (o *Optimizer) shardFor(s *stmt.Statement, cfg []byte) *shard {
-	var h maphash.Hash
-	h.SetSeed(o.seed)
-	h.Write(cfg)
-	sum := h.Sum64() ^ uint64(s.ID)*0x9e3779b97f4a7c15
-	return &o.shard[sum&(shardCount-1)]
-}
-
 // CostUsed returns the what-if cost of s under cfg and the plan's used-
-// index set. The configuration is first restricted to indices relevant to
-// s, so logically-identical probes share one cache entry.
+// index set. Indices on tables s does not access are ignored by the model.
 func (o *Optimizer) CostUsed(s *stmt.Statement, cfg index.Set) (float64, index.Set) {
-	restricted := o.model.RestrictConfig(s, cfg)
-	bp := keyBufPool.Get().(*[]byte)
-	key := restricted.AppendKey((*bp)[:0])
-	sh := o.shardFor(s, key)
-	if c, used, ok := sh.get(s, key); ok {
-		*bp = key
-		keyBufPool.Put(bp)
-		o.hits.Add(1)
-		return c, used
-	}
-	// Compute outside the shard lock so a slow optimization never blocks
-	// unrelated probes. Concurrent misses on the same key each pay one
-	// model call and then store identical results — the model is pure, so
-	// the race is benign and the cached value is deterministic.
 	o.calls.Add(1)
-	c, used := o.model.CostUsed(s, restricted)
-	sh.put(s, key, c, used)
-	*bp = key
-	keyBufPool.Put(bp)
-	return c, used
+	return o.model.CostUsed(s, cfg)
 }
 
 // Cost returns just the what-if cost.
@@ -139,121 +42,20 @@ func (o *Optimizer) Cost(s *stmt.Statement, cfg index.Set) float64 {
 	return c
 }
 
-// Calls reports how many real optimizer invocations have happened (cache
-// misses since construction or the last ResetStats).
+// Calls reports how many what-if optimizations have happened since
+// construction or the last ResetStats.
 func (o *Optimizer) Calls() int64 { return o.calls.Load() }
 
-// Hits reports how many probes were served from cache.
-func (o *Optimizer) Hits() int64 { return o.hits.Load() }
+// ResetStats zeroes the call counter.
+func (o *Optimizer) ResetStats() { o.calls.Store(0) }
 
-// ResetStats zeroes the call and hit counters, keeping the cache.
-func (o *Optimizer) ResetStats() {
-	o.calls.Store(0)
-	o.hits.Store(0)
-}
+// Hits always returns 0: no probe is served without an optimization.
+//
+// Deprecated: Calls counts every probe.
+func (o *Optimizer) Hits() int64 { return 0 }
 
-// Invalidate starts a new cache epoch: every resident entry is dropped
-// while the call/hit counters keep counting. It exists for registry
-// compaction — cache keys embed index IDs, so once the registry
-// renumbers its ID space every key minted before the compaction is
-// meaningless and must never serve another probe.
-func (o *Optimizer) Invalidate() {
-	for i := range o.shard {
-		sh := &o.shard[i]
-		sh.mu.Lock()
-		sh.m = make(map[*stmt.Statement]map[string]*entry)
-		sh.head, sh.tail, sh.n = nil, nil, 0
-		sh.mu.Unlock()
-	}
-}
-
-// CacheLen reports the number of resident entries across all shards.
-func (o *Optimizer) CacheLen() int {
-	total := 0
-	for i := range o.shard {
-		sh := &o.shard[i]
-		sh.mu.Lock()
-		total += sh.n
-		sh.mu.Unlock()
-	}
-	return total
-}
-
-// get looks the probe up and, on a hit, moves its entry to the recency
-// head. The string(cfg) conversions index maps directly, which the
-// compiler compiles without copying the bytes — a hit is allocation-free.
-func (s *shard) get(st *stmt.Statement, cfg []byte) (float64, index.Set, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.m[st][string(cfg)]
-	if !ok {
-		return 0, index.EmptySet, false
-	}
-	s.moveToFront(e)
-	return e.cost, e.used, true
-}
-
-// put inserts the entry, evicting from the recency tail past capacity.
-func (s *shard) put(st *stmt.Statement, cfg []byte, cost float64, used index.Set) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	inner := s.m[st]
-	if e, ok := inner[string(cfg)]; ok {
-		// A concurrent miss got here first with the same deterministic
-		// result; just refresh recency.
-		s.moveToFront(e)
-		return
-	}
-	if inner == nil {
-		inner = make(map[string]*entry)
-		s.m[st] = inner
-	}
-	e := &entry{s: st, cfg: string(cfg), cost: cost, used: used}
-	inner[e.cfg] = e
-	s.pushFront(e)
-	s.n++
-	for s.n > s.capacity {
-		victim := s.tail
-		s.unlink(victim)
-		vi := s.m[victim.s]
-		delete(vi, victim.cfg)
-		if len(vi) == 0 {
-			delete(s.m, victim.s)
-		}
-		s.n--
-	}
-}
-
-func (s *shard) pushFront(e *entry) {
-	e.prev = nil
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
-	}
-}
-
-func (s *shard) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (s *shard) moveToFront(e *entry) {
-	if s.head == e {
-		return
-	}
-	s.unlink(e)
-	s.pushFront(e)
-}
+// Invalidate does nothing: the optimizer holds no state keyed by index
+// IDs, so registry compaction has nothing to drop here.
+//
+// Deprecated: there is nothing to invalidate.
+func (o *Optimizer) Invalidate() {}
