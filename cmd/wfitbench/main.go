@@ -9,8 +9,9 @@
 //	          [-seed S] [-workers W] [-benchout FILE]
 //
 // Without -fig, every experiment runs in order, followed by the §6.2
-// overhead numbers and a serial-vs-parallel measurement of the
-// per-statement analysis loop, written as a JSON trajectory file
+// overhead numbers, a serial-vs-parallel measurement of the
+// per-statement analysis loop and the group-commit ingest comparison
+// (the same run -throughput makes), written as a JSON trajectory file
 // (-benchout, default BENCH_wfit.json). Output is an ASCII chart per
 // figure (OPT-normalized total work over the workload), optionally
 // followed by CSV series data. -gauntlet races every registered tuner
@@ -41,7 +42,7 @@ func main() {
 func realMain() int {
 	fig := flag.Int("fig", 0, "run a single figure (8..12); 0 runs everything")
 	overhead := flag.Bool("overhead", false, "run only the overhead measurement")
-	perf := flag.Bool("perf", false, "run only the serial-vs-parallel analysis benchmark")
+	perf := flag.Bool("perf", false, "run only the serial-vs-parallel analysis benchmark and the ingest-throughput bench")
 	small := flag.Bool("small", false, "use the scaled-down environment (fast sanity run)")
 	csv := flag.Bool("csv", false, "print CSV series after each chart")
 	seed := flag.Int64("seed", 0, "override the workload seed")
@@ -49,9 +50,6 @@ func realMain() int {
 	height := flag.Int("height", 14, "chart height")
 	workers := flag.Int("workers", 0, "worker bound for construction and runs (0 = one per CPU)")
 	benchout := flag.String("benchout", "BENCH_wfit.json", "perf trajectory output file (empty disables)")
-	service := flag.Bool("service", true, "include the wfit-serve loadgen (K concurrent sessions over HTTP) in the perf run")
-	pipeline := flag.Bool("pipeline", true, "include the ingest-throughput bench (WAL group commit + speculative analysis vs per-record commits, with and without fsync) in the perf run")
-	obsBench := flag.Bool("obs", true, "include the observability overhead bench (the service loadgen with metrics off vs on, plus slowest-statement trace attribution) in the perf run")
 	throughput := flag.Bool("throughput", false, "run only the ingest-throughput bench and write its \"pipeline\" section (the CI throughput-smoke entry point)")
 	failover := flag.Bool("failover", false, "run only the replicated-pair failover bench (kill the primary mid-stream, promote the standby through the router) and write its \"failover\" section (the CI failover-smoke entry point)")
 	soak := flag.Bool("soak", false, "run the long-horizon bounded-memory soak (rotating schemas, candidate retirement, registry compaction); alone it writes just the soak section, with -perf it rides along")
@@ -169,7 +167,7 @@ func realMain() int {
 		return writeRideAlongs(0)
 	}
 	if *perf {
-		return runPerf(env, *benchout, *service, *pipeline, *obsBench, soakReport, gauntletReport)
+		return runPerf(env, *benchout, soakReport, gauntletReport)
 	}
 
 	run := func(n int) int {
@@ -210,7 +208,7 @@ func realMain() int {
 		}
 	}
 	printOverhead(env)
-	return runPerf(env, *benchout, *service, *pipeline, *obsBench, soakReport, gauntletReport)
+	return runPerf(env, *benchout, soakReport, gauntletReport)
 }
 
 // runThroughput drives the ingest-throughput bench against a temp data
@@ -347,12 +345,11 @@ func writeReport(r *bench.PerfReport, outPath string) int {
 }
 
 // runPerf measures the per-statement analysis loop serially and with the
-// worker pool, optionally drives the service-mode loadgen, prints the
-// comparison, and writes the JSON trajectory. Serial and parallel
-// trajectories that differ fail the run before anything is written. It
-// returns a process exit code instead of exiting so deferred profile
-// writers still run.
-func runPerf(env *bench.Env, outPath string, service, pipeline, obsBench bool, soak *bench.SoakReport, gauntlet *bench.GauntletReport) int {
+// worker pool, then the group-commit ingest comparison, prints both, and
+// writes the JSON trajectory. Serial and parallel trajectories that
+// differ fail the run before anything is written. It returns a process
+// exit code instead of exiting so deferred profile writers still run.
+func runPerf(env *bench.Env, outPath string, soak *bench.SoakReport, gauntlet *bench.GauntletReport) int {
 	fmt.Println("\nAnalysis-loop perf: full WFIT, serial (workers=1) vs parallel (one worker per core)")
 	r := env.RunPerfComparison()
 	r.Soak = soak
@@ -374,72 +371,12 @@ func runPerf(env *bench.Env, outPath string, service, pipeline, obsBench bool, s
 		return 1
 	}
 
-	if service {
-		fmt.Println("\nService perf: wfit-serve loadgen, concurrent sessions over HTTP")
-		dataDir, err := os.MkdirTemp("", "wfit-serve-bench-*")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "service bench temp dir: %v\n", err)
-			return 1
-		}
-		defer os.RemoveAll(dataDir)
-		sp, err := env.RunServicePerf(dataDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "service bench: %v\n", err)
-			return 1
-		}
-		r.Service = sp
-		fmt.Printf("  %d sessions × %d statements: %.0f stmts/s, ingest latency mean %.0f µs (p50 %.0f, p90 %.0f, p99 %.0f, max %.0f)\n",
-			sp.Sessions, sp.PerSession, sp.IngestPerSec,
-			sp.IngestUSMean, sp.IngestUSP50, sp.IngestUSP90, sp.IngestUSP99, sp.IngestUSMax)
+	fmt.Println()
+	p, code := runThroughput()
+	if code != 0 {
+		return code
 	}
-
-	if pipeline {
-		fmt.Println("\nIngest throughput: per-record commits vs WAL group commit + speculative analysis")
-		dataDir, err := os.MkdirTemp("", "wfit-pipeline-bench-*")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pipeline bench temp dir: %v\n", err)
-			return 1
-		}
-		defer os.RemoveAll(dataDir)
-		pp, err := bench.RunPipeline(bench.PipelineOptions{DataDir: dataDir})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pipeline bench: %v\n", err)
-			return 1
-		}
-		r.Pipeline = pp
-		printPipeline(pp)
-	}
-
-	if obsBench {
-		fmt.Println("\nObservability overhead: service loadgen with metrics off vs on")
-		offDir, err := os.MkdirTemp("", "wfit-obs-off-*")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "obs bench temp dir: %v\n", err)
-			return 1
-		}
-		defer os.RemoveAll(offDir)
-		onDir, err := os.MkdirTemp("", "wfit-obs-on-*")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "obs bench temp dir: %v\n", err)
-			return 1
-		}
-		defer os.RemoveAll(onDir)
-		op, err := env.RunObsPerf(offDir, onDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "obs bench: %v\n", err)
-			return 1
-		}
-		r.Obs = op
-		fmt.Printf("  metrics off: ingest p50 %.0f µs (mean %.0f, p99 %.0f); on: p50 %.0f µs (mean %.0f, p99 %.0f)\n",
-			op.OffUSP50, op.OffUSMean, op.OffUSP99, op.OnUSP50, op.OnUSMean, op.OnUSP99)
-		fmt.Printf("  overhead: p50 %+.2f%%, mean %+.2f%%; scrape exported %d series\n",
-			op.OverheadP50Pct, op.OverheadMeanPct, op.ScrapeSeries)
-		if len(op.Slowest) > 0 {
-			w := op.Slowest[0]
-			fmt.Printf("  slowest statement: id %d, %.0f µs total, dominant stage %s (%d what-if calls)\n",
-				w.ID, w.TotalUS, w.DominantStage, w.WhatIfCalls)
-		}
-	}
+	r.Pipeline = p
 
 	return writeReport(r, outPath)
 }

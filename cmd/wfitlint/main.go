@@ -1,9 +1,10 @@
 // wfitlint machine-checks the repo's determinism, durability, and
 // locking invariants: five repo-specific analyzers (nondeterminism,
 // maprange, walrecord, parity, scrapereentry) plus stdlib-only
-// reimplementations of stock vet passes (nilness, lostcancel,
-// copylocks, unusedresult). See internal/lint and the README's "Static
-// analysis" section.
+// reimplementations of x/tools passes: nilness, which `go vet` does not
+// run, and copylocks and unusedresult, which extend their vet
+// namesakes. See internal/lint and the README's "Static analysis"
+// section.
 //
 // Usage:
 //

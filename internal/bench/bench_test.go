@@ -129,6 +129,39 @@ func TestBadFeedbackRecovers(t *testing.T) {
 	}
 }
 
+// TestGoodFeedbackUnderIndependence checks Figure 10: WFIT-IND's
+// singleton partition hides index interactions from its statistics, and
+// prescient votes must make up for it.
+func TestGoodFeedbackUnderIndependence(t *testing.T) {
+	env := sharedSmallEnv(t)
+	runs := env.RunFig10()
+	n := env.Workload.Len()
+	good, plain := runs[0], runs[1]
+	if good.TotWork[n] >= plain.TotWork[n] {
+		t.Fatalf("GOOD-IND total work %.6g not below WFIT-IND %.6g (ratios %.3f vs %.3f)",
+			good.TotWork[n], plain.TotWork[n], good.Ratio[n], plain.Ratio[n])
+	}
+}
+
+// TestAutoMaintenanceKeepsUp checks Figure 12: full WFIT, mining its own
+// candidates and repartitioning online, stays close to the variant that
+// is handed the offline candidate set and stable partition.
+func TestAutoMaintenanceKeepsUp(t *testing.T) {
+	env := sharedSmallEnv(t)
+	res := env.RunFig12()
+	n := env.Workload.Len()
+	auto, fixed := res.Runs[0], res.Runs[1]
+	if auto.Ratio[n] < 0.9*fixed.Ratio[n] {
+		t.Errorf("AUTO final ratio %.3f below 0.9 × FIXED's %.3f", auto.Ratio[n], fixed.Ratio[n])
+	}
+	if res.Repartitions < 1 {
+		t.Errorf("AUTO never repartitioned")
+	}
+	if res.CandidateCnt <= env.Options.IdxCnt {
+		t.Errorf("AUTO mined %d candidates, want more than idxCnt %d", res.CandidateCnt, env.Options.IdxCnt)
+	}
+}
+
 func TestLagReducesChanges(t *testing.T) {
 	env := sharedSmallEnv(t)
 	part := env.Partitions[env.middle()]

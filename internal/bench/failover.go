@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"repro/internal/datagen"
@@ -284,8 +283,8 @@ func RunFailover(o FailoverOptions) (*FailoverPerf, error) {
 			status.Statements, o.Statements)
 	}
 
-	perf.SteadyUSMean, perf.SteadyUSP50, perf.SteadyUSP90, perf.SteadyUSP99 = latencySummary(steady)
-	perf.PostUSMean, perf.PostUSP50, perf.PostUSP90, perf.PostUSP99 = latencySummary(post)
+	perf.SteadyUSMean, perf.SteadyUSP50, perf.SteadyUSP90, perf.SteadyUSP99, _ = latencySummary(steady)
+	perf.PostUSMean, perf.PostUSP50, perf.PostUSP90, perf.PostUSP99, _ = latencySummary(post)
 	return perf, nil
 }
 
@@ -296,19 +295,4 @@ func replicatedMux(sv *server.Server) http.Handler {
 	mux.Handle("/replication/", replica.NewHandler(sv))
 	mux.Handle("/", sv.Handler())
 	return mux
-}
-
-// latencySummary sorts a latency series (µs) and returns mean/p50/p90/p99.
-func latencySummary(series []float64) (mean, p50, p90, p99 float64) {
-	n := len(series)
-	if n == 0 {
-		return 0, 0, 0, 0
-	}
-	sorted := append([]float64(nil), series...)
-	sort.Float64s(sorted)
-	total := 0.0
-	for _, v := range sorted {
-		total += v
-	}
-	return total / float64(n), sorted[n/2], sorted[n*9/10], sorted[n*99/100]
 }

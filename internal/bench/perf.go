@@ -63,7 +63,9 @@ type PerfSide struct {
 // slowest-statement trace attribution); v8 added the Gauntlet section
 // (the engine × scenario matrix of OPT-normalized total work); v9
 // dropped the perf sides' cache_hits and cache_hit_rate (the what-if
-// optimizer no longer memoizes, so whatif_calls counts every probe).
+// optimizer no longer memoizes, so whatif_calls counts every probe);
+// v10 dropped the Service and Obs sections (e2ebench measures the
+// service end to end).
 type PerfReport struct {
 	Schema     string `json:"schema"`
 	GoVersion  string `json:"go_version"`
@@ -78,9 +80,6 @@ type PerfReport struct {
 	// RatiosMatch records the determinism guarantee as measured: the two
 	// paths produced bit-identical total-work trajectories.
 	RatiosMatch bool `json:"serial_parallel_results_identical"`
-	// Service is the service-mode loadgen measurement (K concurrent
-	// sessions driving wfit-serve over HTTP); nil when it was skipped.
-	Service *ServicePerf `json:"service,omitempty"`
 	// Soak is the long-horizon bounded-memory run (rotating schemas with
 	// candidate retirement and registry compaction); nil when skipped.
 	Soak *SoakReport `json:"soak,omitempty"`
@@ -92,10 +91,6 @@ type PerfReport struct {
 	// blip across standby promotion, acked-loss accounting, replication
 	// lag); nil when skipped.
 	Failover *FailoverPerf `json:"failover,omitempty"`
-	// Obs is the observability-overhead comparison (the same loadgen with
-	// metrics off and on) plus the slowest-statement trace attribution;
-	// nil when skipped.
-	Obs *ObsPerf `json:"obs,omitempty"`
 	// Gauntlet is the engine × scenario matrix (every registered tuner
 	// engine over every workload profile, OPT-normalized); nil when
 	// skipped.
@@ -104,7 +99,7 @@ type PerfReport struct {
 
 // PerfSchema is the schema version stamped on every PerfReport (see
 // PerfReport for the history).
-const PerfSchema = "wfit-perf/v9"
+const PerfSchema = "wfit-perf/v10"
 
 // RunPerf evaluates the full WFIT once with the given worker bound and
 // returns the measured side. It runs alone (no concurrent runs) and

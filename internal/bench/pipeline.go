@@ -5,7 +5,6 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"time"
 
 	"repro/internal/datagen"
@@ -35,11 +34,12 @@ type PipelineOptions struct {
 	// Batch is the batched modes' group-commit record bound (default 32).
 	Batch int
 	// Pipeline is the batched modes' speculative-analysis worker count
-	// (zero or negative: one per CPU, matching the service's -pipeline
-	// convention; the serial modes always run without speculation).
+	// (zero or negative: one per CPU, so the batched modes always
+	// speculate; unlike wfit-serve's -pipeline, 0 does not disable it).
+	// The serial modes always run without speculation.
 	Pipeline int
 	// IdxCnt and StateCnt are the per-session tuner knobs (defaults 16
-	// and 200, the service-bench scale).
+	// and 200).
 	IdxCnt, StateCnt int
 	// Seed drives workload generation.
 	Seed int64
@@ -247,19 +247,7 @@ func runPipelineMode(o PipelineOptions, m *PipelineMode, warm, sqls []string) er
 		m.StmtsPerSec = float64(len(sqls)) / (m.WallMS / 1e3)
 	}
 
-	sort.Float64s(acks)
-	n := len(acks)
-	if n > 0 {
-		total := 0.0
-		for _, us := range acks {
-			total += us
-		}
-		m.AckUSMean = total / float64(n)
-		m.AckUSP50 = acks[n/2]
-		m.AckUSP90 = acks[n*9/10]
-		m.AckUSP99 = acks[n*99/100]
-		m.AckUSMax = acks[n-1]
-	}
+	m.AckUSMean, m.AckUSP50, m.AckUSP90, m.AckUSP99, m.AckUSMax = latencySummary(acks)
 
 	var status struct {
 		Statements         int     `json:"statements"`

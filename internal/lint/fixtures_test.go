@@ -139,10 +139,6 @@ func TestNilnessFixture(t *testing.T) {
 	runFixture(t, "nilnessfix", NilnessAnalyzer)
 }
 
-func TestLostCancelFixture(t *testing.T) {
-	runFixture(t, "lostcancelfix", LostCancelAnalyzer)
-}
-
 func TestCopyLocksFixture(t *testing.T) {
 	runFixture(t, "copylocksfix", CopyLocksAnalyzer)
 }

@@ -3,8 +3,9 @@
 // this codebase rests on (no wall-clock or math/rand in state-bearing
 // packages, ordered float accumulation, exhaustive WAL-record handling,
 // Export/Restore field parity, no re-entry into the obs registry lock),
-// plus stdlib-only reimplementations of the stock vet passes the repo
-// wants beyond `go vet` (nilness, lostcancel, copylocks, unusedresult).
+// plus stdlib-only reimplementations of x/tools passes: nilness, which
+// `go vet` does not run, and copylocks and unusedresult, which extend
+// their vet namesakes.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape —
 // Analyzer, Pass, Diagnostic, testdata fixtures with `// want` comments —
@@ -213,7 +214,6 @@ func All() []*Analyzer {
 		ParityAnalyzer,
 		ScrapeReentryAnalyzer,
 		NilnessAnalyzer,
-		LostCancelAnalyzer,
 		CopyLocksAnalyzer,
 		UnusedResultAnalyzer,
 	}

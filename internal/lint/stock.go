@@ -6,13 +6,14 @@ import (
 	"go/types"
 )
 
-// This file holds stdlib-only reimplementations of the stock vet passes
-// the repo wants in one tool alongside the custom analyzers: nilness,
-// lostcancel, copylocks, unusedresult. They are deliberately
-// conservative subsets of their x/tools namesakes (this module has no
-// external dependencies, so the originals cannot be vendored): each
-// flags the high-confidence core of its upstream pass and nothing
-// speculative.
+// This file holds stdlib-only reimplementations of x/tools passes the
+// repo wants in one tool alongside the custom analyzers. nilness is not
+// part of `go vet`; copylocks and unusedresult extend their vet
+// namesakes (a by-value result holding an atomic, dropped strings/
+// strconv results). They are deliberately conservative subsets of their
+// x/tools namesakes (this module has no external dependencies, so the
+// originals cannot be vendored): each flags the high-confidence core of
+// its upstream pass and nothing speculative.
 
 // ---------------------------------------------------------------------
 // nilness: dereference of a value inside the branch that proved it nil.
@@ -130,46 +131,6 @@ func checkNilUses(pass *Pass, obj *types.Var, branch ast.Stmt) {
 		}
 		return true
 	})
-}
-
-// ---------------------------------------------------------------------
-// lostcancel: discarding the cancel func of a cancellable context.
-
-// LostCancelAnalyzer flags `ctx, _ := context.WithCancel(...)` (and
-// WithTimeout/WithDeadline): discarding the CancelFunc leaks the
-// context's resources until the parent is cancelled.
-var LostCancelAnalyzer = &Analyzer{
-	Name: "lostcancel",
-	Doc:  "flag context.WithCancel/WithTimeout/WithDeadline whose cancel func is discarded",
-	Run:  runLostCancel,
-}
-
-var cancellableCtxFuncs = map[string]bool{
-	"WithCancel": true, "WithTimeout": true, "WithDeadline": true,
-	"WithCancelCause": true, "WithTimeoutCause": true, "WithDeadlineCause": true,
-}
-
-func runLostCancel(pass *Pass) {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			assign, ok := n.(*ast.AssignStmt)
-			if !ok || len(assign.Rhs) != 1 || len(assign.Lhs) != 2 {
-				return true
-			}
-			call, ok := ast.Unparen(assign.Rhs[0]).(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := pass.CalleeFunc(call)
-			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "context" || !cancellableCtxFuncs[fn.Name()] {
-				return true
-			}
-			if id, ok := assign.Lhs[1].(*ast.Ident); ok && id.Name == "_" {
-				pass.Reportf(assign.Pos(), "the cancel function returned by context.%s is discarded: the context leaks until its parent is cancelled", fn.Name())
-			}
-			return true
-		})
-	}
 }
 
 // ---------------------------------------------------------------------

@@ -37,26 +37,6 @@ type StatementTrace struct {
 	SpecHit bool `json:"spec_hit"`
 }
 
-// Dominant returns the name of the stage that consumed the largest
-// share of the statement's time.
-func (t StatementTrace) Dominant() string {
-	name, best := "queue", t.QueueUS
-	for _, s := range []struct {
-		name string
-		us   float64
-	}{
-		{"wal_append", t.WALUS},
-		{"fsync", t.FsyncUS},
-		{"analysis", t.AnalysisUS},
-		{"apply", t.ApplyUS},
-	} {
-		if s.us > best {
-			name, best = s.name, s.us
-		}
-	}
-	return name
-}
-
 // TraceRing retains the most recent N statement traces plus,
 // separately, the slowest N by total time — so the tail stays
 // inspectable even after it has scrolled out of the recent window.

@@ -50,24 +50,6 @@ func TestTraceRingSlowestRetention(t *testing.T) {
 	}
 }
 
-func TestTraceDominantStage(t *testing.T) {
-	cases := []struct {
-		tr   StatementTrace
-		want string
-	}{
-		{StatementTrace{QueueUS: 5, AnalysisUS: 100, ApplyUS: 10}, "analysis"},
-		{StatementTrace{QueueUS: 500, AnalysisUS: 100}, "queue"},
-		{StatementTrace{FsyncUS: 900, WALUS: 50, AnalysisUS: 100}, "fsync"},
-		{StatementTrace{WALUS: 50}, "wal_append"},
-		{StatementTrace{}, "queue"}, // all-zero: stable default
-	}
-	for _, c := range cases {
-		if got := c.tr.Dominant(); got != c.want {
-			t.Errorf("Dominant(%+v) = %q, want %q", c.tr, got, c.want)
-		}
-	}
-}
-
 func TestEventFormatting(t *testing.T) {
 	var b strings.Builder
 	SetOutput(&b)

@@ -303,9 +303,6 @@ func TestTraceEndpoint(t *testing.T) {
 		if st.WhatIfCalls <= 0 {
 			t.Fatalf("trace %d recorded no what-if calls", st.ID)
 		}
-		if d := st.Dominant(); d == "" {
-			t.Fatalf("trace %d has no dominant stage", st.ID)
-		}
 	}
 	for i := 1; i < len(tr.Slowest); i++ {
 		if tr.Slowest[i].TotalUS > tr.Slowest[i-1].TotalUS {
