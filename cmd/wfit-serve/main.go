@@ -113,9 +113,10 @@ func realMain() int {
 	options.RetireAfter = *retireAfter
 
 	// Fail fast on knob values that would silently create unbounded
-	// tuner state (the same rule the API applies to per-session knobs).
-	defaults := server.SessionConfig{Name: "defaults", Tuner: *tunerKind, Options: options, QueueDepth: *queueDepth, CheckpointBytes: *checkpointBytes, Batch: *batch, Pipeline: *pipeline}
-	if err := defaults.Check(); err != nil {
+	// tuner state (the same rule the API applies to per-session knobs),
+	// and on a batch bound every session would reject.
+	defaults := server.SessionConfig{Name: "defaults", Tuner: *tunerKind, Options: options, QueueDepth: *queueDepth, CheckpointBytes: *checkpointBytes}
+	if err := errors.Join(defaults.Check(), server.SessionRuntime{Batch: *batch}.Check()); err != nil {
 		fmt.Fprintf(os.Stderr, "wfit-serve: invalid flags: %v\n", err)
 		return 2
 	}

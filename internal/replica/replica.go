@@ -2,7 +2,8 @@
 // primary-side Shipper that streams committed WAL records (and, when the
 // incremental stream cannot continue, whole snapshots) to a warm standby
 // over HTTP, and a follower-side handler that applies the stream through
-// the session's single-writer replay path.
+// the session's one apply path — the one live ingest and crash recovery
+// use, speculating when the standby runs with -pipeline.
 //
 // The wire unit is the WAL's own frame format (state.EncodeRecords), so
 // the standby's log is byte-identical to the stretch of the primary's it

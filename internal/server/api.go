@@ -188,8 +188,6 @@ type createSessionRequest struct {
 	QueueDepth      int    `json:"queue_depth,omitempty"`
 	CheckpointEvery int    `json:"checkpoint_every,omitempty"`
 	CheckpointBytes int64  `json:"checkpoint_bytes,omitempty"`
-	Batch           int    `json:"batch,omitempty"`
-	Pipeline        int    `json:"pipeline,omitempty"`
 }
 
 func (sv *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
@@ -218,8 +216,6 @@ func (sv *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		QueueDepth:      req.QueueDepth,
 		CheckpointEvery: req.CheckpointEvery,
 		CheckpointBytes: req.CheckpointBytes,
-		Batch:           req.Batch,
-		Pipeline:        req.Pipeline,
 	}
 	sess, err := sv.CreateSession(cfg)
 	if err != nil {

@@ -58,13 +58,12 @@ func drivePipeline(t *testing.T, sess *Session, sqls []string, from, to, stride 
 // pipelineSessionConfig is the differential tests' config: automatic
 // checkpoints every 150 statements with retirement enabled, so registry
 // compactions land at checkpoint boundaries mid-workload — the alignment
-// the group-commit chunk cutting must reproduce exactly.
-func pipelineSessionConfig(name string, batch, pipeline int) SessionConfig {
+// the group-commit chunk cutting must reproduce exactly. The batch and
+// pipeline knobs travel in a SessionRuntime.
+func pipelineSessionConfig(name string) SessionConfig {
 	cfg := testSessionConfig(name)
 	cfg.Options.RetireAfter = 120
 	cfg.CheckpointEvery = 150
-	cfg.Batch = batch
-	cfg.Pipeline = pipeline
 	return cfg
 }
 
@@ -85,7 +84,7 @@ func TestBatchedPipelineBitIdentical(t *testing.T) {
 	cat, _ := datagen.Build()
 
 	serialDir := filepath.Join(t.TempDir(), "serial")
-	serial, err := CreateSession(serialDir, cat, pipelineSessionConfig("diff", 1, 0))
+	serial, err := CreateSession(serialDir, cat, pipelineSessionConfig("diff"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +92,7 @@ func TestBatchedPipelineBitIdentical(t *testing.T) {
 	drivePipeline(t, serial, sqls, 0, total, 1)
 
 	batchedDir := filepath.Join(t.TempDir(), "batched")
-	batched, err := CreateSession(batchedDir, cat, pipelineSessionConfig("diff", 32, 4))
+	batched, err := CreateSessionWith(batchedDir, cat, pipelineSessionConfig("diff"), SessionRuntime{Batch: 32, Pipeline: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +145,7 @@ func TestBatchedPipelineBitIdentical(t *testing.T) {
 // between a group commit and the apply of its records: the WAL holds an
 // acknowledged-on-disk batch the in-memory tuner never saw. Recovery must
 // replay that batch and land bit-identical to a session that applied the
-// same statements live.
+// same statements live — speculating on the way, as live ingest does.
 func TestGroupCommitCrashWindow(t *testing.T) {
 	const applied = 80
 	const inFlight = 12 // group-committed but never applied
@@ -155,7 +154,7 @@ func TestGroupCommitCrashWindow(t *testing.T) {
 
 	// Control: applies everything live.
 	controlDir := filepath.Join(t.TempDir(), "control")
-	control, err := CreateSession(controlDir, cat, pipelineSessionConfig("cw", 32, 2))
+	control, err := CreateSessionWith(controlDir, cat, pipelineSessionConfig("cw"), SessionRuntime{Batch: 32, Pipeline: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +165,7 @@ func TestGroupCommitCrashWindow(t *testing.T) {
 	// window is reconstructed on its WAL — a group commit whose records
 	// were durable but unapplied.
 	crashDir := filepath.Join(t.TempDir(), "crash")
-	victim, err := CreateSession(crashDir, cat, pipelineSessionConfig("cw", 32, 2))
+	victim, err := CreateSessionWith(crashDir, cat, pipelineSessionConfig("cw"), SessionRuntime{Batch: 32, Pipeline: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,6 +203,11 @@ func TestGroupCommitCrashWindow(t *testing.T) {
 	if !reflect.DeepEqual(exportTuner(control), exportTuner(recovered)) {
 		t.Fatalf("tuner state diverged after replaying the crash-window batch")
 	}
+	// Recovery applied the tail through the live path's pipeline.
+	if rs.SpecHits+rs.SpecMisses == 0 {
+		t.Fatal("recovery never speculated with Pipeline: 2")
+	}
+	t.Logf("recovery: speculation %d hits / %d misses", rs.SpecHits, rs.SpecMisses)
 }
 
 // TestIngestParseErrorAtomic pins the documented ParseError contract for
@@ -212,7 +216,7 @@ func TestGroupCommitCrashWindow(t *testing.T) {
 func TestIngestParseErrorAtomic(t *testing.T) {
 	sqls := recoveryWorkloadSQL(t, 10)
 	cat, _ := datagen.Build()
-	sess, err := CreateSession(filepath.Join(t.TempDir(), "atomic"), cat, pipelineSessionConfig("atomic", 32, 2))
+	sess, err := CreateSessionWith(filepath.Join(t.TempDir(), "atomic"), cat, pipelineSessionConfig("atomic"), SessionRuntime{Batch: 32, Pipeline: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

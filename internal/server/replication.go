@@ -15,11 +15,11 @@ import (
 // snapshot.
 type GapError struct {
 	Have uint64 // the follower's last applied sequence number
-	Want uint64 // the first sequence number of the rejected batch
+	Want uint64 // the first shipped sequence number that does not continue it
 }
 
 func (e *GapError) Error() string {
-	return fmt.Sprintf("server: replication gap (follower at seq %d, batch starts at %d)", e.Have, e.Want)
+	return fmt.Sprintf("server: replication gap (follower at seq %d, shipped batch breaks at seq %d)", e.Have, e.Want)
 }
 
 // LastSeq returns the sequence number of the session's most recent WAL
@@ -40,19 +40,22 @@ func (s *Session) ExportTunerState() state.TunerState {
 }
 
 // ApplyReplicated applies a batch of shipped primary records on a
-// follower: append to the local WAL with the primary's sequence numbers
-// preserved, then apply through the same replay path recovery uses — so
-// the follower's WAL is byte-identical to the stretch of the primary's it
-// mirrors, and its tuner trajectory is the one replaying that WAL yields.
+// follower: append them to the local WAL, then apply them through
+// applyChunk, the path live ingest and recovery use — speculating when
+// Pipeline is set. The follower's WAL is byte-identical to the stretch of
+// the primary's it mirrors, and its tuner trajectory is the one replaying
+// that WAL yields.
 //
 // Records the follower has already applied (seq ≤ local cursor) are
 // dropped first: re-ships after a lost ack are idempotent, never
-// double-applied. A batch that then does not start exactly at cursor+1
-// is rejected whole with a GapError and nothing is written. The call
-// bypasses the job queue and serializes on the state mutex directly —
-// followers have exactly one writer (the replication handler), and the
-// queue's group-commit machinery would only re-batch what the primary
-// already batched.
+// double-applied. Every remaining record must then continue the log
+// (cursor+1, cursor+2, …), so the sequence numbers AppendBatch assigns
+// are the primary's; a batch with a gap anywhere is rejected whole with
+// a GapError before anything is written, as is one whose statements do
+// not parse. The call bypasses the job queue and serializes on the state
+// mutex directly — followers have exactly one writer (the replication
+// handler), and the queue's group-commit machinery would only re-batch
+// what the primary already batched.
 //
 // Follower checkpoints ride here: when the replicated statements cross
 // the session's checkpoint thresholds, a snapshot is written WITHOUT the
@@ -78,18 +81,22 @@ func (s *Session) ApplyReplicated(recs []state.Record) (uint64, error) {
 	if len(recs) == 0 {
 		return last, nil
 	}
-	if recs[0].Seq != last+1 {
-		return last, &GapError{Have: last, Want: recs[0].Seq}
+	for k, rec := range recs {
+		if rec.Seq != last+uint64(k)+1 {
+			return last, &GapError{Have: last, Want: rec.Seq}
+		}
 	}
-	if _, err := s.wal.AppendReplica(recs); err != nil {
+	events, err := s.recordEvents(recs)
+	if err != nil {
+		return last, fmt.Errorf("server: replicated %w", err)
+	}
+	if _, err := s.wal.AppendBatch(recs); err != nil {
 		s.broken = fmt.Errorf("server: replica WAL append: %w", err)
 		return last, s.broken
 	}
-	for _, rec := range recs {
-		if err := s.replay(rec); err != nil {
-			s.broken = fmt.Errorf("server: applying replicated record: %w", err)
-			return s.wal.LastSeq(), s.broken
-		}
+	if k, err := s.applyChunk(events, nil, false); err != nil {
+		s.broken = fmt.Errorf("server: applying replicated record (seq %d): %w", recs[k].Seq, err)
+		return s.wal.LastSeq(), s.broken
 	}
 	if (s.cfg.CheckpointEvery > 0 && s.sinceCkpt >= s.cfg.CheckpointEvery) ||
 		(s.cfg.CheckpointBytes > 0 && s.wal.Size() >= s.cfg.CheckpointBytes) {
@@ -196,13 +203,9 @@ func (sv *Server) InstallSnapshot(data []byte) (*Session, error) {
 	if err := state.SyncDir(filepath.Dir(dir)); err != nil {
 		return nil, err
 	}
-	sess, err := OpenSession(dir, sv.cat, SessionRuntime{
-		Fsync:    sv.cfg.Fsync,
-		Batch:    sv.cfg.Batch,
-		Pipeline: sv.cfg.Pipeline,
-		Hooks:    sv.cfg.WALHooks,
-		Metrics:  sv.cfg.Metrics,
-	})
+	rt := sv.runtime(name, dir)
+	rt.NewShipper = nil // a follower never ships: no chained replication
+	sess, err := OpenSession(dir, sv.cat, rt)
 	if err != nil {
 		return nil, fmt.Errorf("server: opening installed snapshot: %w", err)
 	}

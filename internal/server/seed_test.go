@@ -119,11 +119,11 @@ func TestServerSessionDefaultComposition(t *testing.T) {
 	}
 	defer sv.Close()
 
-	// Session overrides beat server defaults; zeros inherit them.
+	// Session overrides beat server defaults; zeros inherit them. The
+	// runtime knobs come from the server alone.
 	sess, err := sv.CreateSession(SessionConfig{
 		Name:    "compose",
 		Options: core.Options{StateCnt: 321},
-		Batch:   8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,8 +141,8 @@ func TestServerSessionDefaultComposition(t *testing.T) {
 		t.Fatalf("Seed = %d, want NameSeed — the server-level 777 must never apply", opts.Seed)
 	case st.QueueDepth != 33:
 		t.Fatalf("QueueDepth = %d, want the server default 33", st.QueueDepth)
-	case st.Batch != 8:
-		t.Fatalf("Batch = %d, want the session override 8", st.Batch)
+	case st.Batch != 16:
+		t.Fatalf("Batch = %d, want the server's 16", st.Batch)
 	case st.Pipeline != 2:
 		t.Fatalf("Pipeline = %d, want the server default 2", st.Pipeline)
 	}

@@ -40,13 +40,13 @@ type Config struct {
 	// CheckpointBytes defaults new sessions' WAL-growth checkpoint
 	// trigger (0 disables).
 	CheckpointBytes int64
-	// Fsync syncs WALs to stable storage per append.
-	Fsync bool
-	// Batch and Pipeline default new sessions' group-commit record bound
-	// and speculative-analysis worker count (zero: 1 and 0; see
-	// SessionConfig). Like Fsync they also apply to recovered sessions —
-	// they are properties of the serving process, not of the persisted
-	// state, and never change the tuner trajectory.
+	// Fsync, Batch and Pipeline are every session's runtime knobs,
+	// created and recovered alike (see SessionRuntime): WAL fsync per
+	// commit, the group-commit record bound, and the speculative-analysis
+	// worker count (zero: off, 1, and 0). They are properties of the
+	// serving process, not of the persisted state, and never change the
+	// tuner trajectory.
+	Fsync    bool
 	Batch    int
 	Pipeline int
 	// NewShipper, when set, attaches a replication stream to every
@@ -191,12 +191,6 @@ func (sv *Server) applyServerDefaults(cfg *SessionConfig) {
 	if cfg.CheckpointBytes == 0 {
 		cfg.CheckpointBytes = sv.cfg.CheckpointBytes
 	}
-	if cfg.Batch == 0 {
-		cfg.Batch = sv.cfg.Batch
-	}
-	if cfg.Pipeline == 0 {
-		cfg.Pipeline = sv.cfg.Pipeline
-	}
 	if cfg.Tuner == "" {
 		cfg.Tuner = sv.cfg.DefaultTuner
 	}
@@ -212,7 +206,6 @@ func (sv *Server) applyServerDefaults(cfg *SessionConfig) {
 	if cfg.Options.RetireAfter == 0 {
 		cfg.Options.RetireAfter = sv.cfg.DefaultOptions.RetireAfter
 	}
-	cfg.Fsync = sv.cfg.Fsync
 }
 
 // CreateSession creates and registers a new named session.

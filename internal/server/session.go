@@ -95,27 +95,6 @@ type SessionConfig struct {
 	// this many bytes, bounding recovery replay time even when statements
 	// are huge or CheckpointEvery is disabled (0 disables).
 	CheckpointBytes int64
-	// Fsync syncs the WAL to stable storage on every append. Off by
-	// default: acknowledged records already survive kill -9 (they are
-	// flushed to the OS), fsync additionally covers power loss.
-	Fsync bool
-	// Batch caps how many WAL records one group commit covers. The ingest
-	// loop drains queued work up to this bound and appends the whole
-	// group with a single flush (and, with Fsync, a single fsync) before
-	// applying it in order — amortizing the per-record persistence cost
-	// without changing the event stream: group boundaries are cut exactly
-	// where a checkpoint would fall, so the WAL byte stream and the tuner
-	// trajectory are identical to per-record commits (default 1, the
-	// pre-batching behavior).
-	Batch int
-	// Pipeline is the number of worker goroutines that speculatively run
-	// the read-only analysis phase (candidate peek, IBG construction,
-	// what-if probing) for statements queued behind the apply cursor
-	// within a group. Each speculation is validated against the tuner's
-	// change epoch at apply time and recomputed serially on a miss, so
-	// any setting produces bit-identical trajectories. 0 disables
-	// speculation; negative means one worker per CPU.
-	Pipeline int
 }
 
 // NameSeed derives a session's default partition-randomness seed from its
@@ -142,12 +121,6 @@ func (c *SessionConfig) applyDefaults() {
 	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 500
-	}
-	if c.Batch == 0 {
-		c.Batch = 1
-	}
-	if c.Pipeline < 0 {
-		c.Pipeline = runtime.NumCPU()
 	}
 	if c.Tuner == "" {
 		c.Tuner = tuner.KindWFIT
@@ -211,8 +184,6 @@ func (c *SessionConfig) validate() error {
 		return bad("retire_after must be non-negative, got %d", o.RetireAfter)
 	case c.CheckpointBytes < 0:
 		return bad("checkpoint_bytes must be non-negative, got %d", c.CheckpointBytes)
-	case c.Batch < 1:
-		return bad("batch must be positive, got %d", c.Batch)
 	}
 	if _, ok := tuner.Lookup(c.Tuner); !ok {
 		return bad("unknown tuner %q (available: %s)", c.Tuner, strings.Join(tuner.Kinds(), ", "))
@@ -289,6 +260,7 @@ type SessionStatus struct {
 // the latest applied event.
 type Session struct {
 	cfg SessionConfig
+	rt  SessionRuntime // defaults applied
 	dir string
 
 	cat    *catalog.Catalog
@@ -345,23 +317,15 @@ type Session struct {
 	lastSync  time.Duration
 }
 
-type jobKind int
-
-const (
-	jobStmt jobKind = iota
-	jobVote
-	jobAccept
-)
-
 type job struct {
-	kind jobKind
-	// sqls/sts carry a whole ingest batch (jobStmt): one queued job per
-	// client request, so the single-writer loop sees batches it can group
-	// commit instead of a lock-step stream of single statements.
-	sqls        []string
-	sts         []*stmt.Statement
-	plus, minus []state.IndexSpec
-	reply       chan jobReply
+	// recs are the WAL records the job logs: one vote or accept, or a
+	// whole ingest batch — one queued job per client request, so the
+	// single-writer loop sees batches it can group commit instead of a
+	// lock-step stream of single statements.
+	recs []state.Record
+	// sts are an ingest job's parsed statements, index-aligned with recs.
+	sts   []*stmt.Statement
+	reply chan jobReply
 
 	// enq is the enqueue timestamp (set only when the session is
 	// instrumented); queueWait is the measured queue delay, recorded by
@@ -383,12 +347,14 @@ type jobReply struct {
 }
 
 // newSessionBase builds the per-session world (registry, model, optimizer,
-// parser) without a tuner.
-func newSessionBase(dir string, cat *catalog.Catalog, cfg SessionConfig) *Session {
+// parser, instruments) without a tuner.
+func newSessionBase(dir string, cat *catalog.Catalog, cfg SessionConfig, rt SessionRuntime) *Session {
 	reg := index.NewRegistry()
 	model := cost.NewModel(cat, reg, cost.DefaultParams())
 	return &Session{
 		cfg:          cfg,
+		rt:           rt,
+		obsv:         newSessionObs(rt.Metrics, cfg.Name),
 		dir:          dir,
 		cat:          cat,
 		reg:          reg,
@@ -407,12 +373,14 @@ func CreateSession(dir string, cat *catalog.Catalog, cfg SessionConfig) (*Sessio
 	return CreateSessionWith(dir, cat, cfg, SessionRuntime{})
 }
 
-// CreateSessionWith is CreateSession with process-level runtime wiring:
-// only rt.NewShipper, rt.Hooks, and rt.Metrics are consulted
-// (durability and throughput knobs of a fresh session come from cfg).
+// CreateSessionWith is CreateSession with the serving process's runtime
+// knobs and wiring (see SessionRuntime).
 func CreateSessionWith(dir string, cat *catalog.Catalog, cfg SessionConfig, rt SessionRuntime) (*Session, error) {
 	cfg.applyDefaults()
 	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if err := rt.applyDefaults(); err != nil {
 		return nil, err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -421,8 +389,7 @@ func CreateSessionWith(dir string, cat *catalog.Catalog, cfg SessionConfig, rt S
 	if _, err := os.Stat(filepath.Join(dir, snapshotFile)); err == nil {
 		return nil, fmt.Errorf("server: session directory %s already initialized", dir)
 	}
-	s := newSessionBase(dir, cat, cfg)
-	s.obsv = newSessionObs(rt.Metrics, cfg.Name)
+	s := newSessionBase(dir, cat, cfg, rt)
 	eng, err := tuner.New(cfg.Tuner, s.opt, cfg.Options)
 	if err != nil {
 		return nil, &ConfigError{Err: err}
@@ -432,7 +399,7 @@ func CreateSessionWith(dir string, cat *catalog.Catalog, cfg SessionConfig, rt S
 	if err != nil {
 		return nil, err
 	}
-	wal.Fsync = cfg.Fsync
+	wal.Fsync = rt.Fsync
 	wal.SetHooks(rt.Hooks)
 	s.wal = wal
 	s.installCommitObserver()
@@ -454,14 +421,35 @@ func CreateSessionWith(dir string, cat *catalog.Catalog, cfg SessionConfig, rt S
 	return s, nil
 }
 
-// SessionRuntime carries the per-process knobs a recovered session takes
-// from the daemon's flags rather than from its snapshot: durability
-// (fsync) and throughput (batch, pipeline) are operational choices of the
-// serving process, not persisted tuner state — and none of them changes
-// the tuner trajectory.
+// SessionRuntime carries the knobs and wiring a session takes from the
+// serving process — the daemon's flags, or server.Config — and never from
+// its creation request or its snapshot: durability (fsync) and throughput
+// (batch, pipeline) are operational choices of the process, not persisted
+// tuner state, and none of them changes the tuner trajectory. Created and
+// recovered sessions read them alike.
 type SessionRuntime struct {
-	Fsync    bool
-	Batch    int
+	// Fsync syncs the WAL to stable storage on every commit. Off by
+	// default: acknowledged records already survive kill -9 (they are
+	// flushed to the OS), fsync additionally covers power loss.
+	Fsync bool
+	// Batch caps how many WAL records one group commit covers. The ingest
+	// loop drains queued work up to this bound and appends the whole
+	// group with a single flush (and, with Fsync, a single fsync) before
+	// applying it in order — amortizing the per-record persistence cost
+	// without changing the event stream: group boundaries are cut exactly
+	// where a checkpoint would fall, so the WAL byte stream and the tuner
+	// trajectory are identical to per-record commits. Recovery applies
+	// the WAL tail in chunks of the same bound (default 1, a commit per
+	// record).
+	Batch int
+	// Pipeline is the number of worker goroutines that speculatively run
+	// the read-only analysis phase (candidate peek, IBG construction,
+	// what-if probing) for statements behind the apply cursor within a
+	// chunk — of live ingest, of recovery, or of a standby's shipped
+	// batch. Each speculation is validated against the tuner's change
+	// epoch at apply time and recomputed serially on a miss, so any
+	// setting produces bit-identical trajectories. 0 disables
+	// speculation; negative means one worker per CPU.
 	Pipeline int
 	// NewShipper, when set, attaches a replication stream to the session.
 	// The factory receives the sequence number the session's snapshot
@@ -478,6 +466,26 @@ type SessionRuntime struct {
 	// ring behind GET /sessions/{id}/trace. Nil keeps every clock and
 	// ring off the ingest path.
 	Metrics *obs.Registry
+}
+
+// Check resolves and validates the runtime knobs without creating
+// anything — the daemon fails startup fast on a -batch every session
+// would reject.
+func (rt SessionRuntime) Check() error { return rt.applyDefaults() }
+
+// applyDefaults resolves the throughput knobs (Batch 0 becomes 1, a
+// negative Pipeline one worker per CPU) and rejects a negative Batch.
+func (rt *SessionRuntime) applyDefaults() error {
+	if rt.Batch == 0 {
+		rt.Batch = 1
+	}
+	if rt.Pipeline < 0 {
+		rt.Pipeline = runtime.NumCPU()
+	}
+	if rt.Batch < 1 {
+		return &ConfigError{Err: fmt.Errorf("batch must be positive, got %d", rt.Batch)}
+	}
+	return nil
 }
 
 // Shipper is the replication stream a primary session feeds. Commit is
@@ -529,13 +537,17 @@ type ReplicationStatus struct {
 }
 
 // OpenSession recovers a session from dir: load the snapshot, restore the
-// registry and tuner, then replay every WAL record the snapshot does not
-// already cover. The recovered session is bit-identical to one that never
-// stopped. rt selects the reopened session's runtime knobs.
+// registry and tuner, then apply every WAL record the snapshot does not
+// already cover, through the apply path live ingest uses. The recovered
+// session is bit-identical to one that never stopped. rt selects the
+// reopened session's runtime knobs.
 func OpenSession(dir string, cat *catalog.Catalog, rt SessionRuntime) (*Session, error) {
 	snap, err := state.ReadFile(filepath.Join(dir, snapshotFile))
 	if err != nil {
 		return nil, fmt.Errorf("server: reading session snapshot: %w", err)
+	}
+	if err := rt.applyDefaults(); err != nil {
+		return nil, err
 	}
 	cfg := SessionConfig{
 		Name:            snap.Session.Name,
@@ -544,9 +556,6 @@ func OpenSession(dir string, cat *catalog.Catalog, rt SessionRuntime) (*Session,
 		QueueDepth:      snap.Session.QueueDepth,
 		CheckpointEvery: snap.Session.CheckpointEvery,
 		CheckpointBytes: snap.Session.CheckpointBytes,
-		Fsync:           rt.Fsync,
-		Batch:           rt.Batch,
-		Pipeline:        rt.Pipeline,
 	}
 	// applyDefaults only; deliberately no validate(): a pre-validation
 	// session may have persisted knobs the rules now reject (e.g. a
@@ -555,8 +564,7 @@ func OpenSession(dir string, cat *catalog.Catalog, rt SessionRuntime) (*Session,
 	// The session recovers with the exact semantics it ran with;
 	// validation guards the creation path only.
 	cfg.applyDefaults()
-	s := newSessionBase(dir, cat, cfg)
-	s.obsv = newSessionObs(rt.Metrics, cfg.Name)
+	s := newSessionBase(dir, cat, cfg, rt)
 	reg, err := index.RestoreRegistry(snap.Defs)
 	if err != nil {
 		return nil, err
@@ -575,20 +583,15 @@ func OpenSession(dir string, cat *catalog.Catalog, rt SessionRuntime) (*Session,
 	s.materialized = s.tuner.Materialized()
 
 	covered := snap.Session.LastSeq
-	replayed := 0
-	var tail []state.Record // the replayed records past the snapshot — a shipper's backlog
+	var tail []state.Record // the records past the snapshot: replayed, and a shipper's backlog
 	wal, err := state.OpenWAL(filepath.Join(dir, walFile), func(rec state.Record) error {
-		if rec.Seq <= covered {
-			return nil // the snapshot already folded this record in
-		}
-		replayed++
-		if rt.NewShipper != nil {
+		if rec.Seq > covered { // the snapshot already folded earlier records in
 			tail = append(tail, rec)
 		}
-		return s.replay(rec)
+		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("server: replaying WAL: %w", err)
+		return nil, fmt.Errorf("server: opening WAL: %w", err)
 	}
 	// Restore the sequence counter from the snapshot when the on-disk log
 	// holds nothing past it (the normal state after a clean checkpoint:
@@ -598,14 +601,26 @@ func OpenSession(dir string, cat *catalog.Catalog, rt SessionRuntime) (*Session,
 	// acknowledged records as old — silent loss.
 	if wal.LastSeq() < covered {
 		if err := wal.SetSeq(covered); err != nil {
+			wal.Close()
 			return nil, err
 		}
 	}
-	wal.Fsync = s.cfg.Fsync
+	wal.Fsync = rt.Fsync
 	wal.SetHooks(rt.Hooks)
 	s.wal = wal
+	events, err := s.recordEvents(tail)
+	for i := 0; err == nil && i < len(events); i += rt.Batch {
+		chunk := events[i:min(i+rt.Batch, len(events))]
+		if k, aerr := s.applyChunk(chunk, nil, false); aerr != nil {
+			err = fmt.Errorf("seq %d: %w", chunk[k].rec.Seq, aerr)
+		}
+	}
+	if err != nil {
+		wal.Close()
+		return nil, fmt.Errorf("server: replaying WAL: %w", err)
+	}
 	s.installCommitObserver()
-	s.sinceCkpt = replayed
+	s.sinceCkpt = len(tail)
 	if rt.NewShipper != nil {
 		s.shipper = rt.NewShipper(covered, tail)
 	}
@@ -613,34 +628,26 @@ func OpenSession(dir string, cat *catalog.Catalog, rt SessionRuntime) (*Session,
 	return s, nil
 }
 
-// replay applies one WAL record during recovery, through the same code
-// paths the live ingest loop uses.
-func (s *Session) replay(rec state.Record) error {
-	switch rec.Type {
-	case state.RecStatement:
+// recordEvents parses a stretch of the log — the WAL tail recovery
+// replays, or a batch the primary shipped — into events with no job to
+// reply to, assigning statement IDs in log order.
+func (s *Session) recordEvents(recs []state.Record) ([]event, error) {
+	events := make([]event, len(recs))
+	id := s.statements
+	for k, rec := range recs {
+		events[k].rec = rec
+		if rec.Type != state.RecStatement {
+			continue
+		}
 		st, err := s.parser.Parse(rec.SQL)
 		if err != nil {
-			return fmt.Errorf("replaying statement (seq %d): %w", rec.Seq, err)
+			return nil, fmt.Errorf("statement (seq %d): %w", rec.Seq, err)
 		}
-		st.ID = s.statements + 1
-		s.applyStatement(st, nil, nil)
-	case state.RecVote:
-		plus, minus, err := s.resolveSpecs(rec.Plus, rec.Minus)
-		if err != nil {
-			return fmt.Errorf("replaying vote (seq %d): %w", rec.Seq, err)
-		}
-		s.tuner.Feedback(plus, minus)
-	case state.RecAccept:
-		s.applyAccept()
-	case state.RecCompact:
-		s.tuner.CompactRegistry()
-		// Compaction renumbered the ID space; the session's copy of the
-		// materialized set must be re-read from the remapped tuner.
-		s.materialized = s.tuner.Materialized()
-	default:
-		return fmt.Errorf("unknown WAL record type %d (seq %d)", rec.Type, rec.Seq)
+		id++
+		st.ID = id
+		events[k].st = st
 	}
-	return nil
+	return events, nil
 }
 
 // installCommitObserver hangs the WAL-layer timing hook: every commit's
@@ -655,7 +662,7 @@ func (s *Session) installCommitObserver() {
 	s.wal.OnCommit = func(flush, sync time.Duration, records int, bytes int64) {
 		s.lastFlush, s.lastSync = flush, sync
 		s.obsv.hWAL.Observe(flush.Seconds())
-		if s.cfg.Fsync {
+		if s.rt.Fsync {
 			s.obsv.hFsync.Observe(sync.Seconds())
 		}
 	}
@@ -681,15 +688,15 @@ func (s *Session) loop() {
 // per-record commits), under pressure the group grows toward the bound.
 func (s *Session) drainBatch(first *job) []*job {
 	batch := []*job{first}
-	records := first.records()
-	for records < s.cfg.Batch {
+	records := len(first.recs)
+	for records < s.rt.Batch {
 		select {
 		case j, ok := <-s.jobs:
 			if !ok {
 				return batch
 			}
 			batch = append(batch, j)
-			records += j.records()
+			records += len(j.recs)
 		default:
 			return batch
 		}
@@ -697,16 +704,9 @@ func (s *Session) drainBatch(first *job) []*job {
 	return batch
 }
 
-// records is the number of WAL records the job will log.
-func (j *job) records() int {
-	if j.kind == jobStmt {
-		return len(j.sts)
-	}
-	return 1
-}
-
-// event is one WAL-record-sized unit of a drained batch: a single
-// statement of an ingest job, or a whole vote/accept job.
+// event is one WAL record on its way to the tuner: a record of a drained
+// job, or (j nil) one of the WAL tail recovery replays or of a batch the
+// primary shipped.
 type event struct {
 	j    *job
 	st   *stmt.Statement // statement events: the parsed form
@@ -714,16 +714,16 @@ type event struct {
 	last bool // completes its job: reply once it (and any due checkpoint) lands
 }
 
-// applyBatch is the batched single-writer apply path. It flattens the
+// applyBatch is the batched single-writer ingest path. It flattens the
 // drained jobs into an event stream, then repeatedly: cuts the longest
 // prefix that ends no later than the next checkpoint boundary (and within
 // the Batch bound), group-commits those WAL records with one
-// flush(+fsync), applies them in order — speculatively analyzing queued
-// statements on the pipeline workers — and checkpoints if the cut ended
-// at a boundary. Cutting at checkpoint boundaries is what keeps the WAL
-// byte stream identical to per-record commits: a registry-compaction
-// record still lands exactly where an unbatched session would have logged
-// it, so recovery replays both streams to the same state.
+// flush(+fsync), applies them through applyChunk, and checkpoints if the
+// cut ended at a boundary. Cutting at checkpoint boundaries is what keeps
+// the WAL byte stream identical to per-record commits: a
+// registry-compaction record still lands exactly where an unbatched
+// session would have logged it, so recovery replays both streams to the
+// same state.
 func (s *Session) applyBatch(jobs []*job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -747,36 +747,25 @@ func (s *Session) applyBatch(jobs []*job) {
 			j.queueWait = time.Since(j.enq)
 			s.obsv.hQueue.Observe(j.queueWait.Seconds())
 		}
-		switch j.kind {
-		case jobStmt:
-			if len(j.sts) == 0 {
-				// Defense in depth (Ingest filters these): a job with no
-				// events would otherwise never be replied to.
-				j.reply <- jobReply{rec: s.tuner.Recommend()}
-				continue
-			}
-			j.results = make([]StatementResult, 0, len(j.sts))
-			for i, st := range j.sts {
+		if len(j.recs) == 0 {
+			// Defense in depth (Ingest filters these): a job with no
+			// events would otherwise never be replied to.
+			j.reply <- jobReply{rec: s.tuner.Recommend()}
+			continue
+		}
+		if err := s.validateVote(j.recs[0]); err != nil {
+			j.reply <- jobReply{err: err}
+			continue
+		}
+		j.results = make([]StatementResult, 0, len(j.sts))
+		for i, rec := range j.recs {
+			ev := event{rec: rec, j: j, last: i == len(j.recs)-1}
+			if rec.Type == state.RecStatement {
 				nextID++
-				st.ID = nextID
-				events = append(events, event{
-					j: j, st: st,
-					rec:  state.Record{Type: state.RecStatement, SQL: j.sqls[i]},
-					last: i == len(j.sts)-1,
-				})
+				ev.st = j.sts[i]
+				ev.st.ID = nextID
 			}
-		case jobVote:
-			if err := s.validateVote(j); err != nil {
-				j.reply <- jobReply{err: err}
-				continue
-			}
-			events = append(events, event{
-				j:    j,
-				rec:  state.Record{Type: state.RecVote, Plus: j.plus, Minus: j.minus},
-				last: true,
-			})
-		case jobAccept:
-			events = append(events, event{j: j, rec: state.Record{Type: state.RecAccept}, last: true})
+			events = append(events, ev)
 		}
 	}
 
@@ -800,7 +789,7 @@ func (s *Session) applyBatch(jobs []*job) {
 		for k := range chunk {
 			recs[k] = chunk[k].rec
 		}
-		if _, err := s.wal.AppendBatch(recs); err != nil {
+		if err := s.logRecords(recs); err != nil {
 			s.broken = fmt.Errorf("server: WAL append: %w", err)
 			fail(i, s.broken)
 			return
@@ -815,47 +804,14 @@ func (s *Session) applyBatch(jobs []*job) {
 		}
 		s.groupCommits++
 		s.groupRecords += int64(n)
-		if s.shipper != nil {
-			// Offer the group (seqs now assigned) to the standby before any
-			// client is replied to. A synchronous shipper returns only after
-			// the standby confirmed; a failure never fails the local write —
-			// the shipper records it and the session degrades to async
-			// semantics until the stream recovers (semi-sync).
-			s.shipper.Commit(recs) //nolint:errcheck // counted in ShipperStats.Errors
+		if k, err := s.applyChunk(chunk, &shares, due); err != nil {
+			// Votes were validated above, so this is unreachable by
+			// construction; poison loudly rather than diverge from the WAL
+			// silently.
+			s.broken = fmt.Errorf("server: applying a logged record: %w", err)
+			fail(i+k, s.broken)
+			return
 		}
-
-		cp := s.newChunkPipeline(n)
-		for k := range chunk {
-			cp.advance(s, chunk, k)
-			ev := &chunk[k]
-			switch ev.j.kind {
-			case jobStmt:
-				sh := shares
-				sh.queueUS = ev.j.queueWait.Seconds() * 1e6
-				ev.j.results = append(ev.j.results, s.applyStatement(ev.st, cp.task(k), &sh))
-			case jobVote:
-				// Pre-validated above, so resolution cannot fail; interning
-				// happens here, at the vote's position in the event order.
-				plus, minus, err := s.resolveSpecs(ev.j.plus, ev.j.minus)
-				if err != nil {
-					// Unreachable by construction; poison loudly rather
-					// than diverge from the WAL silently.
-					s.broken = fmt.Errorf("server: vote resolution after validation: %w", err)
-					cp.finish()
-					fail(i+k, s.broken)
-					return
-				}
-				s.tuner.Feedback(plus, minus)
-			case jobAccept:
-				ev.j.accept = s.applyAccept()
-			}
-			if ev.last && !(due && k == n-1) {
-				s.replyDone(ev.j)
-			}
-		}
-		// Reap abandoned speculations before a checkpoint may compact the
-		// registry.
-		cp.finish()
 
 		if due {
 			var err error
@@ -881,11 +837,85 @@ func (s *Session) applyBatch(jobs []*job) {
 	}
 }
 
+// logRecords group-commits recs to the WAL — one flush, plus one fsync
+// under Fsync — assigning their sequence numbers, then offers them to the
+// standby before any client is replied to. A synchronous shipper returns
+// only after the standby confirmed; a ship failure never fails the local
+// write — the shipper records it and the session degrades to async
+// semantics until the stream recovers (semi-sync).
+func (s *Session) logRecords(recs []state.Record) error {
+	if _, err := s.wal.AppendBatch(recs); err != nil {
+		return err
+	}
+	if s.shipper != nil {
+		s.shipper.Commit(recs) //nolint:errcheck // counted in ShipperStats.Errors
+	}
+	return nil
+}
+
+// applyChunk applies a chunk of WAL records to the tuner in log order. It
+// is the one place a record takes effect, whether the chunk is a group
+// commit of live ingest, a stretch of the WAL tail recovery replays, or a
+// batch the primary shipped. With Pipeline > 0 the chunk's statements are
+// analyzed speculatively ahead of the apply cursor. An event that
+// completes a live job replies to it, except the chunk's last one when
+// hold is set: a checkpoint is due after it, and its job reports that
+// outcome. shares are a group commit's per-record shares, traced for its
+// statements (nil: no live jobs). On error it returns the index of the
+// failed event; every event before it has applied.
+func (s *Session) applyChunk(chunk []event, shares *stageShares, hold bool) (int, error) {
+	cp := s.newChunkPipeline(chunk)
+	defer cp.finish()
+	for k := range chunk {
+		cp.advance(s, chunk, k)
+		ev := &chunk[k]
+		switch ev.rec.Type {
+		case state.RecStatement:
+			if ev.j == nil {
+				s.applyStatement(ev.st, cp.task(k), nil)
+				break
+			}
+			sh := *shares
+			sh.queueUS = ev.j.queueWait.Seconds() * 1e6
+			ev.j.results = append(ev.j.results, s.applyStatement(ev.st, cp.task(k), &sh))
+		case state.RecVote:
+			// Interning happens here, at the vote's position in the log, so
+			// registry ID assignment depends only on the record order.
+			plus, minus, err := s.resolveVote(ev.rec)
+			if err != nil {
+				return k, err
+			}
+			s.tuner.Feedback(plus, minus)
+		case state.RecAccept:
+			accept := s.applyAccept()
+			if ev.j != nil {
+				ev.j.accept = accept
+			}
+		case state.RecCompact:
+			// Compaction renumbers the index IDs a speculative Run reads.
+			// The capture window stops at this record, so every Run in
+			// flight belongs to an applied statement: reap them first.
+			cp.reap()
+			dropped := s.tuner.CompactRegistry()
+			// The session's copy of the materialized set holds
+			// pre-compaction IDs; re-read the remapped form from the tuner.
+			s.materialized = s.tuner.Materialized()
+			obs.Event("server", "compaction",
+				"session", s.cfg.Name, "wal_seq", ev.rec.Seq,
+				"dropped", dropped, "registry", s.reg.Len())
+		}
+		if ev.j != nil && ev.last && !(hold && k == len(chunk)-1) {
+			s.replyDone(ev.j)
+		}
+	}
+	return len(chunk), nil
+}
+
 // replyDone sends a job its success reply: the accept outcome for accept
 // jobs, otherwise the accumulated statement results plus the
 // recommendation as of the job's last applied event.
 func (s *Session) replyDone(j *job) {
-	if j.kind == jobAccept {
+	if j.recs[0].Type == state.RecAccept {
 		j.reply <- jobReply{accept: j.accept}
 		return
 	}
@@ -902,13 +932,13 @@ func (s *Session) replyDone(j *job) {
 func (s *Session) cutChunk(pending []event) (n int, due bool) {
 	simSince := s.sinceCkpt
 	simSize := s.wal.Size()
-	max := s.cfg.Batch
+	max := s.rt.Batch
 	if max > len(pending) {
 		max = len(pending)
 	}
 	for k := 0; k < max; k++ {
 		simSize += state.FrameSize(pending[k].rec)
-		if pending[k].j.kind == jobStmt {
+		if pending[k].rec.Type == state.RecStatement {
 			simSince++
 		}
 		if (s.cfg.CheckpointEvery > 0 && simSince >= s.cfg.CheckpointEvery) ||
@@ -919,17 +949,14 @@ func (s *Session) cutChunk(pending []event) (n int, due bool) {
 	return max, false
 }
 
-// validateVote checks every spec of a vote against the catalog without
-// touching the registry.
-func (s *Session) validateVote(j *job) error {
-	for _, spec := range j.plus {
-		if err := ValidateSpec(s.cat, spec); err != nil {
-			return err
-		}
-	}
-	for _, spec := range j.minus {
-		if err := ValidateSpec(s.cat, spec); err != nil {
-			return err
+// validateVote checks every spec of a record (only votes carry any)
+// against the catalog without touching the registry.
+func (s *Session) validateVote(rec state.Record) error {
+	for _, specs := range [][]state.IndexSpec{rec.Plus, rec.Minus} {
+		for _, spec := range specs {
+			if err := ValidateSpec(s.cat, spec); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -958,10 +985,10 @@ type chunkPipeline struct {
 	next  int // next chunk index the window may capture
 }
 
-// newChunkPipeline starts the worker pool for a chunk of n events, or
-// returns nil when speculation is disabled.
-func (s *Session) newChunkPipeline(n int) *chunkPipeline {
-	width := s.cfg.Pipeline
+// newChunkPipeline starts the worker pool for a chunk, or returns nil
+// when speculation is disabled.
+func (s *Session) newChunkPipeline(chunk []event) *chunkPipeline {
+	n, width := len(chunk), s.rt.Pipeline
 	if width <= 0 || n < 2 {
 		return nil
 	}
@@ -985,16 +1012,22 @@ func (s *Session) newChunkPipeline(n int) *chunkPipeline {
 	return cp
 }
 
-// advance tops the capture window up to cursor+width. Must run under mu:
-// BeginAnalysis snapshots the tuner's current epoch and context. The feed
-// channel is buffered to the chunk length, so the send never blocks.
+// advance tops the capture window up to cursor+width, stopping short of
+// a compaction record not yet applied: compaction renumbers the index IDs
+// a capture holds. Must run under mu: BeginAnalysis snapshots the tuner's
+// current epoch and context. The feed channel is buffered to the chunk
+// length, so the send never blocks.
 func (cp *chunkPipeline) advance(s *Session, chunk []event, cursor int) {
 	if cp == nil {
 		return
 	}
 	for cp.next < len(chunk) && cp.next < cursor+cp.width {
-		if chunk[cp.next].j.kind == jobStmt {
-			t := &specTask{a: s.tuner.BeginAnalysis(chunk[cp.next].st, 1), done: make(chan struct{})}
+		ev := &chunk[cp.next]
+		if ev.rec.Type == state.RecCompact && cp.next >= cursor {
+			return
+		}
+		if ev.rec.Type == state.RecStatement {
+			t := &specTask{a: s.tuner.BeginAnalysis(ev.st, 1), done: make(chan struct{})}
 			cp.tasks[cp.next] = t
 			cp.feed <- t
 		}
@@ -1010,16 +1043,14 @@ func (cp *chunkPipeline) task(k int) *specTask {
 	return cp.tasks[k]
 }
 
-// finish stops the pool and reaps every launched-but-unconsumed task.
-// Callers must invoke it before any registry compaction (Analysis.Run
-// must never overlap an ID renumbering) and on every exit path of the
-// chunk apply loop.
-func (cp *chunkPipeline) finish() {
+// reap waits for every launched-but-unconsumed task and discards it.
+// Callers must invoke it before any registry compaction: Analysis.Run
+// must never overlap an ID renumbering.
+func (cp *chunkPipeline) reap() {
 	if cp == nil {
 		return
 	}
-	close(cp.feed)
-	for _, t := range cp.tasks {
+	for _, t := range cp.tasks[:cp.next] {
 		if t != nil && !t.consumed {
 			<-t.done
 			t.a.Discard()
@@ -1028,17 +1059,27 @@ func (cp *chunkPipeline) finish() {
 	}
 }
 
+// finish stops the pool and reaps what is left; applyChunk defers it, so
+// it runs on every exit path and before a due checkpoint compacts.
+func (cp *chunkPipeline) finish() {
+	if cp == nil {
+		return
+	}
+	close(cp.feed)
+	cp.reap()
+}
+
 // applyStatement analyzes one statement — consuming a valid speculative
 // analysis when one is offered, recomputing serially otherwise — and
 // charges the total-work account: the statement's cost under the
 // currently materialized configuration, as the evaluation harness prices
 // runs. shares carries the statement's queue wait and group-commit
-// shares for the trace record; nil (replay, or instrumentation off)
-// records nothing.
+// shares for the trace record; nil (a recovered or shipped record) — or
+// instrumentation off — records nothing.
 func (s *Session) applyStatement(st *stmt.Statement, spec *specTask, shares *stageShares) StatementResult {
-	// st.ID was assigned when the batch's events were built (or by
-	// replay) — never here: writing it now would race with an in-flight
-	// speculative Run reading the statement.
+	// st.ID was assigned when the chunk's events were built — never here:
+	// writing it now would race with an in-flight speculative Run reading
+	// the statement.
 	var start time.Time
 	traced := s.obsv != nil && shares != nil
 	if traced {
@@ -1131,20 +1172,16 @@ func (s *Session) applyAccept() AcceptResult {
 	return AcceptResult{Materialized: rec, Created: created, Dropped: dropped, TransitionCost: delta}
 }
 
-// resolveSpecs turns vote specs into interned index sets. Every spec is
-// validated BEFORE any is interned: a vote that fails validation must
-// leave the registry untouched, because failed votes are never WAL-logged
-// and any interning they did would make the live ID assignment diverge
-// from what recovery replays. Interning happens here, inside the
+// resolveVote turns a vote record's specs into interned index sets. Every
+// spec is validated BEFORE any is interned: a vote that fails validation
+// must leave the registry untouched, because failed votes are never
+// WAL-logged and any interning they did would make the live ID assignment
+// diverge from what recovery replays. Interning happens here, inside the
 // single-writer apply path, so registry ID assignment depends only on the
 // event order the WAL records.
-func (s *Session) resolveSpecs(plus, minus []state.IndexSpec) (index.Set, index.Set, error) {
-	for _, specs := range [][]state.IndexSpec{plus, minus} {
-		for _, spec := range specs {
-			if err := ValidateSpec(s.cat, spec); err != nil {
-				return index.EmptySet, index.EmptySet, err
-			}
-		}
+func (s *Session) resolveVote(rec state.Record) (index.Set, index.Set, error) {
+	if err := s.validateVote(rec); err != nil {
+		return index.EmptySet, index.EmptySet, err
 	}
 	resolve := func(specs []state.IndexSpec) index.Set {
 		var ids []index.ID
@@ -1153,7 +1190,7 @@ func (s *Session) resolveSpecs(plus, minus []state.IndexSpec) (index.Set, index.
 		}
 		return index.NewSet(ids...)
 	}
-	return resolve(plus), resolve(minus), nil
+	return resolve(rec.Plus), resolve(rec.Minus), nil
 }
 
 // resolveSpec interns one already-validated spec.
@@ -1223,27 +1260,28 @@ func (s *Session) Ingest(ctx context.Context, sqls []string) ([]StatementResult,
 		// produce a job with no events — and therefore no reply.
 		return nil, index.EmptySet, nil
 	}
-	parsed := make([]*stmt.Statement, len(sqls))
+	j := &job{recs: make([]state.Record, len(sqls)), sts: make([]*stmt.Statement, len(sqls))}
 	for i, sql := range sqls {
 		st, err := s.parser.Parse(sql)
 		if err != nil {
 			return nil, index.EmptySet, &ParseError{Err: fmt.Errorf("statement %d: %w", i+1, err)}
 		}
-		parsed[i] = st
+		j.recs[i] = state.Record{Type: state.RecStatement, SQL: sql}
+		j.sts[i] = st
 	}
-	rep, err := s.submit(ctx, &job{kind: jobStmt, sqls: sqls, sts: parsed})
+	rep, err := s.submit(ctx, j)
 	return rep.results, rep.rec, err
 }
 
 // Vote casts explicit DBA feedback and returns the new recommendation.
 func (s *Session) Vote(ctx context.Context, plus, minus []state.IndexSpec) (index.Set, error) {
-	rep, err := s.submit(ctx, &job{kind: jobVote, plus: plus, minus: minus})
+	rep, err := s.submit(ctx, &job{recs: []state.Record{{Type: state.RecVote, Plus: plus, Minus: minus}}})
 	return rep.rec, err
 }
 
 // Accept materializes the current recommendation.
 func (s *Session) Accept(ctx context.Context) (AcceptResult, error) {
-	rep, err := s.submit(ctx, &job{kind: jobAccept})
+	rep, err := s.submit(ctx, &job{recs: []state.Record{{Type: state.RecAccept}}})
 	return rep.accept, err
 }
 
@@ -1302,8 +1340,8 @@ func (s *Session) Status() SessionStatus {
 		BenefitWindows:     es.BenefitWindows,
 		PairWindows:        es.PairWindows,
 		Retired:            es.Retired,
-		Batch:              s.cfg.Batch,
-		Pipeline:           s.cfg.Pipeline,
+		Batch:              s.rt.Batch,
+		Pipeline:           s.rt.Pipeline,
 		GroupCommits:       s.groupCommits,
 		GroupCommitRecords: s.groupRecords,
 		SpecHits:           s.specHits,
@@ -1356,31 +1394,24 @@ func (s *Session) Checkpoint() (uint64, error) {
 // whose records the snapshot's LastSeq marks as covered).
 //
 // Retire-enabled sessions garbage-collect here first: a RecCompact
-// record is appended and the registry compacted, so the snapshot about
-// to be written is dense — snapshot size tracks live state, not workload
-// history. Logging the compaction before performing it is what keeps a
-// crash between the two recoverable bit-identically: replay reaches the
-// record and compacts at the same stream position the live session did.
+// record is logged and applied, so the snapshot about to be written is
+// dense — snapshot size tracks live state, not workload history. Logging
+// the compaction before performing it is what keeps a crash between the
+// two recoverable bit-identically: replay reaches the record and compacts
+// at the same stream position the live session did.
 func (s *Session) checkpointLocked() error {
 	start := time.Now()
 	if s.cfg.Options.RetireAfter > 0 {
-		seq, err := s.wal.Append(state.Record{Type: state.RecCompact})
-		if err != nil {
+		// The compaction record reaches the standby in-stream, at the same
+		// position, so the follower compacts where the primary did —
+		// follower checkpoints are snapshot-only for this reason.
+		recs := []state.Record{{Type: state.RecCompact}}
+		if err := s.logRecords(recs); err != nil {
 			return fmt.Errorf("server: WAL append (compact): %w", err)
 		}
-		if s.shipper != nil {
-			// The compaction record must reach the standby in-stream, at
-			// the same position, so the follower compacts where the primary
-			// did — follower checkpoints are snapshot-only for this reason.
-			s.shipper.Commit([]state.Record{{Seq: seq, Type: state.RecCompact}}) //nolint:errcheck
+		if _, err := s.applyChunk([]event{{rec: recs[0]}}, nil, false); err != nil {
+			return err
 		}
-		dropped := s.tuner.CompactRegistry()
-		// The session's copy of the materialized set holds pre-compaction
-		// IDs; re-read the remapped form from the tuner.
-		s.materialized = s.tuner.Materialized()
-		obs.Event("server", "compaction",
-			"session", s.cfg.Name, "wal_seq", seq,
-			"dropped", dropped, "registry", s.reg.Len())
 	}
 	walBytes := s.wal.Size()
 	if err := s.snapshotLocked(); err != nil {
@@ -1466,7 +1497,7 @@ func (s *Session) Close() error {
 
 // Kill terminates the session without checkpointing or flushing —
 // modeling a crashed process for recovery tests. Acknowledged WAL records
-// are already on disk (Append flushes), so recovery sees exactly the
+// are already on disk (AppendBatch flushes), so recovery sees exactly the
 // state a kill -9 would leave behind.
 func (s *Session) Kill() {
 	if !s.seal() {

@@ -202,7 +202,7 @@ func TestWALAppendReplayTornTail(t *testing.T) {
 		{Type: RecStatement, SQL: "UPDATE tpch.orders SET o_comment = o_comment WHERE o_orderdate BETWEEN 1 AND 2"},
 	}
 	for i, rec := range recs {
-		seq, err := w.Append(rec)
+		seq, err := w.AppendBatch([]Record{rec})
 		if err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
@@ -251,7 +251,7 @@ func TestWALAppendReplayTornTail(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("torn replay returned %d records, want 3", len(got))
 	}
-	if seq, err := w.Append(Record{Type: RecAccept}); err != nil || seq != 4 {
+	if seq, err := w.AppendBatch([]Record{{Type: RecAccept}}); err != nil || seq != 4 {
 		t.Fatalf("append after repair: seq=%d err=%v", seq, err)
 	}
 	w.Close()
@@ -264,7 +264,7 @@ func TestWALAppendReplayTornTail(t *testing.T) {
 	if err := w.Reset(); err != nil {
 		t.Fatalf("Reset: %v", err)
 	}
-	if seq, err := w.Append(Record{Type: RecAccept}); err != nil || seq != 5 {
+	if seq, err := w.AppendBatch([]Record{{Type: RecAccept}}); err != nil || seq != 5 {
 		t.Fatalf("append after reset: seq=%d err=%v", seq, err)
 	}
 	w.Close()

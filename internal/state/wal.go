@@ -48,9 +48,10 @@ type IndexSpec struct {
 	Columns []string
 }
 
-// Record is one WAL entry. Seq is assigned by Append and strictly
+// Record is one WAL entry. Seq is assigned by AppendBatch and strictly
 // increases across the session's lifetime, surviving checkpoints (which
-// truncate the log but not the counter).
+// truncate the log but not the counter); a standby's log carries the
+// primary's numbers.
 type Record struct {
 	Seq  uint64
 	Type RecType
@@ -59,14 +60,14 @@ type Record struct {
 	Plus, Minus []IndexSpec // RecVote
 }
 
-// WAL is a single-writer append-only log. Append frames each record with
-// a length prefix and CRC32C and flushes it to the OS before returning,
-// so a killed process (kill -9) loses at most the record being written —
-// never an acknowledged one. Fsync additionally syncs to stable storage
-// per append, trading throughput for power-failure durability.
-// AppendBatch amortizes the flush (and fsync) over a whole group of
-// records — the group-commit fast path of the tuning service's batched
-// ingest loop.
+// WAL is a single-writer append-only log. AppendBatch frames each record
+// with a length prefix and CRC32C and flushes the group to the OS before
+// returning, so a killed process (kill -9) loses at most the group being
+// written — never an acknowledged record. Fsync additionally syncs to
+// stable storage per group, trading throughput for power-failure
+// durability. One group is one group commit of the tuning service's
+// ingest loop (or one record, for a checkpoint's compaction), or one
+// batch a standby received.
 type WAL struct {
 	f     *os.File
 	w     *bufio.Writer
@@ -76,7 +77,7 @@ type WAL struct {
 	hooks *WALHooks
 
 	// OnCommit, when set, observes every commit (the flush-and-maybe-
-	// fsync that acknowledges an Append/AppendBatch/AppendReplica):
+	// fsync that acknowledges an AppendBatch):
 	// the wall time of the flush and of the fsync (sync is zero when
 	// Fsync is off), plus the records and bytes the commit covered. It
 	// runs synchronously on the appending goroutine — keep it cheap.
@@ -213,37 +214,22 @@ func (w *WAL) LastSeq() uint64 { return w.seq }
 // recovery replay time independently of statement cadence.
 func (w *WAL) Size() int64 { return w.size }
 
-// Append assigns the next sequence number, writes the record, and flushes
-// it to the OS (plus fsync when Fsync is set). The record is recoverable
-// once Append returns.
-func (w *WAL) Append(rec Record) (uint64, error) {
-	w.seq++
-	rec.Seq = w.seq
-	payload := encodeRecord(rec)
-	if err := w.writeFrame(payload); err != nil {
-		return 0, err
-	}
-	if err := w.commit(1, int64(8+len(payload))); err != nil {
-		return 0, err
-	}
-	w.size += int64(8 + len(payload))
-	return rec.Seq, nil
-}
-
-// AppendBatch is the group-commit form of Append: it assigns consecutive
-// sequence numbers to every record, frames them all into the buffered
-// writer, then performs ONE flush and (when Fsync is set) ONE fsync for
-// the whole batch. It returns the sequence number of the last record.
+// AppendBatch assigns consecutive sequence numbers to recs (writing them
+// into the slice), frames them all into the buffered writer, then
+// performs ONE flush and (when Fsync is set) ONE fsync for the whole
+// group. It returns the sequence number of the last record. A standby's
+// records arrive numbered by the primary; the session checks that they
+// continue this log before appending, so the numbers assigned here are
+// the primary's.
 //
-// Acknowledgement semantics are the same as Append's, amortized: once
-// AppendBatch returns, every record in the batch survives a process kill
-// (flushed to the OS), and with Fsync additionally survives power loss.
-// Until it returns, nothing in the batch is acknowledged — a crash during
-// the call may persist any prefix of the batch (each record is framed and
-// CRC'd individually), and recovery keeps that intact prefix and
-// truncates the rest as a torn tail. A non-nil error leaves the log in an
-// undefined position; callers must stop appending (the tuning service
-// poisons the session).
+// Once AppendBatch returns, every record in the batch survives a process
+// kill (flushed to the OS), and with Fsync additionally survives power
+// loss. Until it returns, nothing in the batch is acknowledged — a crash
+// during the call may persist any prefix of the batch (each record is
+// framed and CRC'd individually), and recovery keeps that intact prefix
+// and truncates the rest as a torn tail. A non-nil error leaves the log
+// in an undefined position; callers must stop appending (the tuning
+// service poisons the session).
 func (w *WAL) AppendBatch(recs []Record) (uint64, error) {
 	if len(recs) == 0 {
 		return w.seq, nil
@@ -317,51 +303,21 @@ func (w *WAL) commit(records int, bytes int64) error {
 	return nil
 }
 
-// SetSeq fast-forwards the sequence counter to seq, so the next Append
-// assigns seq+1. Two callers need it: recovery, to restore the counter
-// from the snapshot when the WAL on disk is empty (the counter lives in
-// memory and a checkpoint truncates the log without it — without the
-// restore, a restart after a clean checkpoint would reissue sequence
-// numbers the snapshot already covers, and the NEXT recovery would skip
-// those records as old); and a standby bootstrapping from an installed
-// snapshot, whose WAL must continue the primary's numbering. The counter
-// only moves forward.
+// SetSeq fast-forwards the sequence counter to seq, so the next
+// AppendBatch assigns seq+1. Two callers need it: recovery, to restore
+// the counter from the snapshot when the WAL on disk is empty (the
+// counter lives in memory and a checkpoint truncates the log without it
+// — without the restore, a restart after a clean checkpoint would reissue
+// sequence numbers the snapshot already covers, and the NEXT recovery
+// would skip those records as old); and a standby bootstrapping from an
+// installed snapshot, whose WAL must continue the primary's numbering.
+// The counter only moves forward.
 func (w *WAL) SetSeq(seq uint64) error {
 	if seq < w.seq {
 		return fmt.Errorf("state: SetSeq(%d) would regress the WAL sequence (at %d)", seq, w.seq)
 	}
 	w.seq = seq
 	return nil
-}
-
-// AppendReplica is the follower-side append: it writes records carrying
-// the PRIMARY's sequence numbers, verbatim, so the standby's log is
-// byte-identical to the stretch of the primary's log it mirrors. Records
-// must continue the local log exactly (each seq = previous + 1); the
-// caller is responsible for dropping already-applied duplicates first.
-// Like AppendBatch, the whole group commits with one flush (+ one fsync
-// under Fsync).
-func (w *WAL) AppendReplica(recs []Record) (uint64, error) {
-	if len(recs) == 0 {
-		return w.seq, nil
-	}
-	var batchBytes int64
-	for i := range recs {
-		if recs[i].Seq != w.seq+1 {
-			return 0, fmt.Errorf("state: replica record seq %d does not continue local log at %d", recs[i].Seq, w.seq)
-		}
-		w.seq = recs[i].Seq
-		payload := encodeRecord(recs[i])
-		if err := w.writeFrame(payload); err != nil {
-			return 0, err
-		}
-		batchBytes += int64(8 + len(payload))
-	}
-	if err := w.commit(len(recs), batchBytes); err != nil {
-		return 0, err
-	}
-	w.size += batchBytes
-	return w.seq, nil
 }
 
 // EncodeRecords serializes records in the WAL's own frame format
@@ -412,9 +368,9 @@ func DecodeRecords(data []byte) ([]Record, error) {
 // FrameSize returns the exact on-disk footprint of rec once appended: the
 // 8-byte frame header plus the encoded payload. The encoding is
 // fixed-width for the sequence number, so the size does not depend on the
-// seq Append will assign — which is what lets the tuning service simulate
-// WAL growth (and cut group commits at checkpoint boundaries) before
-// appending anything.
+// seq AppendBatch will assign — which is what lets the tuning service
+// simulate WAL growth (and cut group commits at checkpoint boundaries)
+// before appending anything.
 func FrameSize(rec Record) int64 {
 	return int64(8 + len(encodeRecord(rec)))
 }
@@ -447,8 +403,8 @@ func (w *WAL) Close() error {
 	return w.f.Close()
 }
 
-// Abort closes the log file without flushing buffered data. Appends are
-// flushed eagerly, so this is equivalent to Close for acknowledged
+// Abort closes the log file without flushing buffered data. AppendBatch
+// flushes eagerly, so this is equivalent to Close for acknowledged
 // records; tests use it to model a process killed mid-run.
 func (w *WAL) Abort() error { return w.f.Close() }
 

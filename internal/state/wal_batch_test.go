@@ -9,8 +9,8 @@ import (
 
 // TestWALAppendBatchGroupCommit verifies the group-commit append: one call
 // frames N records, replay sees them in order with consecutive sequence
-// numbers, Size tracks FrameSize exactly, and the stream interoperates
-// with single-record appends.
+// numbers, Size tracks FrameSize exactly, and later groups (one record
+// or none) continue the same sequence.
 func TestWALAppendBatchGroupCommit(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	w, err := OpenWAL(path, nil)
@@ -37,9 +37,9 @@ func TestWALAppendBatchGroupCommit(t *testing.T) {
 	if w.Size() != wantSize {
 		t.Fatalf("Size = %d, want %d (header + Σ FrameSize)", w.Size(), wantSize)
 	}
-	// Single-record appends continue the same sequence.
-	if seq, err := w.Append(Record{Type: RecAccept}); err != nil || seq != uint64(len(batch)+1) {
-		t.Fatalf("Append after batch: seq=%d err=%v", seq, err)
+	// A one-record group continues the same sequence.
+	if seq, err := w.AppendBatch([]Record{{Type: RecAccept}}); err != nil || seq != uint64(len(batch)+1) {
+		t.Fatalf("one-record AppendBatch after batch: seq=%d err=%v", seq, err)
 	}
 	// An empty batch is a no-op.
 	if seq, err := w.AppendBatch(nil); err != nil || seq != uint64(len(batch)+1) {
@@ -118,7 +118,7 @@ func TestWALAppendBatchTornTail(t *testing.T) {
 	if w.Size() != int64(len(walMagic))+FrameSize(batch[0])+FrameSize(batch[1]) {
 		t.Fatalf("Size = %d after torn-tail repair", w.Size())
 	}
-	if seq, err := w.Append(Record{Type: RecAccept}); err != nil || seq != 3 {
+	if seq, err := w.AppendBatch([]Record{{Type: RecAccept}}); err != nil || seq != 3 {
 		t.Fatalf("append after repair: seq=%d err=%v", seq, err)
 	}
 	w.Close()
@@ -144,7 +144,7 @@ func TestWALFrameSizeMatchesAppend(t *testing.T) {
 	for i, rec := range recs {
 		before := w.Size()
 		want := FrameSize(rec)
-		if _, err := w.Append(rec); err != nil {
+		if _, err := w.AppendBatch([]Record{rec}); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 		if got := w.Size() - before; got != want {

@@ -21,7 +21,7 @@ func TestSetSeqOnlyForward(t *testing.T) {
 	if err := w.SetSeq(41); err != nil {
 		t.Fatal(err)
 	}
-	seq, err := w.Append(Record{Type: RecAccept})
+	seq, err := w.AppendBatch([]Record{{Type: RecAccept}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,57 +30,6 @@ func TestSetSeqOnlyForward(t *testing.T) {
 	}
 	if err := w.SetSeq(10); err == nil {
 		t.Fatal("SetSeq regressed the counter without error")
-	}
-}
-
-func TestAppendReplicaPreservesSeqsAndRoundTrips(t *testing.T) {
-	path := tmpWAL(t)
-	w, err := OpenWAL(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.SetSeq(100); err != nil {
-		t.Fatal(err)
-	}
-	recs := []Record{
-		{Seq: 101, Type: RecStatement, SQL: "SELECT 1"},
-		{Seq: 102, Type: RecVote, Plus: []IndexSpec{{Table: "t", Columns: []string{"a", "b"}}}},
-		{Seq: 103, Type: RecCompact},
-	}
-	last, err := w.AppendReplica(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last != 103 {
-		t.Fatalf("last seq %d, want 103", last)
-	}
-	// A gap must be rejected before anything is written.
-	if _, err := w.AppendReplica([]Record{{Seq: 105, Type: RecAccept}}); err == nil {
-		t.Fatal("gap accepted")
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var replayed []Record
-	r, err := OpenWAL(path, func(rec Record) error {
-		replayed = append(replayed, rec)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if len(replayed) != 3 {
-		t.Fatalf("replayed %d records, want 3", len(replayed))
-	}
-	for i, rec := range replayed {
-		if rec.Seq != recs[i].Seq || rec.Type != recs[i].Type || rec.SQL != recs[i].SQL {
-			t.Fatalf("record %d diverged: %+v vs %+v", i, rec, recs[i])
-		}
-	}
-	if r.LastSeq() != 103 {
-		t.Fatalf("recovered seq %d, want 103", r.LastSeq())
 	}
 }
 
@@ -130,7 +79,7 @@ func TestWALHooksTornWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Append(Record{Type: RecStatement, SQL: "SELECT 1"}); err != nil {
+	if _, err := w.AppendBatch([]Record{{Type: RecStatement, SQL: "SELECT 1"}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -146,7 +95,7 @@ func TestWALHooksTornWrite(t *testing.T) {
 			return 3, injected
 		},
 	})
-	if _, err := w.Append(Record{Type: RecStatement, SQL: "SELECT 2"}); !errors.Is(err, injected) {
+	if _, err := w.AppendBatch([]Record{{Type: RecStatement, SQL: "SELECT 2"}}); !errors.Is(err, injected) {
 		t.Fatalf("torn append error = %v, want %v", err, injected)
 	}
 	w.Abort() // the process is dead; nothing more reaches the file
@@ -170,7 +119,7 @@ func TestWALHooksTornWrite(t *testing.T) {
 	if r.Size() >= info.Size() {
 		t.Fatalf("torn tail not truncated: size %d -> %d", info.Size(), r.Size())
 	}
-	if _, err := r.Append(Record{Type: RecStatement, SQL: "SELECT 3"}); err != nil {
+	if _, err := r.AppendBatch([]Record{{Type: RecStatement, SQL: "SELECT 3"}}); err != nil {
 		t.Fatalf("append after repair: %v", err)
 	}
 }

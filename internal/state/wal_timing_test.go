@@ -28,7 +28,7 @@ func TestWALOnCommitHook(t *testing.T) {
 	}
 
 	sizeBefore := w.Size()
-	if _, err := w.Append(Record{Type: RecStatement, SQL: "SELECT 1"}); err != nil {
+	if _, err := w.AppendBatch([]Record{{Type: RecStatement, SQL: "SELECT 1"}}); err != nil {
 		t.Fatal(err)
 	}
 	batch := []Record{
