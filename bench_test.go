@@ -312,32 +312,40 @@ func BenchmarkWFAAnalyze(b *testing.B) {
 }
 
 // BenchmarkChoosePartition measures the randomized stable-partition search
-// over 40 candidates. One Partitioner serves every iteration, as WFIT's
-// does every statement, so the timing is the search's, not its scratch
-// allocation's.
+// over 40 candidates, on sparse doi (most merges pair singletons) and on
+// dense doi (most merges grow larger parts). One Partitioner serves every
+// iteration, as WFIT's does every statement, so the timing is the
+// search's, not its scratch allocation's.
 func BenchmarkChoosePartition(b *testing.B) {
 	var ids []index.ID
 	for i := 1; i <= 40; i++ {
 		ids = append(ids, index.ID(i))
 	}
-	rng := rand.New(rand.NewSource(5))
-	doi := make(map[interaction.Pair]float64)
-	for i := 0; i < len(ids); i++ {
-		for j := i + 1; j < len(ids); j++ {
-			if rng.Float64() < 0.15 {
-				doi[interaction.MakePair(ids[i], ids[j])] = rng.Float64() * 100
-			}
-		}
-	}
-	doiFn := func(a, b index.ID) float64 { return doi[interaction.MakePair(a, b)] }
 	d := index.NewSet(ids...)
-	pt := &interaction.Partitioner{
-		StateCnt: 500, MaxPartSize: 14, RandCnt: 8,
-		Rand: rand.New(rand.NewSource(7)),
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = pt.Choose(d, nil, doiFn)
+	for _, c := range []struct {
+		name    string
+		density float64
+	}{{"sparse", 0.15}, {"dense", 0.9}} {
+		b.Run(c.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(5))
+			doi := make(map[interaction.Pair]float64)
+			for i := 0; i < len(ids); i++ {
+				for j := i + 1; j < len(ids); j++ {
+					if rng.Float64() < c.density {
+						doi[interaction.MakePair(ids[i], ids[j])] = rng.Float64() * 100
+					}
+				}
+			}
+			doiFn := func(a, b index.ID) float64 { return doi[interaction.MakePair(a, b)] }
+			pt := &interaction.Partitioner{
+				StateCnt: 500, MaxPartSize: 14, RandCnt: 8,
+				Rand: rand.New(rand.NewSource(7)),
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = pt.Choose(d, nil, doiFn)
+			}
+		})
 	}
 }
 

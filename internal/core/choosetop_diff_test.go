@@ -93,7 +93,11 @@ func topDiffValue(rng *rand.Rand) float64 {
 // pins, materialized sets and monitored sets, step by step as the
 // windows grow and age. Every third seed prices creation far above any
 // benefit with a budget larger than the positive scores can fill, so the
-// fill has to rank negative scores too.
+// fill has to rank negative scores too. Steps also evict histories as
+// retirement does, renumber IDs as registry compaction does, and restore
+// the statistics from their export, so every path that rebuilds the
+// statistics' per-window summaries is held to the reference, which reads
+// the windows themselves.
 func TestChooseTopMatchesReference(t *testing.T) {
 	tables := []string{"t1", "t2", "t3"}
 	cols := []string{"a", "b", "c", "d", "e"}
@@ -156,6 +160,45 @@ func TestChooseTopMatchesReference(t *testing.T) {
 				w.materialized = subset(0.05)
 			case 2:
 				w.universe = w.universe.Union(subset(0.1))
+			case 3:
+				var dead []index.ID
+				for k := rng.Intn(8); k > 0; k-- {
+					id := ids[rng.Intn(len(ids))]
+					w.idxStats.Evict(id)
+					dead = append(dead, id)
+				}
+				w.universe = w.universe.Minus(index.NewSet(dead...))
+			case 4:
+				live := w.universe.Union(w.partsetC).Union(w.materialized)
+				for id := range w.pinned {
+					live = live.Add(id)
+				}
+				for _, e := range w.idxStats.Export().Entries {
+					live = live.Add(e.ID)
+				}
+				remap := reg.Compact(live)
+				w.universe = w.universe.Remap(remap)
+				w.partsetC = w.partsetC.Remap(remap)
+				w.materialized = w.materialized.Remap(remap)
+				pinned := make(map[index.ID]int, len(w.pinned))
+				for id, pos := range w.pinned {
+					pinned[remap[id]] = pos
+				}
+				w.pinned = pinned
+				w.idxStats.Remap(remap)
+				kept := ids[:0]
+				for _, id := range ids {
+					if remap[id] != index.Invalid {
+						kept = append(kept, remap[id])
+					}
+				}
+				ids = kept
+			case 5:
+				restored, err := interaction.RestoreBenefitStats(w.idxStats.Export())
+				if err != nil {
+					t.Fatalf("seed %d step %d: restoring benefit statistics: %v", seed, step, err)
+				}
+				w.idxStats = restored
 			}
 			want, neg, tie := refChooseTop(w)
 			got := w.chooseTop()

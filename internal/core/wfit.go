@@ -328,12 +328,12 @@ func (t *WFIT) doiFunc() interaction.DoiFunc {
 }
 
 // scoredCandidate is one chooseTop entry: an index and its score. While
-// w is non-nil the score is only an upper bound on the index's penalized
-// score over window w.
+// bound is set the score is only an upper bound on the index's penalized
+// score.
 type scoredCandidate struct {
 	id    index.ID
 	score float64
-	w     *interaction.Window
+	bound bool
 }
 
 // before reports whether a ranks ahead of b: score descending, then ID
@@ -357,9 +357,10 @@ func (a scoredCandidate) before(b scoredCandidate) bool {
 // evicted by the very next statement.
 //
 // Candidates are taken from a max-heap in score order. A newcomer enters
-// it with an exact upper bound on its score (Window.PenalizedBound) and
-// is scored exactly only when that bound reaches the top, so the order
-// taken is the full sort's, while most of the universe costs O(1).
+// it with an exact upper bound on its score (BenefitStats.PenalizedBound,
+// read from a dense per-ID summary) and is scored exactly only when that
+// bound reaches the top, so the order taken is the full sort's, while
+// most of the universe costs O(1).
 func (t *WFIT) chooseTop() index.Set {
 	m := t.materialized.Intersect(t.universe).Union(t.activePins())
 	budget := t.options.IdxCnt - m.Len()
@@ -378,11 +379,11 @@ func (t *WFIT) chooseTop() index.Set {
 			h = append(h, scoredCandidate{id: a, score: t.idxStats.Current(a, t.n)})
 			continue
 		}
-		w := t.idxStats.Window(a)
-		if w == nil || !w.Positive(t.n) {
+		bound, ok := t.idxStats.PenalizedBound(a, t.n, t.reg.CreateCost(a))
+		if !ok {
 			continue // never beneficial: not worth monitoring yet
 		}
-		h = append(h, scoredCandidate{id: a, score: w.PenalizedBound(t.n, t.reg.CreateCost(a)), w: w})
+		h = append(h, scoredCandidate{id: a, score: bound, bound: true})
 	}
 	t.scoreScratch = h
 	for k := len(h)/2 - 1; k >= 0; k-- {
@@ -397,8 +398,8 @@ func (t *WFIT) chooseTop() index.Set {
 	taken := 0
 	for taken < budget && len(h) > 0 {
 		top := h[0]
-		if top.w != nil {
-			h[0] = scoredCandidate{id: top.id, score: top.w.CurrentPenalized(t.n, t.reg.CreateCost(top.id))}
+		if top.bound {
+			h[0] = scoredCandidate{id: top.id, score: t.idxStats.CurrentPenalized(top.id, t.n, t.reg.CreateCost(top.id))}
 			siftDown(h, 0)
 			continue
 		}

@@ -235,6 +235,11 @@ type Partitioner struct {
 	members  []int     // positions grouped by part, ascending within one
 	starts   []int     // members[starts[p]:starts[p+1]] is part p
 	edges    []mergeEdge
+
+	// singles lists the position pairs with a positive loss, in (i, j)
+	// order and weighted by that loss: the singleton phase of every
+	// restart of one Choose draws from it.
+	singles []mergeEdge
 }
 
 // Choose computes a feasible partition of d, seeded by the current
@@ -303,8 +308,9 @@ func (pt *Partitioner) Choose(d index.Set, current Partition, doi DoiFunc) Parti
 	return best
 }
 
-// load sizes the scratch for d and fills the singleton cross-loss matrix
-// and partner bitsets, evaluating doi once per pair.
+// load sizes the scratch for d and fills the singleton cross-loss matrix,
+// the partner bitsets and the singleton merge list, evaluating doi once
+// per pair.
 func (pt *Partitioner) load(d index.Set, doi DoiFunc) {
 	n := d.Len()
 	pt.ids = pt.ids[:0]
@@ -322,6 +328,7 @@ func (pt *Partitioner) load(d index.Set, doi DoiFunc) {
 	pt.members = resize(pt.members, n)
 	clear(pt.baseRows)
 	clear(pt.baseLive)
+	pt.singles = pt.singles[:0]
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			l := doi(pt.ids[i], pt.ids[j])
@@ -331,6 +338,7 @@ func (pt *Partitioner) load(d index.Set, doi DoiFunc) {
 				pt.baseRows[j*words+i>>6] |= 1 << (i & 63)
 				pt.baseLive[i>>6] |= 1 << (i & 63)
 				pt.baseLive[j>>6] |= 1 << (j & 63)
+				pt.singles = append(pt.singles, mergeEdge{i: i, j: j, weight: l})
 			}
 		}
 	}
@@ -354,6 +362,29 @@ func (pt *Partitioner) randomMerge(maxPart int) int {
 	}
 	states := 2 * n
 
+	// Singleton phase. While two interacting singletons remain, a round
+	// offers exactly those pairs, weighted by their loss. Merging two
+	// singletons leaves states at 2n, so the pairs are all feasible or
+	// all infeasible for the whole phase, and the loss between two
+	// singletons is still the base loss. Each round's list is therefore
+	// pt.singles without the pairs that touch a merged slot, in the same
+	// order and with the same weights. When the pairs are infeasible, the
+	// general loop below drops them all without a merge.
+	if maxPart >= 2 && (pt.StateCnt <= 0 || states <= pt.StateCnt) {
+		edges := append(pt.edges[:0], pt.singles...)
+		for len(edges) > 0 {
+			e := edges[weightedPick(edges, pt.Rand)]
+			pt.merge(e.i, e.j)
+			edges = slices.DeleteFunc(edges, func(f mergeEdge) bool {
+				return f.i == e.i || f.i == e.j || f.j == e.i || f.j == e.j
+			})
+		}
+		pt.edges = edges
+	}
+
+	// General phase. A merge only creates parts of size 2 or more, so no
+	// two singletons interact here, and every merge has a positive state
+	// cost to normalize by.
 	for {
 		// Losses are sums of non-negative doi, so an interacting pair
 		// stays interacting under merging: the partner bitsets just OR,
@@ -362,7 +393,6 @@ func (pt *Partitioner) randomMerge(maxPart int) int {
 		// parts that contain it; the cross loss of such pairs is never
 		// read again.
 		edges := pt.edges[:0]
-		onlySingles := false
 		for w, lw := range live {
 			for ; lw != 0; lw &= lw - 1 {
 				i := w<<6 | bits.TrailingZeros64(lw)
@@ -384,17 +414,8 @@ func (pt *Partitioner) randomMerge(maxPart int) int {
 							rows[j*words+i>>6] &^= 1 << (i & 63)
 							continue
 						}
-						l := cross[i*n+j]
-						if si == 1 && sj == 1 {
-							if !onlySingles {
-								onlySingles = true
-								edges = edges[:0]
-							}
-							edges = append(edges, mergeEdge{i: i, j: j, weight: l})
-						} else if !onlySingles {
-							denom := float64(int(1)<<(si+sj) - int(1)<<si - int(1)<<sj)
-							edges = append(edges, mergeEdge{i: i, j: j, weight: l / denom})
-						}
+						denom := float64(int(1)<<(si+sj) - int(1)<<si - int(1)<<sj)
+						edges = append(edges, mergeEdge{i: i, j: j, weight: cross[i*n+j] / denom})
 					}
 				}
 			}
@@ -404,33 +425,9 @@ func (pt *Partitioner) randomMerge(maxPart int) int {
 			break
 		}
 		e := edges[weightedPick(edges, pt.Rand)]
-		i, j := e.i, e.j
-		// Merge j into i. Only j's partners change their loss to i: any
-		// other slot's loss to j is zero, or its pair with j was dropped.
-		si, sj := size[i], size[j]
+		si, sj := size[e.i], size[e.j]
 		states += (1 << (si + sj)) - (1 << si) - (1 << sj)
-		size[i] = si + sj
-		parent[j] = i
-		rowI, rowJ := rows[i*words:(i+1)*words], rows[j*words:(j+1)*words]
-		for v, m := range rowJ {
-			for ; m != 0; m &= m - 1 {
-				k := v<<6 | bits.TrailingZeros64(m)
-				if k == i {
-					continue
-				}
-				l := cross[i*n+k] + cross[j*n+k]
-				cross[i*n+k], cross[k*n+i] = l, l
-				rows[k*words+j>>6] &^= 1 << (j & 63)
-				rows[k*words+i>>6] |= 1 << (i & 63)
-			}
-			rowI[v] |= rowJ[v]
-		}
-		rowI[i>>6] &^= 1 << (i & 63)
-		rowI[j>>6] &^= 1 << (j & 63)
-		live[j>>6] &^= 1 << (j & 63)
-		if !slices.ContainsFunc(rowI, func(m uint64) bool { return m != 0 }) {
-			live[i>>6] &^= 1 << (i & 63)
-		}
+		pt.merge(e.i, e.j)
 	}
 
 	// Number the surviving slots in order; a merged slot's parent is a
@@ -445,6 +442,35 @@ func (pt *Partitioner) randomMerge(maxPart int) int {
 		}
 	}
 	return parts
+}
+
+// merge folds slot j into slot i. Only j's partners change their loss to
+// i: any other slot's loss to j is zero, or its pair with j was dropped.
+func (pt *Partitioner) merge(i, j int) {
+	n, words := len(pt.ids), pt.words
+	cross, rows, live := pt.cross, pt.rows, pt.live
+	pt.size[i] += pt.size[j]
+	pt.parent[j] = i
+	rowI, rowJ := rows[i*words:(i+1)*words], rows[j*words:(j+1)*words]
+	for v, m := range rowJ {
+		for ; m != 0; m &= m - 1 {
+			k := v<<6 | bits.TrailingZeros64(m)
+			if k == i {
+				continue
+			}
+			l := cross[i*n+k] + cross[j*n+k]
+			cross[i*n+k], cross[k*n+i] = l, l
+			rows[k*words+j>>6] &^= 1 << (j & 63)
+			rows[k*words+i>>6] |= 1 << (i & 63)
+		}
+		rowI[v] |= rowJ[v]
+	}
+	rowI[i>>6] &^= 1 << (i & 63)
+	rowI[j>>6] &^= 1 << (j & 63)
+	live[j>>6] &^= 1 << (j & 63)
+	if !slices.ContainsFunc(rowI, func(m uint64) bool { return m != 0 }) {
+		live[i>>6] &^= 1 << (i & 63)
+	}
 }
 
 // group lists the positions of parts parts, numbered by pt.rank, in part

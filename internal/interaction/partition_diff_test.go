@@ -70,9 +70,12 @@ func diffCandidates(rng *rand.Rand, n int) index.Set {
 // implementation: on sparse and dense doi, candidate sets on both sides
 // of 64, tight and loose bounds, and empty and non-empty current
 // partitions, every call must return the same partition and leave the
-// random source in the same state. Each configuration runs a short
-// sequence of calls on one Partitioner, feeding each result back as the
-// next current partition, as WFIT does, so scratch reuse is covered too.
+// random source in the same state. The bounds include both edges of the
+// singleton phase's guard: maxPart 1, where singleton merges fail on
+// size, and StateCnt 2n, the largest bound at which they fail on neither.
+// Each configuration runs a short sequence of calls on one Partitioner,
+// feeding each result back as the next current partition, as WFIT does,
+// so scratch reuse is covered too.
 func TestChooseMatchesReference(t *testing.T) {
 	type bounds struct {
 		name              string
@@ -86,6 +89,8 @@ func TestChooseMatchesReference(t *testing.T) {
 				{"roomy", 1 << 12, 14},
 				{"tight", 2*n + 6, 3},
 				{"pairs", 3 * n, 2},
+				{"unmergeable", 0, 1},
+				{"singles", 2 * n, 10},
 				{"infeasible", 2*n - 1, 10},
 			} {
 				for _, withCurrent := range []bool{false, true} {

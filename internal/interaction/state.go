@@ -2,7 +2,6 @@ package interaction
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/index"
 )
@@ -97,21 +96,21 @@ type BenefitStatsState struct {
 	Entries []BenefitWindow // ascending by ID
 }
 
-// Export captures the statistics in deterministic (ID) order.
+// Export captures the statistics in deterministic (ID) order. The
+// per-window summaries are derived state and are not exported.
 func (s *BenefitStats) Export() BenefitStatsState {
 	st := BenefitStatsState{Hist: s.hist}
-	ids := make([]index.ID, 0, len(s.m))
-	for id := range s.m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		st.Entries = append(st.Entries, BenefitWindow{ID: id, Window: s.m[id].Export()})
+	for id, e := range s.entries {
+		if e.w != nil {
+			st.Entries = append(st.Entries, BenefitWindow{ID: index.ID(id), Window: e.w.Export()})
+		}
 	}
 	return st
 }
 
-// RestoreBenefitStats rebuilds benefit statistics from an exported state.
+// RestoreBenefitStats rebuilds benefit statistics, and the summary of
+// each window, from an exported state. The statistics are indexed by ID,
+// so callers check the IDs against the registry first.
 func RestoreBenefitStats(st BenefitStatsState) (*BenefitStats, error) {
 	s := NewBenefitStats(st.Hist)
 	for _, e := range st.Entries {
@@ -119,7 +118,7 @@ func RestoreBenefitStats(st BenefitStatsState) (*BenefitStats, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.m[e.ID] = w
+		s.put(e.ID, w)
 	}
 	return s, nil
 }

@@ -26,12 +26,6 @@ type Window struct {
 	pos     []int     // ascending workload positions
 	vals    []float64 // parallel to pos
 	dropped int       // entries expired by the cap
-
-	// The penalized sum behind PenalizedBound, cached until the next Add
-	// (derived state: never exported).
-	sumPenalty float64
-	sum        float64
-	sumValid   bool
 }
 
 // NewWindow creates a history bounded to cap entries (cap <= 0 means
@@ -51,7 +45,6 @@ func (w *Window) Add(n int, v float64) {
 	if len(w.pos) > 0 && n < w.pos[len(w.pos)-1] {
 		panic("interaction: Window positions must be non-decreasing")
 	}
-	w.sumValid = false
 	w.pos = append(w.pos, n)
 	w.vals = append(w.vals, v)
 	if w.cap > 0 && len(w.pos) > w.cap {
@@ -104,40 +97,6 @@ func (w *Window) CurrentPenalized(n int, penalty float64) float64 {
 	return best
 }
 
-// Positive reports whether Current(n) > 0. The newest entry's ratio is
-// positive unless it underflows, so this is O(1) except in that case.
-func (w *Window) Positive(n int) bool {
-	k := len(w.pos)
-	if k == 0 {
-		return false
-	}
-	if w.vals[k-1]/denominator(n, w.pos[k-1]) > 0 {
-		return true
-	}
-	return w.Current(n) > 0
-}
-
-// PenalizedBound returns an upper bound on CurrentPenalized(n, penalty)
-// for a non-empty window, computed with the same float operations. Values
-// are positive, so the running sum CurrentPenalized accumulates only
-// grows, and the full sum over the smallest denominator (the largest, if
-// the sum is negative) bounds every ratio it takes the maximum of. The
-// sum is cached until the next Add, so the bound is O(1) for a window
-// that did not change.
-func (w *Window) PenalizedBound(n int, penalty float64) float64 {
-	if !w.sumValid || w.sumPenalty != penalty {
-		acc := -penalty
-		for i := len(w.pos) - 1; i >= 0; i-- {
-			acc += w.vals[i]
-		}
-		w.sum, w.sumPenalty, w.sumValid = acc, penalty, true
-	}
-	if w.sum >= 0 {
-		return w.sum / denominator(n, w.pos[len(w.pos)-1])
-	}
-	return w.sum / denominator(n, w.pos[0])
-}
-
 // denominator is the recency weight N − n + 1 of an entry at position
 // pos, at least 1.
 func denominator(n, pos int) float64 {
@@ -168,15 +127,61 @@ func (w *Window) Total() float64 {
 	return t
 }
 
-// BenefitStats is idxStats: per-index benefit histories.
+// BenefitStats is idxStats: per-index benefit histories, kept in an
+// array indexed by ID. Registry IDs are dense, so the array is O(registry
+// size); every restore path checks IDs against the registry first.
 type BenefitStats struct {
-	hist int
-	m    map[index.ID]*Window
+	hist    int
+	entries []benefitEntry // by ID; w is nil where no history is retained
+	live    int            // entries with a history
+}
+
+// benefitEntry is one index's history with a summary of it, which
+// PenalizedBound reads so that chooseTop's scan of the whole universe
+// touches one flat array instead of every window. The summary is derived
+// state, rebuilt wherever a window is installed or changed, and never
+// exported.
+//
+// sum caches CurrentPenalized's running sum over the whole window for
+// penalty sumPenalty: −penalty plus the values, newest first, in the same
+// float operations. Values are positive, so that running sum only grows,
+// and the full sum over the smallest denominator (the largest, if the sum
+// is negative) bounds every ratio CurrentPenalized takes the maximum of.
+type benefitEntry struct {
+	w              *Window
+	newest, oldest int     // positions of the newest and oldest entries
+	last           float64 // the newest entry's value
+	sum            float64
+	sumPenalty     float64
+	sumValid       bool
 }
 
 // NewBenefitStats creates benefit statistics with the given histSize.
 func NewBenefitStats(histSize int) *BenefitStats {
-	return &BenefitStats{hist: histSize, m: make(map[index.ID]*Window)}
+	return &BenefitStats{hist: histSize}
+}
+
+// window returns a's history, or nil when none is retained.
+func (s *BenefitStats) window(a index.ID) *Window {
+	if int(a) < len(s.entries) {
+		return s.entries[a].w
+	}
+	return nil
+}
+
+// put installs w as a's history and summarizes it.
+func (s *BenefitStats) put(a index.ID, w *Window) {
+	if int(a) >= len(s.entries) {
+		s.entries = append(s.entries, make([]benefitEntry, int(a)+1-len(s.entries))...)
+	}
+	e := &s.entries[a]
+	if e.w == nil {
+		s.live++
+	}
+	*e = benefitEntry{w: w}
+	if k := len(w.pos); k > 0 {
+		e.newest, e.oldest, e.last = w.pos[k-1], w.pos[0], w.vals[k-1]
+	}
 }
 
 // Add records βn for index a at position n (ignored unless finite and
@@ -185,49 +190,72 @@ func (s *BenefitStats) Add(a index.ID, n int, beta float64) {
 	if !recordable(beta) {
 		return
 	}
-	w, ok := s.m[a]
-	if !ok {
+	w := s.window(a)
+	if w == nil {
 		w = NewWindow(s.hist)
-		s.m[a] = w
 	}
 	w.Add(n, beta)
+	s.put(a, w)
 }
 
 // Current returns benefit*_N(a).
 func (s *BenefitStats) Current(a index.ID, n int) float64 {
-	if w, ok := s.m[a]; ok {
+	if w := s.window(a); w != nil {
 		return w.Current(n)
 	}
 	return 0
 }
 
-// Window returns a's benefit history, or nil when none is retained.
-func (s *BenefitStats) Window(a index.ID) *Window { return s.m[a] }
-
 // CurrentPenalized returns benefit*_N(a) with a one-time cost charged
 // against the accumulated benefit (see Window.CurrentPenalized).
 func (s *BenefitStats) CurrentPenalized(a index.ID, n int, penalty float64) float64 {
-	if w, ok := s.m[a]; ok {
+	if w := s.window(a); w != nil {
 		return w.CurrentPenalized(n, penalty)
 	}
 	return -penalty
 }
 
+// PenalizedBound reports whether benefit*_N(a) is positive and, when it
+// is, returns an upper bound on CurrentPenalized(a, n, penalty) (see
+// benefitEntry). It reads only a's summary, except to recompute the cached
+// sum after an Add or for a new penalty, and to settle positivity when the
+// newest entry's ratio underflows.
+func (s *BenefitStats) PenalizedBound(a index.ID, n int, penalty float64) (float64, bool) {
+	if int(a) >= len(s.entries) {
+		return 0, false
+	}
+	e := &s.entries[a]
+	if e.w == nil || e.last/denominator(n, e.newest) <= 0 && e.w.Current(n) <= 0 {
+		return 0, false
+	}
+	if !e.sumValid || e.sumPenalty != penalty {
+		acc := -penalty
+		for i := len(e.w.vals) - 1; i >= 0; i-- {
+			acc += e.w.vals[i]
+		}
+		e.sum, e.sumPenalty, e.sumValid = acc, penalty, true
+	}
+	if e.sum >= 0 {
+		return e.sum / denominator(n, e.newest), true
+	}
+	return e.sum / denominator(n, e.oldest), true
+}
+
 // Total returns the summed recorded benefit of a.
 func (s *BenefitStats) Total(a index.ID) float64 {
-	if w, ok := s.m[a]; ok {
+	if w := s.window(a); w != nil {
 		return w.Total()
 	}
 	return 0
 }
 
 // Len reports the number of retained per-index histories.
-func (s *BenefitStats) Len() int { return len(s.m) }
+func (s *BenefitStats) Len() int { return s.live }
 
 // LastPos returns the position of a's most recent benefit observation,
 // or 0 when no history is retained.
 func (s *BenefitStats) LastPos(a index.ID) int {
-	if w, ok := s.m[a]; ok {
+	if w := s.window(a); w != nil {
 		return w.LastPos()
 	}
 	return 0
@@ -237,22 +265,28 @@ func (s *BenefitStats) LastPos(a index.ID) int {
 // leaves the monitored universe; re-observing the index later starts a
 // fresh window.
 func (s *BenefitStats) Evict(a index.ID) {
-	delete(s.m, a)
+	if s.window(a) != nil {
+		s.entries[a] = benefitEntry{}
+		s.live--
+	}
 }
 
 // Remap rebuilds the statistics under a new ID space: every retained
 // history keyed by old ID moves to remap[old]. Registry compaction is the
 // only caller; it guarantees every retained key maps to a valid new ID.
 func (s *BenefitStats) Remap(remap []index.ID) {
-	m := make(map[index.ID]*Window, len(s.m))
-	for id, w := range s.m {
+	old := s.entries
+	s.entries, s.live = nil, 0
+	for id, e := range old {
+		if e.w == nil {
+			continue
+		}
 		nid := remap[id]
 		if nid == index.Invalid {
 			panic("interaction: BenefitStats.Remap dropping a live history")
 		}
-		m[nid] = w
+		s.put(nid, e.w)
 	}
-	s.m = m
 }
 
 // Pair is an unordered index pair with A < B.

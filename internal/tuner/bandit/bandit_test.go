@@ -89,3 +89,28 @@ func TestCompactRegistryPreservesDecisions(t *testing.T) {
 		t.Errorf("retirement diverged: %d vs %d", ra, rb)
 	}
 }
+
+// TestRestoreRejectsHistoryBeyondRegistry checks that Restore refuses a
+// benefit history whose index ID the registry does not hold.
+func TestRestoreRejectsHistoryBeyondRegistry(t *testing.T) {
+	cat, _ := datagen.Build()
+	reg := index.NewRegistry()
+	options := core.DefaultOptions()
+	options.Workers = 1
+	opt := whatif.New(cost.NewModel(cat, reg, cost.DefaultParams()))
+	b := New(opt, options)
+	for n := 1; n <= 10; n++ {
+		b.AnalyzeQuery(rotatingQuery(n))
+	}
+	st := b.ExportState().(*State)
+	if len(st.Stats.Entries) == 0 {
+		t.Fatalf("no benefit history to corrupt")
+	}
+	if _, err := Restore(opt, st); err != nil {
+		t.Fatalf("Restore of an exported state: %v", err)
+	}
+	st.Stats.Entries[len(st.Stats.Entries)-1].ID = index.ID(reg.Len() + 1)
+	if _, err := Restore(opt, st); err == nil || !strings.Contains(err.Error(), "outside registry") {
+		t.Fatalf("Restore error = %v, want one mentioning %q", err, "outside registry")
+	}
+}

@@ -128,6 +128,13 @@ func Restore(opt *whatif.Optimizer, st *State) (*Bandit, error) {
 			return nil, err
 		}
 	}
+	// The statistics are indexed by ID, so an ID beyond the registry
+	// would size them by the ID instead of the registry.
+	for _, e := range st.Stats.Entries {
+		if e.ID == index.Invalid || int(e.ID) > regLen {
+			return nil, fmt.Errorf("bandit: benefit history for index ID %d outside registry size %d", e.ID, regLen)
+		}
+	}
 	var err error
 	if t.stats, err = interaction.RestoreBenefitStats(st.Stats); err != nil {
 		return nil, err
