@@ -105,6 +105,48 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
+// TestFixedCandidateTrajectoriesPinned pins Figs. 8, 9 and 11 bit for
+// bit on the small environment: every run's total-work trajectory must
+// hash to its recorded digest. The gauntlet digests cover engine runs
+// only; these cover the fixed-candidate WFA+ runs (and Fig. 8's BC).
+func TestFixedCandidateTrajectoriesPinned(t *testing.T) {
+	env := NewEnv(SmallOptions())
+	figs := []struct {
+		fig  string
+		runs []*RunResult
+		want map[string]string // run name -> trajectoryDigest(TotWork)
+	}{
+		{"8", env.RunFig8(), map[string]string{
+			"WFIT-500": "1d75848e5493614b",
+			"WFIT-100": "1d75848e5493614b",
+			"WFIT-IND": "56cad9aa779c8755",
+			"BC":       "d90d2ddc1b95330d",
+		}},
+		{"9", env.RunFig9(), map[string]string{
+			"GOOD": "79579cadb5c4cede",
+			"WFIT": "1d75848e5493614b",
+			"BAD":  "44116e6162bc852c",
+		}},
+		{"11", env.RunFig11(), map[string]string{
+			"WFIT":   "1d75848e5493614b",
+			"LAG 25": "51d96d5f3b1840f5",
+			"LAG 50": "5edde631d643d76b",
+			"LAG 75": "f10d8785ae04d261",
+		}},
+	}
+	for _, f := range figs {
+		if len(f.runs) != len(f.want) {
+			t.Errorf("fig %s: %d runs, want %d", f.fig, len(f.runs), len(f.want))
+		}
+		for _, r := range f.runs {
+			if got := trajectoryDigest(r.TotWork); got != f.want[r.Name] {
+				t.Errorf("fig %s run %q: digest %s, want %s (total work %v)",
+					f.fig, r.Name, got, f.want[r.Name], r.TotWork[len(r.TotWork)-1])
+			}
+		}
+	}
+}
+
 func TestGoodFeedbackBeatsNone(t *testing.T) {
 	env := sharedSmallEnv(t)
 	runs := env.RunFig9()

@@ -37,13 +37,11 @@ type Analysis struct {
 	extractor *cost.Extractor
 
 	// base is the IBG context beyond the statement's own candidates:
-	// C ∪ M for the full tuner, U for the fixed-candidate variant.
+	// C ∪ M, the monitored and materialized indices.
 	base index.Set
 
-	workers           int
-	doiThreshold      float64
-	assumeIndependent bool
-	statsDisabled     bool
+	workers      int
+	doiThreshold float64
 
 	// epoch and regLen pin the tuner state the capture is valid against.
 	epoch  uint64
@@ -72,21 +70,15 @@ type Analysis struct {
 // their parallelism from running several analyses at once (any value
 // produces byte-identical results).
 func (t *WFIT) BeginAnalysis(s *stmt.Statement, workers int) *Analysis {
-	base := t.partsetC.Union(t.materialized)
-	if t.statsDisabled {
-		base = t.universe
-	}
 	return &Analysis{
-		stmt:              s,
-		opt:               t.opt,
-		extractor:         t.extractor,
-		base:              base,
-		workers:           workers,
-		doiThreshold:      t.options.DoiThreshold,
-		assumeIndependent: t.options.AssumeIndependent,
-		statsDisabled:     t.statsDisabled,
-		epoch:             t.epoch,
-		regLen:            t.reg.Len(),
+		stmt:         s,
+		opt:          t.opt,
+		extractor:    t.extractor,
+		base:         t.partsetC.Union(t.materialized),
+		workers:      workers,
+		doiThreshold: t.options.DoiThreshold,
+		epoch:        t.epoch,
+		regLen:       t.reg.Len(),
 	}
 }
 
@@ -110,11 +102,6 @@ func (a *Analysis) run(intern bool) {
 		a.runDur = time.Since(start)
 		a.ran = true
 	}()
-	if a.statsDisabled {
-		a.g = ibg.BuildWorkers(a.opt, a.stmt, a.base, a.workers)
-		a.ok = true
-		return
-	}
 	if intern {
 		a.extracted = a.extractor.Extract(a.stmt)
 	} else {
@@ -137,9 +124,7 @@ func (a *Analysis) run(intern bool) {
 	a.benefits = par.Map(a.workers, len(a.used), func(i int) float64 {
 		return g.MaxBenefit(a.used[i])
 	})
-	if !a.assumeIndependent {
-		a.interactions = g.InteractionsWorkers(a.doiThreshold, a.workers)
-	}
+	a.interactions = g.InteractionsWorkers(a.doiThreshold, a.workers)
 	a.ok = true
 }
 
@@ -184,8 +169,8 @@ func (t *WFIT) ApplyAnalysis(a *Analysis) bool {
 
 // finishAnalysis is the serialized half of a statement's analysis: fold
 // the statistics observations in, maintain the candidate set and stable
-// partition (chooseCands/repartition, Figure 6), and fan the per-part
-// work-function updates against the statement's IBG. The summation and
+// partition (chooseCands/repartition, Figure 6), and feed the statement's
+// IBG to the WFA+ per-part work functions. The summation and
 // insertion orders are identical to the pre-split AnalyzeQuery, which is
 // what keeps serial, batched, and recovered trajectories bit-identical.
 func (t *WFIT) finishAnalysis(a *Analysis) {
@@ -197,40 +182,29 @@ func (t *WFIT) finishAnalysis(a *Analysis) {
 		t.lastFinishDur = time.Since(start)
 	}()
 	t.n++
-	g := a.g
-	if !t.statsDisabled {
-		// Line 1 (Figure 6): grow the universe with the mined candidates.
-		t.universe = t.universe.Union(a.extracted)
-		// Line 3: fold the precomputed benefit/doi maximizations into the
-		// histories, serially and in deterministic order.
-		for i, id := range a.used {
-			t.idxStats.Add(id, t.n, a.benefits[i])
-		}
-		if !t.options.AssumeIndependent {
-			for _, in := range a.interactions {
-				t.intStats.Add(in.A, in.B, t.n, in.Doi)
-			}
-		}
-		// Lines 4–5: D = M ∪ topIndices(U − M, idxCnt − |M|).
-		d := t.chooseTop()
-		// Line 6: choose the stable partition of D. Both sides are
-		// normalized — t.partition always is (see repartition and the
-		// constructors) and Choose returns Normalize output — so the
-		// comparison needs none of Equal's re-sorting copies.
-		newPartition := t.partn.Choose(d, t.partition, t.doiFunc())
-		if !newPartition.EqualNormalized(t.partition) {
-			t.repartition(newPartition)
-			t.repartitions++
-		}
+	// Line 1 (Figure 6): grow the universe with the mined candidates.
+	t.universe = t.universe.Union(a.extracted)
+	// Line 3: fold the precomputed benefit/doi maximizations into the
+	// histories, serially and in deterministic order.
+	for i, id := range a.used {
+		t.idxStats.Add(id, t.n, a.benefits[i])
 	}
-	t.lastIBGNodes = g.NodeCount()
-	t.active = t.active[:0]
-	for _, part := range t.parts {
-		if g.Influences(part.candSet) {
-			t.active = append(t.active, part)
-		}
+	for _, in := range a.interactions {
+		t.intStats.Add(in.A, in.B, t.n, in.Doi)
 	}
-	analyzeParts(t.options.Workers, t.active, g)
-	g.Release()
+	// Lines 4–5: D = M ∪ topIndices(U − M, idxCnt − |M|).
+	d := t.chooseTop()
+	// Line 6: choose the stable partition of D. Both sides are normalized
+	// — the WFA+ partition always is (see repartition) and Choose returns
+	// Normalize output — so the comparison needs none of Equal's
+	// re-sorting copies.
+	current := t.Partition()
+	if newPartition := t.partn.Choose(d, current, t.doiFunc()); !newPartition.EqualNormalized(current) {
+		t.repartition(newPartition)
+		t.repartitions++
+	}
+	t.lastIBGNodes = a.g.NodeCount()
+	t.plus.AnalyzeStatement(a.g)
+	a.g.Release()
 	t.retire()
 }

@@ -129,8 +129,8 @@ func TestWFAPlusStateSavings(t *testing.T) {
 		index.NewSet(ids[4], ids[5], ids[6], ids[7]),
 	}
 	plus := NewWFAPlus(reg, partition, index.EmptySet)
-	if got, want := plus.StateCount(), 16+16; got != want {
-		t.Fatalf("StateCount = %d, want %d", got, want)
+	if got, want := plus.Partition().States(), 16+16; got != want {
+		t.Fatalf("Partition().States() = %d, want %d", got, want)
 	}
 	// The paper's back-of-the-envelope example: 32 indices in parts of 4
 	// would need 8·16 = 128 states instead of 2^32.

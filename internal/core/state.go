@@ -36,10 +36,9 @@ type PinnedVote struct {
 type TunerState struct {
 	Options Options // InitialMaterialized carried as S0 below
 
-	N             int
-	Repartitions  int
-	Retired       int
-	StatsDisabled bool
+	N            int
+	Repartitions int
+	Retired      int
 
 	// Pinned carries the active F+ vote pins in ascending ID order.
 	Pinned []PinnedVote
@@ -49,9 +48,10 @@ type TunerState struct {
 	Universe     index.Set
 
 	// Partition is the stable partition in Normalize form; Parts carries
-	// the per-part work functions in t.parts order, which can differ from
-	// partition order after a Feedback-driven extension and matters to the
-	// floating-point summation order of the next repartition.
+	// the per-part work functions in WFA+ part order (WFAPlus.Parts), which
+	// can differ from partition order after a Feedback-driven extension
+	// and matters to the floating-point summation order of the next
+	// repartition.
 	Partition interaction.Partition
 	Parts     []WFAState
 
@@ -76,24 +76,23 @@ func (t *TunerState) TunerOptions() Options { return t.Options }
 // statements.
 func (t *WFIT) ExportState() *TunerState {
 	st := &TunerState{
-		Options:       t.options,
-		N:             t.n,
-		Repartitions:  t.repartitions,
-		Retired:       t.retired,
-		StatsDisabled: t.statsDisabled,
-		S0:            t.s0,
-		Materialized:  t.materialized,
-		Universe:      t.universe,
-		Partition:     t.partition,
-		IdxStats:      t.idxStats.Export(),
-		IntStats:      t.intStats.Export(),
-		RandState:     t.rng.State(),
+		Options:      t.options,
+		N:            t.n,
+		Repartitions: t.repartitions,
+		Retired:      t.retired,
+		S0:           t.s0,
+		Materialized: t.materialized,
+		Universe:     t.universe,
+		Partition:    t.Partition(),
+		IdxStats:     t.idxStats.Export(),
+		IntStats:     t.intStats.Export(),
+		RandState:    t.rng.State(),
 	}
 	for id, pos := range t.pinned {
 		st.Pinned = append(st.Pinned, PinnedVote{ID: id, Pos: pos})
 	}
 	sort.Slice(st.Pinned, func(i, j int) bool { return st.Pinned[i].ID < st.Pinned[j].ID })
-	for _, a := range t.parts {
+	for _, a := range t.plus.Parts() {
 		st.Parts = append(st.Parts, WFAState{
 			Cand:    a.cand,
 			W:       a.w,
@@ -115,14 +114,12 @@ func RestoreWFIT(opt *whatif.Optimizer, st *TunerState) (*WFIT, error) {
 	t.n = st.N
 	t.repartitions = st.Repartitions
 	t.retired = st.Retired
-	t.statsDisabled = st.StatsDisabled
 	for _, p := range st.Pinned {
 		t.pinned[p.ID] = p.Pos
 	}
 	t.materialized = st.Materialized
 	t.universe = st.Universe
-	t.partition = st.Partition
-	t.partsetC = t.partition.Union()
+	t.partsetC = st.Partition.Union()
 	t.rng.SetState(st.RandState)
 
 	reg := opt.Model().Registry()
@@ -145,6 +142,14 @@ func RestoreWFIT(opt *whatif.Optimizer, st *TunerState) (*WFIT, error) {
 		}
 	}
 
+	// The partition must be in Normalize form, as finishAnalysis compares
+	// it with EqualNormalized, and carry exactly one work function per
+	// part, in any order: CompactRegistry keeps only partition members.
+	if !st.Partition.Validate() || !st.Partition.EqualNormalized(st.Partition.Normalize()) {
+		return nil, fmt.Errorf("core: tuner state partition is not a normalized partition")
+	}
+	t.plus = &WFAPlus{partition: st.Partition, workers: options.Workers}
+	covered := make(interaction.Partition, 0, len(st.Parts))
 	for i, ps := range st.Parts {
 		part := index.NewSet(ps.Cand...)
 		if part.Len() != len(ps.Cand) {
@@ -156,11 +161,18 @@ func RestoreWFIT(opt *whatif.Optimizer, st *TunerState) (*WFIT, error) {
 		if len(ps.W) != 1<<len(ps.Cand) {
 			return nil, fmt.Errorf("core: part %d has %d work entries for %d candidates", i, len(ps.W), len(ps.Cand))
 		}
+		if ps.CurrRec>>len(ps.Cand) != 0 {
+			return nil, fmt.Errorf("core: part %d recommends bits beyond its %d candidates", i, len(ps.Cand))
+		}
 		a := newWFAShell(reg, part)
 		copy(a.w, ps.W)
 		a.base = ps.Base
 		a.currRec = ps.CurrRec
-		t.parts = append(t.parts, a)
+		t.plus.parts = append(t.plus.parts, a)
+		covered = append(covered, part)
+	}
+	if len(covered) != len(st.Partition) || !covered.Normalize().EqualNormalized(st.Partition) {
+		return nil, fmt.Errorf("core: part work functions do not match the partition's parts")
 	}
 
 	// The histories must name registry indices and end at or before the

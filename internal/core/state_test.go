@@ -10,9 +10,12 @@ import (
 )
 
 // cloneStats deep-copies the exported histories, whose windows alias the
-// live tuner's, so a test can corrupt them without touching the tuner.
+// live tuner's, and copies the partition and part lists, so a test can
+// corrupt them without touching the tuner.
 func cloneStats(st *TunerState) *TunerState {
 	c := *st
+	c.Partition = append(interaction.Partition(nil), st.Partition...)
+	c.Parts = append([]WFAState(nil), st.Parts...)
 	cp := func(w interaction.WindowState) interaction.WindowState {
 		w.Pos = append([]int(nil), w.Pos...)
 		w.Vals = append([]float64(nil), w.Vals...)
@@ -30,11 +33,15 @@ func cloneStats(st *TunerState) *TunerState {
 }
 
 // TestRestoreRejectsImpossibleHistories feeds RestoreWFIT statistics
-// histories the live tuner cannot produce. Each must be refused with an
-// error: restored unchecked, the first two crash the tuner later — an ID
-// beyond the registry panics in the next CompactRegistry (index out of
-// range in Remap), and a position beyond the statement count panics in
-// Window.Add on the next statement.
+// histories and part states the live tuner cannot produce. Each must be
+// refused with an error. Restored unchecked, several crash the tuner
+// later: a history ID beyond the registry panics in the next
+// CompactRegistry (index out of range in Remap), a history position
+// beyond the statement count panics in Window.Add on the next statement,
+// a recommendation mask beyond the part's candidates panics in the next
+// WFA.Feedback that reaches the part, and a work function over indices
+// outside the partition panics in the next CompactRegistry, which drops
+// them.
 func TestRestoreRejectsImpossibleHistories(t *testing.T) {
 	e := newWFITEnv(t)
 	w := NewWFIT(e.opt, DefaultOptions())
@@ -49,11 +56,14 @@ func TestRestoreRejectsImpossibleHistories(t *testing.T) {
 		}
 	}
 	// A definition nothing references, so compaction has work to do.
-	e.internIndex("tpch.orders", "o_orderdate")
+	orphan := e.internIndex("tpch.orders", "o_orderdate")
 	st := w.ExportState()
 	if len(st.IdxStats.Entries) == 0 || len(st.IntStats.Entries) == 0 {
 		t.Fatalf("setup: want benefit and interaction histories, got %d and %d",
 			len(st.IdxStats.Entries), len(st.IntStats.Entries))
+	}
+	if len(st.Partition) < 2 {
+		t.Fatalf("setup: want at least two parts, got %d", len(st.Partition))
 	}
 	if _, err := RestoreWFIT(e.opt, cloneStats(st)); err != nil {
 		t.Fatalf("restoring the tuner's own state: %v", err)
@@ -110,6 +120,27 @@ func TestRestoreRejectsImpossibleHistories(t *testing.T) {
 		{"entries over the cap", func(st *TunerState) {
 			st.IdxStats.Entries[0].Window = interaction.WindowState{Cap: 1, Pos: []int{1, 2}, Vals: []float64{1, 1}}
 		}, "over its cap", nil},
+		{"recommendation beyond the part", func(st *TunerState) {
+			st.Parts[0].CurrRec |= 1 << len(st.Parts[0].Cand)
+		}, "beyond its", func(w *WFIT) { w.Feedback(index.EmptySet, w.Partition().Union()) }},
+		{"part outside the partition", func(st *TunerState) {
+			st.Parts = append(st.Parts, WFAState{Cand: []index.ID{orphan}, W: []float64{0, 1}})
+		}, "do not match the partition", func(w *WFIT) { w.CompactRegistry() }},
+		{"empty part outside the partition", func(st *TunerState) {
+			st.Parts = append(st.Parts, WFAState{W: []float64{0}})
+		}, "do not match the partition", nil},
+		{"partition not normalized", func(st *TunerState) {
+			st.Partition[0], st.Partition[1] = st.Partition[1], st.Partition[0]
+		}, "not a normalized partition", nil},
+		{"partition with a repeated part", func(st *TunerState) {
+			first := st.Partition[0]
+			st.Partition = append(interaction.Partition{first}, st.Partition...)
+			for _, p := range st.Parts {
+				if index.NewSet(p.Cand...).Equal(first) {
+					st.Parts = append(st.Parts, p)
+				}
+			}
+		}, "not a normalized partition", nil},
 	}
 	for _, c := range cases {
 		bad := cloneStats(st)

@@ -107,20 +107,6 @@ func NewWFA(reg *index.Registry, part index.Set, init index.Set) *WFA {
 	return a
 }
 
-// NewWFAWithWork creates a WFA instance whose work function is initialized
-// by an arbitrary function of the configuration and whose recommendation
-// is preset. This is the entry point of WFIT's repartition step (Figure 5),
-// which rebuilds instances from sums of old per-part work functions.
-func NewWFAWithWork(reg *index.Registry, part index.Set, rec index.Set, work func(cfg index.Set) float64) *WFA {
-	a := newWFAShell(reg, part)
-	a.currRec = a.MaskOf(rec)
-	for s := 0; s < len(a.w); s++ {
-		a.w[s] = work(a.SetOf(uint32(s)))
-	}
-	a.normalize()
-	return a
-}
-
 // Candidates returns the part this instance is responsible for.
 func (a *WFA) Candidates() index.Set { return a.candSet }
 

@@ -12,14 +12,17 @@ import (
 // as a monolithic WFA over the whole candidate set; Theorem 4.3 improves
 // the competitive ratio to 2^{cmax+1} − 1.
 //
-// WFAPlus is also the paper's "simplified WFIT" used whenever experiments
-// fix the candidate set and partition (§6.1): it accepts DBA feedback but
-// performs no candidate maintenance.
+// On its own, WFAPlus is the paper's "simplified WFIT" used whenever
+// experiments fix the candidate set and partition (§6.1): it accepts DBA
+// feedback but performs no candidate maintenance. WFIT holds one and
+// replaces its parts as candidate maintenance repartitions.
 type WFAPlus struct {
-	reg       *index.Registry
-	partition interaction.Partition
-	parts     []*WFA
-	workers   int
+	partition interaction.Partition // Normalize form
+	// parts holds one WFA per part of partition, in the order they were
+	// built — not necessarily partition order (see WFIT.Feedback). The
+	// order is state: WFIT.repartition sums old work functions in it.
+	parts   []*WFA
+	workers int
 
 	active []*WFA // scratch reused across statements
 }
@@ -27,7 +30,7 @@ type WFAPlus struct {
 // NewWFAPlus creates per-part WFA instances, each initialized with the
 // projection of the initial configuration onto its part.
 func NewWFAPlus(reg *index.Registry, partition interaction.Partition, init index.Set) *WFAPlus {
-	p := &WFAPlus{reg: reg, partition: partition.Normalize()}
+	p := &WFAPlus{partition: partition.Normalize()}
 	for _, part := range p.partition {
 		p.parts = append(p.parts, NewWFA(reg, part, init.Intersect(part)))
 	}
@@ -37,8 +40,8 @@ func NewWFAPlus(reg *index.Registry, partition interaction.Partition, init index
 // Partition returns the stable partition in normalized order.
 func (p *WFAPlus) Partition() interaction.Partition { return p.partition }
 
-// Parts exposes the per-part WFA instances (read-mostly; used by
-// repartitioning and by tests).
+// Parts exposes the per-part WFA instances in their build order
+// (read-mostly; used by WFIT's state export and by tests).
 func (p *WFAPlus) Parts() []*WFA { return p.parts }
 
 // SetWorkers bounds the goroutines AnalyzeStatement fans per-part updates
@@ -47,43 +50,33 @@ func (p *WFAPlus) Parts() []*WFA { return p.parts }
 // identical for any setting.
 func (p *WFAPlus) SetWorkers(n int) { p.workers = n }
 
-// AnalyzeStatement feeds the statement to every part whose candidates can
-// influence its cost, fanning the independent per-part work-function
-// updates across the worker pool. Untouched parts would receive a uniform
-// work-function shift, which changes no decision, so they are skipped.
-func (p *WFAPlus) AnalyzeStatement(sc StatementCost) {
-	p.active = p.active[:0]
-	for _, part := range p.parts {
-		if sc.Influences(part.candSet) {
-			p.active = append(p.active, part)
-		}
-	}
-	analyzeParts(p.workers, p.active, sc)
-}
-
 // parallelAnalyzeThreshold is the minimum total configuration count
 // (Σ 2^|Ck| over active parts) before per-part updates fan out; below it
 // goroutine handoff costs more than the updates themselves.
 const parallelAnalyzeThreshold = 2048
 
-// analyzeParts fans the independent per-part work-function updates over
-// up to workers goroutines. Each WFA mutates only its own state and sc is
-// safe for concurrent probing (the IBG memo is atomic), so any worker
-// count yields byte-identical results; tiny workloads stay on the calling
-// goroutine.
-func analyzeParts(workers int, parts []*WFA, sc StatementCost) {
-	if len(parts) > 1 && par.Workers(workers) > 1 {
-		total := 0
-		for _, p := range parts {
-			total += p.Size()
-		}
-		if total >= parallelAnalyzeThreshold {
-			par.Do(workers, len(parts), func(i int) { parts[i].AnalyzeStatement(sc) })
-			return
+// AnalyzeStatement feeds the statement to every part whose candidates can
+// influence its cost. Untouched parts would receive a uniform
+// work-function shift, which changes no decision, so they are skipped.
+// The remaining updates fan out over up to workers goroutines: each WFA
+// mutates only its own state and sc is safe for concurrent probing (the
+// IBG memo is atomic), so any worker count yields byte-identical results;
+// tiny statements stay on the calling goroutine.
+func (p *WFAPlus) AnalyzeStatement(sc StatementCost) {
+	p.active = p.active[:0]
+	total := 0
+	for _, part := range p.parts {
+		if sc.Influences(part.candSet) {
+			p.active = append(p.active, part)
+			total += part.Size()
 		}
 	}
-	for _, p := range parts {
-		p.AnalyzeStatement(sc)
+	if len(p.active) > 1 && total >= parallelAnalyzeThreshold && par.Workers(p.workers) > 1 {
+		par.Do(p.workers, len(p.active), func(i int) { p.active[i].AnalyzeStatement(sc) })
+		return
+	}
+	for _, part := range p.active {
+		part.AnalyzeStatement(sc)
 	}
 }
 
@@ -97,19 +90,21 @@ func (p *WFAPlus) Recommend() index.Set {
 }
 
 // Feedback applies DBA votes to every part (Figure 4). Votes outside the
-// candidate set are ignored here; the full WFIT extends the partition
-// instead.
+// candidate set are ignored here; WFIT extends the partition first.
 func (p *WFAPlus) Feedback(plus, minus index.Set) {
 	for _, part := range p.parts {
 		part.Feedback(plus.Intersect(part.Candidates()), minus)
 	}
 }
 
-// StateCount returns Σ 2^|Ck|, the number of tracked configurations.
-func (p *WFAPlus) StateCount() int {
-	total := 0
-	for _, part := range p.parts {
-		total += part.Size()
+// remapIDs renames the partition and every part through a registry
+// compaction remap (see WFA.remapIDs). The partition is rewritten in
+// place: the remap is monotone, so it stays in Normalize form.
+func (p *WFAPlus) remapIDs(remap []index.ID) {
+	for i, part := range p.partition {
+		p.partition[i] = part.Remap(remap)
 	}
-	return total
+	for _, a := range p.parts {
+		a.remapIDs(remap)
+	}
 }

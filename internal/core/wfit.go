@@ -25,9 +25,6 @@ type Options struct {
 	MaxPartSize int
 	// DoiThreshold discards interactions with doi at or below it.
 	DoiThreshold float64
-	// AssumeIndependent disables interaction tracking entirely: every
-	// part becomes a singleton (the WFIT-IND variant of §6.2).
-	AssumeIndependent bool
 	// Workers bounds the goroutines the per-statement analysis pipeline
 	// (IBG expansion, statistics, per-part work-function updates) may
 	// fan out across. 1 forces the fully serial path; values <= 0 mean
@@ -65,10 +62,11 @@ func DefaultOptions() Options {
 	}
 }
 
-// WFIT is the end-to-end semi-automatic index tuner of §5. It extends
-// WFA+ with (i) a feedback mechanism integrated with the per-part work
-// functions, and (ii) automatic maintenance of the candidate set and its
-// stable partition via online benefit/interaction statistics.
+// WFIT is the end-to-end semi-automatic index tuner of §5: WFA+ (its
+// per-part work functions live in one WFAPlus) extended with (i) a
+// feedback mechanism integrated with the per-part work functions, and (ii)
+// automatic maintenance of the candidate set and its stable partition via
+// online benefit/interaction statistics.
 type WFIT struct {
 	opt       *whatif.Optimizer
 	extractor *cost.Extractor
@@ -86,10 +84,8 @@ type WFIT struct {
 
 	scoreScratch []scoredCandidate // chooseTop scratch
 
-	partition interaction.Partition
-	partsetC  index.Set // cached t.partition.Union(), refreshed on repartition
-	parts     []*WFA
-	active    []*WFA // scratch reused across statements
+	plus     *WFAPlus  // per-part work functions over the stable partition
+	partsetC index.Set // cached plus.Partition().Union(), refreshed on repartition
 
 	// pinned maps a positively-voted index to the statement position of
 	// the vote. A fresh F+ index enters the candidate set with an empty
@@ -101,11 +97,10 @@ type WFIT struct {
 	// vote unpins immediately.
 	pinned map[index.ID]int
 
-	n             int // statements analyzed
-	repartitions  int
-	retired       int // candidates retired from the universe so far
-	lastIBGNodes  int
-	statsDisabled bool // fixed-partition mode (candidate maintenance off)
+	n            int // statements analyzed
+	repartitions int
+	retired      int // candidates retired from the universe so far
+	lastIBGNodes int
 
 	// lastRunDur/lastFinishDur split the most recent statement's
 	// analysis wall time across the Begin/Run/finish seam: run is the
@@ -129,27 +124,10 @@ type WFIT struct {
 // candidate set starts as S0 with singleton parts.
 func NewWFIT(opt *whatif.Optimizer, options Options) *WFIT {
 	t := newWFITBase(opt, options)
-	t.partition = interaction.Singletons(t.s0)
-	t.partsetC = t.partition.Union()
-	for _, part := range t.partition {
-		t.parts = append(t.parts, NewWFA(t.reg, part, t.s0.Intersect(part)))
-	}
+	t.plus = NewWFAPlus(t.reg, interaction.Singletons(t.s0), t.s0)
+	t.plus.SetWorkers(options.Workers)
+	t.partsetC = t.s0
 	t.universe = t.s0
-	return t
-}
-
-// NewWFITFixed builds the simplified WFIT used by the fixed-candidate
-// experiments: chooseCands always returns the given partition, so only the
-// recommendation logic and feedback mechanism are active.
-func NewWFITFixed(opt *whatif.Optimizer, options Options, partition interaction.Partition) *WFIT {
-	t := newWFITBase(opt, options)
-	t.partition = partition.Normalize()
-	t.partsetC = t.partition.Union()
-	for _, part := range t.partition {
-		t.parts = append(t.parts, NewWFA(t.reg, part, t.s0.Intersect(part)))
-	}
-	t.universe = t.partsetC.Union(t.s0)
-	t.statsDisabled = true
 	return t
 }
 
@@ -199,7 +177,7 @@ func (t *WFIT) StatsEntries() (benefit, pairs int) {
 }
 
 // Partition returns the current stable partition.
-func (t *WFIT) Partition() interaction.Partition { return t.partition }
+func (t *WFIT) Partition() interaction.Partition { return t.plus.Partition() }
 
 // LastIBGNodes reports the node count (= what-if calls) of the most recent
 // statement's index benefit graph.
@@ -228,19 +206,13 @@ func (t *WFIT) SetMaterialized(m index.Set) {
 func (t *WFIT) Materialized() index.Set { return t.materialized }
 
 // Recommend returns the current recommendation ⋃_k currRec_k.
-func (t *WFIT) Recommend() index.Set {
-	rec := index.EmptySet
-	for _, part := range t.parts {
-		rec = rec.Union(part.Recommend())
-	}
-	return rec
-}
+func (t *WFIT) Recommend() index.Set { return t.plus.Recommend() }
 
 // AnalyzeQuery implements WFIT.analyzeQuery (Figure 4): maintain the
-// candidate partition via chooseCands/repartition, then fan the per-part
-// work-function updates against the statement's index benefit graph out
-// across the worker pool. The graph is private to this call, so its
-// pooled probe cache is released at the end for the next statement.
+// candidate partition via chooseCands/repartition, then feed the
+// statement's index benefit graph to the WFA+ per-part work functions.
+// The graph is private to this call, so its pooled probe cache is
+// released at the end for the next statement.
 //
 // AnalyzeQuery is the one-call form of the Analyze/Apply split (see
 // Analysis): the heavy read-only phase runs inline on the interning path,
@@ -261,7 +233,7 @@ func (t *WFIT) AnalyzeQuery(s *stmt.Statement) {
 // pair histories), both of which retirement itself keeps bounded.
 func (t *WFIT) retire() {
 	ra := t.options.RetireAfter
-	if ra <= 0 || t.statsDisabled {
+	if ra <= 0 {
 		return
 	}
 	cutoff := t.n - ra
@@ -311,13 +283,9 @@ func (t *WFIT) activePins() index.Set {
 }
 
 // doiFunc returns the current degree-of-interaction estimator, honoring
-// the independence assumption and the doi threshold. It is a pure
-// function of (pair, t.n); choosePartition evaluates it once per pair of
-// the candidate set.
+// the doi threshold. It is a pure function of (pair, t.n);
+// choosePartition evaluates it once per pair of the candidate set.
 func (t *WFIT) doiFunc() interaction.DoiFunc {
-	if t.options.AssumeIndependent {
-		return func(a, b index.ID) float64 { return 0 }
-	}
 	return func(a, b index.ID) float64 {
 		v := t.intStats.Current(a, b, t.n)
 		if v <= t.options.DoiThreshold {
@@ -452,7 +420,7 @@ func siftDown(h []scoredCandidate, k int) {
 // of O(2^|Dm|) set materializations, intersections, and merge scans.
 func (t *WFIT) repartition(newPartition interaction.Partition) {
 	t.epoch++
-	oldParts := t.parts
+	oldParts := t.plus.parts
 	oldC := t.partsetC
 	currRec := t.Recommend()
 
@@ -510,9 +478,11 @@ func (t *WFIT) repartition(newPartition interaction.Partition) {
 		a.normalize()
 		parts = append(parts, a)
 	}
-	t.partition = newPartition.Normalize()
-	t.partsetC = t.partition.Union()
-	t.parts = parts
+	// The parts keep newPartition's order, which Feedback's extension
+	// makes differ from Normalize order.
+	t.plus.partition = newPartition.Normalize()
+	t.plus.parts = parts
+	t.partsetC = t.plus.partition.Union()
 }
 
 // CompactRegistry rebuilds the registry's ID space over the indices the
@@ -546,12 +516,7 @@ func (t *WFIT) CompactRegistry() int {
 	t.materialized = t.materialized.Remap(remap)
 	t.universe = t.universe.Remap(remap)
 	t.partsetC = t.partsetC.Remap(remap)
-	for i, part := range t.partition {
-		t.partition[i] = part.Remap(remap)
-	}
-	for _, a := range t.parts {
-		a.remapIDs(remap)
-	}
+	t.plus.remapIDs(remap)
 	t.idxStats.Remap(remap)
 	t.intStats.Remap(remap)
 	if len(t.pinned) > 0 {
@@ -569,22 +534,18 @@ func (t *WFIT) CompactRegistry() int {
 // parts first (through repartition), so the consistency constraint
 // F+ ⊆ S can always be honored.
 func (t *WFIT) Feedback(plus, minus index.Set) {
-	if !t.statsDisabled {
-		// Pin F+ votes for the grace window (see the pinned field); an F−
-		// vote withdraws any earlier pin immediately.
-		plus.Each(func(id index.ID) { t.pinned[id] = t.n })
-		minus.Each(func(id index.ID) { delete(t.pinned, id) })
-	}
+	// Pin F+ votes for the grace window (see the pinned field); an F−
+	// vote withdraws any earlier pin immediately.
+	plus.Each(func(id index.ID) { t.pinned[id] = t.n })
+	minus.Each(func(id index.ID) { delete(t.pinned, id) })
 	if unknown := plus.Minus(t.partsetC); !unknown.Empty() {
 		t.universe = t.universe.Union(unknown)
-		extended := append(interaction.Partition{}, t.partition...)
+		extended := append(interaction.Partition{}, t.Partition()...)
 		unknown.Each(func(id index.ID) {
 			extended = append(extended, index.NewSet(id))
 		})
 		t.repartition(extended)
 		t.repartitions++
 	}
-	for _, part := range t.parts {
-		part.Feedback(plus.Intersect(part.Candidates()), minus)
-	}
+	t.plus.Feedback(plus, minus)
 }

@@ -141,23 +141,20 @@ func TestWFITConsistencyAfterFeedback(t *testing.T) {
 	}
 }
 
-func TestWFITFixedNeverRepartitions(t *testing.T) {
-	e := newWFITEnv(t)
-	ex := cost.NewExtractor(e.model)
-	q := e.tradeQuery(0)
-	cands := ex.Extract(q)
-	partition := interaction.Singletons(cands)
-	w := NewWFITFixed(e.opt, DefaultOptions(), partition)
-	for i := 1; i <= 10; i++ {
-		w.AnalyzeQuery(e.tradeQuery(i))
-		w.AnalyzeQuery(e.lineitemQuery(100+i, 0.001))
-	}
-	if w.Repartitions() != 0 {
-		t.Fatalf("fixed-partition WFIT repartitioned %d times", w.Repartitions())
-	}
-	if !w.Partition().Equal(partition) {
-		t.Fatalf("fixed partition drifted")
-	}
+// fixedWFIT returns a WFIT whose WFA+ runs over partition. Tests feed
+// statements to its WFA+ directly (analyzeFixed), bypassing candidate
+// maintenance, so only repartition calls of their own move the partition.
+func fixedWFIT(e *wfitEnv, partition interaction.Partition) *WFIT {
+	w := NewWFIT(e.opt, DefaultOptions())
+	w.repartition(partition)
+	return w
+}
+
+// analyzeFixed feeds s to w's WFA+ through an IBG over the candidate set.
+func analyzeFixed(e *wfitEnv, w *WFIT, s *stmt.Statement) {
+	g := ibg.Build(e.opt, s, w.partsetC)
+	w.plus.AnalyzeStatement(g)
+	g.Release()
 }
 
 // TestWFITRepartitionPreservesRecommendations: repartitioning between two
@@ -176,12 +173,12 @@ func TestWFITRepartitionPreservesRecommendations(t *testing.T) {
 	joint := interaction.Partition{cands}
 	singles := interaction.Singletons(cands)
 
-	a := NewWFITFixed(e.opt, DefaultOptions(), singles)
-	b := NewWFITFixed(e.opt, DefaultOptions(), joint)
+	a := fixedWFIT(e, singles)
+	b := fixedWFIT(e, joint)
 	for i := 1; i <= 8; i++ {
 		s := e.tradeQuery(i)
-		a.AnalyzeQuery(s)
-		b.AnalyzeQuery(s)
+		analyzeFixed(e, a, s)
+		analyzeFixed(e, b, s)
 	}
 	before := a.Recommend()
 	// Merge a's singleton parts into the joint layout.
@@ -197,8 +194,8 @@ func TestWFITRepartitionPreservesRecommendations(t *testing.T) {
 	// remain functional).
 	for i := 9; i <= 12; i++ {
 		s := e.tradeQuery(i)
-		a.AnalyzeQuery(s)
-		b.AnalyzeQuery(s)
+		analyzeFixed(e, a, s)
+		analyzeFixed(e, b, s)
 	}
 	if a.Recommend().Empty() != b.Recommend().Empty() {
 		t.Fatalf("post-repartition divergence in kind: %v vs %v",
@@ -212,9 +209,9 @@ func TestWFITRepartitionSplitAndMergeRoundTrip(t *testing.T) {
 	e := newWFITEnv(t)
 	ex := cost.NewExtractor(e.model)
 	cands := ex.Extract(e.tradeQuery(0))
-	w := NewWFITFixed(e.opt, DefaultOptions(), interaction.Singletons(cands))
+	w := fixedWFIT(e, interaction.Singletons(cands))
 	for i := 1; i <= 6; i++ {
-		w.AnalyzeQuery(e.tradeQuery(i))
+		analyzeFixed(e, w, e.tradeQuery(i))
 	}
 	rec := w.Recommend()
 	w.repartition(interaction.Partition{cands})
@@ -278,19 +275,6 @@ func TestWFITMaterializedAlwaysCovered(t *testing.T) {
 		if !mat.SubsetOf(w.Partition().Union()) {
 			t.Fatalf("statement %d: materialized set not covered by partition", i)
 		}
-	}
-}
-
-func TestWFITIndependentModeUsesSingletons(t *testing.T) {
-	e := newWFITEnv(t)
-	opts := DefaultOptions()
-	opts.AssumeIndependent = true
-	w := NewWFIT(e.opt, opts)
-	for i := 1; i <= 10; i++ {
-		w.AnalyzeQuery(e.tradeQuery(i))
-	}
-	if got := w.Partition().MaxPartSize(); got > 1 {
-		t.Fatalf("independence mode produced part of size %d", got)
 	}
 }
 

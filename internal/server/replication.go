@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -194,10 +195,14 @@ func (sv *Server) InstallSnapshot(data []byte) (*Session, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	// The shipped bytes land verbatim (tmp + rename + fsync, like
-	// state.WriteFile): re-encoding a parsed copy could only introduce
-	// divergence from the primary's snapshot.
-	if err := writeFileAtomic(filepath.Join(dir, snapshotFile), data); err != nil {
+	// The shipped bytes land verbatim, through the same tmp + fsync +
+	// rename as a checkpoint: re-encoding a parsed copy could only
+	// introduce divergence from the primary's snapshot.
+	err = state.WriteFileAtomic(filepath.Join(dir, snapshotFile), func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	if err := state.SyncDir(filepath.Dir(dir)); err != nil {
@@ -211,31 +216,4 @@ func (sv *Server) InstallSnapshot(data []byte) (*Session, error) {
 	}
 	sv.sessions[name] = sess
 	return sess, nil
-}
-
-// writeFileAtomic writes data to path via temp-file + rename, fsyncing
-// the file before the rename so a crash leaves either the old file or the
-// complete new one.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".snap-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return state.SyncDir(dir)
 }

@@ -62,12 +62,12 @@ func writeV1(s *Snapshot) []byte {
 	e.intv(o.RandCnt)
 	e.intv(o.MaxPartSize)
 	e.f64(o.DoiThreshold)
-	e.boolv(o.AssumeIndependent)
+	e.boolv(false)
 	e.intv(o.Workers)
 	e.i64(o.Seed)
 	e.intv(t.N)
 	e.intv(t.Repartitions)
-	e.boolv(t.StatsDisabled)
+	e.boolv(false)
 	e.set(t.S0)
 	e.set(t.Materialized)
 	e.set(t.Universe)

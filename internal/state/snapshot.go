@@ -135,10 +135,16 @@ func Read(r io.Reader) (*Snapshot, error) {
 	return s, nil
 }
 
-// WriteFile persists the snapshot durably: write to a temporary file in
-// the same directory, fsync, and rename over path — so path always holds
-// either the previous complete snapshot or the new one, never a torn mix.
+// WriteFile persists the snapshot durably (see WriteFileAtomic).
 func WriteFile(path string, s *Snapshot) error {
+	return WriteFileAtomic(path, func(w io.Writer) error { return Write(w, s) })
+}
+
+// WriteFileAtomic persists the bytes write emits durably: write them to a
+// temporary file in the same directory, fsync, and rename over path — so
+// path always holds either the previous complete file or the new one,
+// never a torn mix.
+func WriteFileAtomic(path string, write func(w io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -146,7 +152,7 @@ func WriteFile(path string, s *Snapshot) error {
 	}
 	defer os.Remove(tmp.Name())
 	bw := bufio.NewWriter(tmp)
-	if err := Write(bw, s); err != nil {
+	if err := write(bw); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -222,7 +228,9 @@ func readDefs(d *reader) []index.Index {
 // payload leads with, in the field order writeTuner has used since v1
 // (RetireAfter appeared in v2). InitialMaterialized is deliberately not
 // serialized here: it travels as the payload's S0 set, and restore paths
-// reinject it (see core.RestoreWFIT).
+// reinject it (see core.RestoreWFIT). The byte after DoiThreshold held
+// the retired AssumeIndependent option: it is written as 0, and a 1 fails
+// the decode (see readRetired).
 //
 //lint:allow parity(InitialMaterialized travels as the payload S0 set, not in the options block)
 func writeOptions(e *writer, o core.Options) {
@@ -232,7 +240,7 @@ func writeOptions(e *writer, o core.Options) {
 	e.intv(o.RandCnt)
 	e.intv(o.MaxPartSize)
 	e.f64(o.DoiThreshold)
-	e.boolv(o.AssumeIndependent)
+	e.boolv(false) // retired AssumeIndependent
 	e.intv(o.Workers)
 	e.i64(o.Seed)
 	e.intv(o.RetireAfter)
@@ -247,13 +255,22 @@ func readOptions(d *reader, version int) core.Options {
 	o.RandCnt = d.intv()
 	o.MaxPartSize = d.intv()
 	o.DoiThreshold = d.f64()
-	o.AssumeIndependent = d.boolv()
+	readRetired(d, "AssumeIndependent (interaction-blind WFIT)")
 	o.Workers = d.intv()
 	o.Seed = d.i64()
 	if version >= 2 {
 		o.RetireAfter = d.intv()
 	}
 	return o
+}
+
+// readRetired reads the byte of a retired mode flag. Writers have set it
+// to 0 since the mode was removed; a 1 is a state no current tuner can
+// continue, so the decode fails rather than silently dropping the mode.
+func readRetired(d *reader, mode string) {
+	if d.boolv() {
+		d.fail(fmt.Errorf("state: payload enables the retired %s mode", mode))
+	}
 }
 
 func writeTuner(e *writer, t *core.TunerState) {
@@ -267,7 +284,7 @@ func writeTuner(e *writer, t *core.TunerState) {
 		e.u32(uint32(p.ID))
 		e.intv(p.Pos)
 	}
-	e.boolv(t.StatsDisabled)
+	e.boolv(false) // retired StatsDisabled
 	e.set(t.S0)
 	e.set(t.Materialized)
 	e.set(t.Universe)
@@ -305,7 +322,7 @@ func readTuner(d *reader, version int) *core.TunerState {
 			})
 		}
 	}
-	t.StatsDisabled = d.boolv()
+	readRetired(d, "StatsDisabled (fixed-partition WFIT)")
 	t.S0 = d.set()
 	t.Materialized = d.set()
 	t.Universe = d.set()

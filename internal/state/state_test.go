@@ -2,9 +2,12 @@ package state
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -186,6 +189,69 @@ func TestSnapshotFileRoundTripAndCorruption(t *testing.T) {
 	}
 	if _, err := ReadFile(path); err == nil {
 		t.Fatalf("corrupted snapshot read succeeded")
+	}
+}
+
+// TestSnapshotRetiredModesRejected sets each byte of a retired tuner mode
+// to 1 in an otherwise valid stream (CRC recomputed). Writers always emit
+// 0 there; a 1 must fail the decode with an error naming the mode, not
+// restore a tuner that silently drops it.
+func TestSnapshotRetiredModesRejected(t *testing.T) {
+	s := compatSnapshot()
+	st := s.Tuner.(*core.TunerState)
+	var buf bytes.Buffer
+	if err := Write(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	stream := buf.Bytes()
+
+	// Locate the two bytes by re-encoding the v3 fields before each one.
+	var pre bytes.Buffer
+	pre.WriteString(snapMagicPrefix + "3")
+	e := newWriter(&pre)
+	writeDefs(e, s.Defs)
+	e.str(st.TunerKind())
+	o := st.Options
+	for _, v := range []int{o.IdxCnt, o.StateCnt, o.HistSize, o.RandCnt, o.MaxPartSize} {
+		e.intv(v)
+	}
+	e.f64(o.DoiThreshold)
+	assumeIndependentAt := pre.Len()
+	e.boolv(false)
+	e.intv(o.Workers)
+	e.i64(o.Seed)
+	e.intv(o.RetireAfter)
+	e.intv(st.N)
+	e.intv(st.Repartitions)
+	e.intv(st.Retired)
+	e.lenPrefix(len(st.Pinned)) // compatSnapshot pins nothing
+	statsDisabledAt := pre.Len()
+	e.boolv(false)
+	if !bytes.HasPrefix(stream, pre.Bytes()) {
+		t.Fatalf("reference prefix does not match the written stream")
+	}
+	// set returns stream with byte at set to v and the trailing CRC redone.
+	set := func(at int, v byte) []byte {
+		b := append([]byte(nil), stream...)
+		b[at] = v
+		binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.Checksum(b[len(snapMagicPrefix)+1:len(b)-4], crcTable))
+		return b
+	}
+	if !bytes.Equal(set(statsDisabledAt, 0), stream) {
+		t.Fatalf("reference CRC does not match the written stream")
+	}
+
+	for _, c := range []struct {
+		mode string
+		at   int
+	}{
+		{"AssumeIndependent", assumeIndependentAt},
+		{"StatsDisabled", statsDisabledAt},
+	} {
+		_, err := Read(bytes.NewReader(set(c.at, 1)))
+		if err == nil || !strings.Contains(err.Error(), c.mode) {
+			t.Errorf("%s set to 1: Read error = %v, want one naming the mode", c.mode, err)
+		}
 	}
 }
 
