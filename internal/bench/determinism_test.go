@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/index"
 	"repro/internal/whatif"
 )
 
@@ -27,9 +26,11 @@ func determinismEnv(t *testing.T) *Env {
 // pinned to the serial path, one fanned across 8 workers — over the same
 // workload and requires identical observable state after every statement:
 // same recommendation, same IBG size (= what-if budget), and at the end
-// the same candidate universe and repartition count. This is the paper's
-// Theorem 4.2 decomposition made testable: parts are independent, so
-// parallel evaluation must be bit-identical, not just statistically close.
+// the same candidate universe and repartition count. A WFIT analysis fans
+// out only inside the IBG, on wide construction waves and on the
+// statistics of graphs too wide for exact enumeration; several of this
+// workload's statements reach both, and the pooled results must be
+// bit-identical, not just statistically close.
 func TestWFITParallelIdenticalToSerial(t *testing.T) {
 	env := determinismEnv(t)
 	mk := func(workers int) *core.WFIT {
@@ -57,39 +58,6 @@ func TestWFITParallelIdenticalToSerial(t *testing.T) {
 	}
 	if serial.Repartitions() != parallel.Repartitions() {
 		t.Fatalf("repartition counts diverge: %d vs %d", serial.Repartitions(), parallel.Repartitions())
-	}
-}
-
-// TestWFAPlusParallelIdenticalToSerial compares the fixed-partition
-// variant part by part: after the whole workload, every configuration's
-// unnormalized work-function value must match to the last bit.
-func TestWFAPlusParallelIdenticalToSerial(t *testing.T) {
-	env := determinismEnv(t)
-	partition := env.Partitions[env.middle()]
-	serial := core.NewWFAPlus(env.Reg, partition, index.EmptySet)
-	serial.SetWorkers(1)
-	parallel := core.NewWFAPlus(env.Reg, partition, index.EmptySet)
-	parallel.SetWorkers(8)
-
-	for i, g := range env.IBGs {
-		serial.AnalyzeStatement(g)
-		parallel.AnalyzeStatement(g)
-		if !serial.Recommend().Equal(parallel.Recommend()) {
-			t.Fatalf("statement %d: recommendations diverge: %v vs %v",
-				i+1, serial.Recommend(), parallel.Recommend())
-		}
-	}
-	for k, sp := range serial.Parts() {
-		pp := parallel.Parts()[k]
-		if !sp.Candidates().Equal(pp.Candidates()) {
-			t.Fatalf("part %d: candidate sets diverge", k)
-		}
-		for mask := uint32(0); mask < uint32(sp.Size()); mask++ {
-			cfg := sp.SetOf(mask)
-			if sv, pv := sp.TrueWorkValue(cfg), pp.TrueWorkValue(cfg); sv != pv {
-				t.Fatalf("part %d cfg %v: work values diverge: %v vs %v", k, cfg, sv, pv)
-			}
-		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/ibg"
 	"repro/internal/index"
-	"repro/internal/par"
 	"repro/internal/stmt"
 	"repro/internal/whatif"
 )
@@ -57,8 +56,7 @@ type Analysis struct {
 
 	extracted    index.Set
 	g            *ibg.Graph
-	used         []index.ID
-	benefits     []float64
+	benefits     []float64 // in g.UsedUnion() order
 	interactions []ibg.Interaction
 }
 
@@ -66,9 +64,9 @@ type Analysis struct {
 // validated against. It is cheap (a few set unions) and must be called
 // under the same serialization as ApplyAnalysis — the capture has to see
 // a consistent tuner. workers bounds the goroutines this one analysis
-// fans across internally; speculative callers typically pass 1 and get
-// their parallelism from running several analyses at once (any value
-// produces byte-identical results).
+// fans across inside its IBG (see package ibg); speculative callers
+// typically pass 1 and get their parallelism from running several
+// analyses at once (any value produces byte-identical results).
 func (t *WFIT) BeginAnalysis(s *stmt.Statement, workers int) *Analysis {
 	return &Analysis{
 		stmt:         s,
@@ -120,11 +118,7 @@ func (a *Analysis) run(intern bool) {
 	// history window.
 	g := ibg.BuildWorkers(a.opt, a.stmt, a.extracted.Union(a.base), a.workers)
 	a.g = g
-	a.used = g.UsedUnion().IDs()
-	a.benefits = par.Map(a.workers, len(a.used), func(i int) float64 {
-		return g.MaxBenefit(a.used[i])
-	})
-	a.interactions = g.InteractionsWorkers(a.doiThreshold, a.workers)
+	a.benefits, a.interactions = g.Statistics(a.doiThreshold, a.workers)
 	a.ok = true
 }
 
@@ -186,7 +180,7 @@ func (t *WFIT) finishAnalysis(a *Analysis) {
 	t.universe = t.universe.Union(a.extracted)
 	// Line 3: fold the precomputed benefit/doi maximizations into the
 	// histories, serially and in deterministic order.
-	for i, id := range a.used {
+	for i, id := range a.g.UsedUnion().IDs() {
 		t.idxStats.Add(id, t.n, a.benefits[i])
 	}
 	for _, in := range a.interactions {

@@ -148,7 +148,7 @@ func RestoreWFIT(opt *whatif.Optimizer, st *TunerState) (*WFIT, error) {
 	if !st.Partition.Validate() || !st.Partition.EqualNormalized(st.Partition.Normalize()) {
 		return nil, fmt.Errorf("core: tuner state partition is not a normalized partition")
 	}
-	t.plus = &WFAPlus{partition: st.Partition, workers: options.Workers}
+	t.plus = &WFAPlus{partition: st.Partition}
 	covered := make(interaction.Partition, 0, len(st.Parts))
 	for i, ps := range st.Parts {
 		part := index.NewSet(ps.Cand...)

@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/index"
 	"repro/internal/interaction"
-	"repro/internal/par"
 )
 
 // WFAPlus is the divide-and-conquer WFA of §4.2: one WFA instance per part
@@ -15,16 +14,15 @@ import (
 // On its own, WFAPlus is the paper's "simplified WFIT" used whenever
 // experiments fix the candidate set and partition (§6.1): it accepts DBA
 // feedback but performs no candidate maintenance. WFIT holds one and
-// replaces its parts as candidate maintenance repartitions.
+// replaces its parts as candidate maintenance repartitions. The parts
+// update serially: within StateCnt they are too small to pay for a
+// goroutine handoff.
 type WFAPlus struct {
 	partition interaction.Partition // Normalize form
 	// parts holds one WFA per part of partition, in the order they were
 	// built — not necessarily partition order (see WFIT.Feedback). The
 	// order is state: WFIT.repartition sums old work functions in it.
-	parts   []*WFA
-	workers int
-
-	active []*WFA // scratch reused across statements
+	parts []*WFA
 }
 
 // NewWFAPlus creates per-part WFA instances, each initialized with the
@@ -44,39 +42,14 @@ func (p *WFAPlus) Partition() interaction.Partition { return p.partition }
 // (read-mostly; used by WFIT's state export and by tests).
 func (p *WFAPlus) Parts() []*WFA { return p.parts }
 
-// SetWorkers bounds the goroutines AnalyzeStatement fans per-part updates
-// across: 1 forces the serial path, values <= 0 mean one per CPU. Part
-// updates are independent (Theorem 4.2's decomposition), so the result is
-// identical for any setting.
-func (p *WFAPlus) SetWorkers(n int) { p.workers = n }
-
-// parallelAnalyzeThreshold is the minimum total configuration count
-// (Σ 2^|Ck| over active parts) before per-part updates fan out; below it
-// goroutine handoff costs more than the updates themselves.
-const parallelAnalyzeThreshold = 2048
-
 // AnalyzeStatement feeds the statement to every part whose candidates can
 // influence its cost. Untouched parts would receive a uniform
 // work-function shift, which changes no decision, so they are skipped.
-// The remaining updates fan out over up to workers goroutines: each WFA
-// mutates only its own state and sc is safe for concurrent probing (the
-// IBG memo is atomic), so any worker count yields byte-identical results;
-// tiny statements stay on the calling goroutine.
 func (p *WFAPlus) AnalyzeStatement(sc StatementCost) {
-	p.active = p.active[:0]
-	total := 0
 	for _, part := range p.parts {
 		if sc.Influences(part.candSet) {
-			p.active = append(p.active, part)
-			total += part.Size()
+			part.AnalyzeStatement(sc)
 		}
-	}
-	if len(p.active) > 1 && total >= parallelAnalyzeThreshold && par.Workers(p.workers) > 1 {
-		par.Do(p.workers, len(p.active), func(i int) { p.active[i].AnalyzeStatement(sc) })
-		return
-	}
-	for _, part := range p.active {
-		part.AnalyzeStatement(sc)
 	}
 }
 

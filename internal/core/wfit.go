@@ -25,12 +25,11 @@ type Options struct {
 	MaxPartSize int
 	// DoiThreshold discards interactions with doi at or below it.
 	DoiThreshold float64
-	// Workers bounds the goroutines the per-statement analysis pipeline
-	// (IBG expansion, statistics, per-part work-function updates) may
-	// fan out across. 1 forces the fully serial path; values <= 0 mean
-	// one worker per CPU. Any setting produces byte-identical results —
-	// parts of the stable partition are independent by Theorem 4.2's
-	// decomposition, and the shared IBG is safe for concurrent probing.
+	// Workers bounds the goroutines one statement's analysis may fan out
+	// across, only inside its IBG: wide construction waves and wide-graph
+	// statistics (see package ibg). 1 forces the fully serial path;
+	// values <= 0 mean one worker per CPU. Any setting produces
+	// byte-identical results.
 	Workers int
 	// Seed drives the deterministic randomness of choosePartition.
 	Seed int64
@@ -125,7 +124,6 @@ type WFIT struct {
 func NewWFIT(opt *whatif.Optimizer, options Options) *WFIT {
 	t := newWFITBase(opt, options)
 	t.plus = NewWFAPlus(t.reg, interaction.Singletons(t.s0), t.s0)
-	t.plus.SetWorkers(options.Workers)
 	t.partsetC = t.s0
 	t.universe = t.s0
 	return t

@@ -28,12 +28,13 @@
 // statement — so the analysis path performs no O(2^bits) allocation or
 // initialization per statement.
 //
-// Construction expands the node frontier wave by wave, so the per-node
-// what-if optimizations of one wave can run on a worker pool
-// (BuildWorkers); the resulting graph is byte-identical to a serial
-// build. A frozen graph is safe for concurrent probing: the cost memo is
-// filled with atomic writes of values that are deterministic functions of
-// the (immutable) node structure.
+// A statement's analysis fans out only here, where the work is big:
+// BuildWorkers prices frontier waves of at least parallelWave nodes on a
+// worker pool, and Statistics does so for graphs wider than exactEnumBits.
+// Either way the result is byte-identical to the serial form. A frozen
+// graph is safe for concurrent probing: the cost memo is filled with
+// atomic writes of values that are deterministic functions of the
+// (immutable) node structure.
 package ibg
 
 import (
@@ -59,6 +60,12 @@ const exactEnumBits = 12
 // memoMaxBits bounds the used-union size for the flat cost memo; wider
 // graphs (which the MaxNodes cap keeps rare) fall back to uncached walks.
 const memoMaxBits = 20
+
+// maxUsedBits bounds the used union: probe masks are uint32 (see capUsed).
+const maxUsedBits = 32
+
+// parallelWave is the smallest frontier wave BuildWorkers fans out.
+const parallelWave = 64
 
 // node is one IBG vertex. Configurations and used sets are bitmasks over
 // the graph's used-union (only used indices influence walks and costs).
@@ -112,7 +119,6 @@ func acquireMemo(bits int) *costMemo {
 
 // Graph is the index benefit graph of one statement over a candidate set.
 type Graph struct {
-	stmt      *stmt.Statement
 	top       index.Set
 	usedIDs   []index.ID
 	usedPos   map[index.ID]int
@@ -188,14 +194,14 @@ func Build(opt *whatif.Optimizer, s *stmt.Statement, candidates index.Set) *Grap
 	return BuildWorkers(opt, s, candidates, 1)
 }
 
-// BuildWorkers is Build with the per-wave what-if optimizations fanned
-// out across up to workers goroutines (<= 0 means one per CPU). The
-// frontier is expanded level-synchronously in the serial algorithm's FIFO
-// order, so the produced graph — node set, links, truncation point — is
-// identical to Build's for any worker count.
+// BuildWorkers is Build with the what-if optimizations of each wave of at
+// least parallelWave nodes fanned out across up to workers goroutines
+// (<= 0 means one per CPU). The frontier is expanded level-synchronously
+// in the serial algorithm's FIFO order, so the produced graph — node set,
+// links, truncation point — is identical to Build's for any worker count.
 func BuildWorkers(opt *whatif.Optimizer, s *stmt.Statement, candidates index.Set, workers int) *Graph {
 	top := opt.Model().RestrictConfig(s, candidates)
-	g := &Graph{stmt: s, top: top}
+	g := &Graph{top: top}
 
 	b := builderPool.Get().(*builder)
 	b.reset()
@@ -232,7 +238,11 @@ func BuildWorkers(opt *whatif.Optimizer, s *stmt.Statement, candidates index.Set
 	// what-if optimization each. The used set is also projected onto the
 	// top bit space here so the freeze below runs map-free.
 	costWave := func(wave []int32) {
-		par.Do(workers, len(wave), func(i int) {
+		w := workers
+		if len(wave) < parallelWave {
+			w = 1
+		}
+		par.Do(w, len(wave), func(i int) {
 			n := &b.nodes[wave[i]]
 			n.cost, n.used = opt.CostUsed(s, n.cfg)
 			if useMask {
@@ -296,9 +306,9 @@ func BuildWorkers(opt *whatif.Optimizer, s *stmt.Statement, candidates index.Set
 	return g
 }
 
-// freeze computes the used union and rewrites the construction state into
-// the compact probe-time form: one flat node slab, one children slab, and
-// (when feasible) a pooled cost memo.
+// freeze computes the used union (capped at maxUsedBits) and rewrites the
+// construction state into the compact probe-time form: one flat node slab,
+// one children slab, and (when feasible) a pooled cost memo.
 func (g *Graph) freeze(b *builder, topIDs []index.ID, useMask bool) {
 	if useMask {
 		var unionTop uint64
@@ -316,6 +326,10 @@ func (g *Graph) freeze(b *builder, topIDs []index.ID, useMask bool) {
 			union = union.Union(b.nodes[i].used)
 		}
 		g.usedUnion = union
+	}
+	if g.usedUnion.Len() > maxUsedBits {
+		g.usedUnion = capUsed(b.nodes)
+		g.truncated = true
 	}
 	g.usedIDs = g.usedUnion.IDs()
 	g.usedPos = make(map[index.ID]int, len(g.usedIDs))
@@ -364,7 +378,9 @@ func (g *Graph) freeze(b *builder, topIDs []index.ID, useMask bool) {
 		children := g.kids[next : next+len(g.usedIDs) : next+len(g.usedIDs)]
 		next += len(g.usedIDs)
 		for _, l := range b.links[bn.kidStart:bn.kidEnd] {
-			children[g.usedPos[l.id]] = &g.nodes[l.child]
+			if p, ok := g.usedPos[l.id]; ok {
+				children[p] = &g.nodes[l.child]
+			}
 		}
 		g.nodes[i].children = children
 	}
@@ -373,6 +389,21 @@ func (g *Graph) freeze(b *builder, topIDs []index.ID, useMask bool) {
 	if bits := len(g.usedIDs); bits <= memoMaxBits {
 		g.memo = acquireMemo(bits)
 	}
+}
+
+// capUsed keeps the first maxUsedBits used indices in node order, then ID
+// order. A dropped index gets no bit and no child link, so the walk treats
+// it as always present, as it does past a MaxNodes truncation.
+func capUsed(nodes []buildNode) index.Set {
+	kept := index.EmptySet
+	for i := range nodes {
+		nodes[i].used.Each(func(a index.ID) {
+			if kept.Len() < maxUsedBits {
+				kept = kept.Add(a)
+			}
+		})
+	}
+	return kept
 }
 
 // Release returns the graph's pooled probe cache for reuse by a later
@@ -409,31 +440,18 @@ func (g *Graph) maskOf(s index.Set) uint32 {
 	return m
 }
 
-// setOf converts a used-union mask back to a set.
-func (g *Graph) setOf(mask uint32) index.Set {
-	var ids []index.ID
-	for i := range g.usedIDs {
-		if mask&(1<<i) != 0 {
-			ids = append(ids, g.usedIDs[i])
-		}
-	}
-	return index.NewSet(ids...)
-}
-
-// Statement returns the statement the graph was built for.
-func (g *Graph) Statement() *stmt.Statement { return g.stmt }
-
 // Top returns the root configuration (all relevant candidates).
 func (g *Graph) Top() index.Set { return g.top }
 
 // NodeCount reports how many nodes (= what-if calls) the graph holds.
 func (g *Graph) NodeCount() int { return len(g.nodes) }
 
-// Truncated reports whether construction hit MaxNodes.
+// Truncated reports whether construction hit MaxNodes or the used union
+// was capped at maxUsedBits indices.
 func (g *Graph) Truncated() bool { return g.truncated }
 
-// UsedUnion returns the union of used sets over all nodes: the indices
-// that can influence the statement's cost.
+// UsedUnion returns the union of used sets over all nodes, capped at
+// maxUsedBits indices: the indices that can influence the statement's cost.
 func (g *Graph) UsedUnion() index.Set { return g.usedUnion }
 
 // Influential returns the members of cfg that can change the statement's
@@ -514,18 +532,6 @@ func (g *Graph) CostProbe(ids []index.ID, xlat []uint32) (func(mask uint32) floa
 		return g.CostMask(gm)
 	}
 	return probe, relevant
-}
-
-// CostMaskFunc is CostProbe without the projection information, kept for
-// callers that only need the probe.
-func (g *Graph) CostMaskFunc(ids []index.ID) func(mask uint32) float64 {
-	probe, _ := g.CostProbe(ids, make([]uint32, len(ids)))
-	return probe
-}
-
-// Used returns the used set of the plan for configuration X.
-func (g *Graph) Used(x index.Set) index.Set {
-	return g.setOf(g.find(g.maskOf(x)).usedMask)
 }
 
 // EmptyCost returns cost(q, ∅).
@@ -686,16 +692,19 @@ type Interaction struct {
 }
 
 // Interactions returns every pair of used indices with doi above the
-// threshold, ordered deterministically (ascending A, then B).
+// threshold, ordered deterministically (ascending A, then B): Statistics'
+// serial form.
 func (g *Graph) Interactions(threshold float64) []Interaction {
-	return g.InteractionsWorkers(threshold, 1)
+	_, out := g.Statistics(threshold, 1)
+	return out
 }
 
-// InteractionsWorkers is Interactions with the per-pair doi maximizations
-// spread over up to workers goroutines (<= 0 means one per CPU). Pairs
-// are independent given the atomic cost memo, and results are collected
-// in pair order, so the output is identical to the serial form.
-func (g *Graph) InteractionsWorkers(threshold float64, workers int) []Interaction {
+// Statistics returns MaxBenefit of every used index, in UsedUnion order,
+// and the Interactions above threshold. On a graph wider than
+// exactEnumBits, whose node-context fallback is slow, the maximizations
+// run on up to workers goroutines (<= 0 means one per CPU); results are
+// collected by index, so any worker count gives the same output.
+func (g *Graph) Statistics(threshold float64, workers int) (benefits []float64, interactions []Interaction) {
 	n := len(g.usedIDs)
 	pairs := make([][2]index.ID, 0, n*(n-1)/2)
 	for i := 0; i < n; i++ {
@@ -703,14 +712,23 @@ func (g *Graph) InteractionsWorkers(threshold float64, workers int) []Interactio
 			pairs = append(pairs, [2]index.ID{g.usedIDs[i], g.usedIDs[j]})
 		}
 	}
-	dois := par.Map(workers, len(pairs), func(k int) float64 {
-		return g.DOI(pairs[k][0], pairs[k][1])
+	if n <= exactEnumBits {
+		workers = 1
+	}
+	benefits = make([]float64, n)
+	dois := make([]float64, len(pairs))
+	par.Do(workers, n+len(pairs), func(k int) {
+		if k < n {
+			benefits[k] = g.MaxBenefit(g.usedIDs[k])
+			return
+		}
+		p := pairs[k-n]
+		dois[k-n] = g.DOI(p[0], p[1])
 	})
-	var out []Interaction
 	for k, p := range pairs {
 		if dois[k] > threshold {
-			out = append(out, Interaction{A: p[0], B: p[1], Doi: dois[k]})
+			interactions = append(interactions, Interaction{A: p[0], B: p[1], Doi: dois[k]})
 		}
 	}
-	return out
+	return benefits, interactions
 }

@@ -2,6 +2,7 @@ package ibg
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/stmt"
 	"repro/internal/whatif"
+	"repro/internal/workload"
 )
 
 // testSetup builds the shared catalog, model, optimizer, and a pool of
@@ -83,6 +85,70 @@ func TestIBGCostMatchesWhatIf(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestUsedUnionCappedAt32 builds graphs whose used unions would exceed the
+// 32 bits of a probe mask: ad-hoc statements over every candidate mined so
+// far. Each such graph keeps 32 used indices and reports itself truncated,
+// every child link drops the kept index it is filed under, and the graph
+// prices exactly every configuration that holds all the indices it
+// dropped. Graphs cut at MaxNodes are skipped, since they price only
+// approximately anyway.
+func TestUsedUnionCappedAt32(t *testing.T) {
+	cat, joins := datagen.Build()
+	m := cost.NewModel(cat, index.NewRegistry(), cost.DefaultParams())
+	o := whatif.New(m)
+	wo := workload.DefaultOptions()
+	wo.Profile = workload.ProfileAdhoc
+	wo.Phases = 4
+	wo.QueryTemplates = 200
+	ex := cost.NewExtractor(m)
+	mined := index.EmptySet
+	rng := rand.New(rand.NewSource(33))
+	for _, s := range workload.Generate(cat, joins, wo).Statements {
+		if s.Kind != stmt.Query {
+			continue
+		}
+		mined = mined.Union(ex.Extract(s))
+		if m.RestrictConfig(s, mined).Len() <= maxUsedBits {
+			continue // too few relevant candidates to need the cap
+		}
+		g := Build(o, s, mined)
+		if n := g.UsedUnion().Len(); n > maxUsedBits {
+			t.Fatalf("stmt %d: %d used indices, more than a probe mask holds", s.ID, n)
+		}
+		if g.NodeCount() >= MaxNodes || !g.Truncated() {
+			continue
+		}
+		if n := g.UsedUnion().Len(); n != maxUsedBits {
+			t.Fatalf("stmt %d: truncated below MaxNodes with %d used indices", s.ID, n)
+		}
+		for i := range g.nodes {
+			for p, child := range g.nodes[i].children {
+				if child != nil && child.cfgMask != g.nodes[i].cfgMask&^(1<<p) {
+					t.Fatalf("stmt %d node %d: child link %d does not drop used index %d", s.ID, i, p, p)
+				}
+			}
+		}
+		top := g.Top().IDs()
+		unused := g.Top().Minus(g.UsedUnion())
+		for trial := 0; trial < 200; trial++ {
+			var sub []index.ID
+			for _, id := range top {
+				if rng.Intn(2) == 0 {
+					sub = append(sub, id)
+				}
+			}
+			cfg := index.NewSet(sub...).Union(unused)
+			got := g.Cost(cfg)
+			want := m.Cost(s, m.RestrictConfig(s, cfg))
+			if math.Abs(got-want) > 1e-9*(1+want) {
+				t.Fatalf("stmt %d cfg %v: IBG=%v direct=%v", s.ID, cfg, got, want)
+			}
+		}
+		return // one capped graph suffices
+	}
+	t.Fatalf("no graph was capped at %d used indices", maxUsedBits)
 }
 
 func TestIBGTopRestrictedToRelevant(t *testing.T) {
@@ -281,77 +347,158 @@ func TestEmptyCandidates(t *testing.T) {
 	}
 }
 
-// TestParallelBuildIdenticalToSerial checks BuildWorkers' contract: the
-// graph produced with a worker pool is indistinguishable from a serial
-// build — same nodes, same probe answers, same statistics.
-func TestParallelBuildIdenticalToSerial(t *testing.T) {
-	o, _, ids := testSetup(t)
-	cands := index.NewSet(ids...)
-	for _, s := range []*stmt.Statement{joinQuery(), updateStmt()} {
-		serial := BuildWorkers(o, s, cands, 1)
-		parallel := BuildWorkers(o, s, cands, 8)
+// fanOutCase is one statement of a generated workload with the candidates
+// mined up to and including it.
+type fanOutCase struct {
+	s     *stmt.Statement
+	cands index.Set
+}
 
-		if serial.NodeCount() != parallel.NodeCount() {
-			t.Fatalf("stmt %d: node counts differ: %d vs %d", s.ID, serial.NodeCount(), parallel.NodeCount())
-		}
-		if serial.Truncated() != parallel.Truncated() {
-			t.Fatalf("stmt %d: truncation differs", s.ID)
-		}
-		if !serial.UsedUnion().Equal(parallel.UsedUnion()) {
-			t.Fatalf("stmt %d: used unions differ: %v vs %v", s.ID, serial.UsedUnion(), parallel.UsedUnion())
-		}
-		u := serial.UsedUnion().IDs()
-		if len(u) > 16 {
-			t.Fatalf("test statement too wide for exhaustive check")
-		}
-		for mask := 0; mask < 1<<len(u); mask++ {
-			var cur []index.ID
-			for j := range u {
-				if mask&(1<<j) != 0 {
-					cur = append(cur, u[j])
+var (
+	fanOutOnce  sync.Once
+	fanOutOpt   *whatif.Optimizer
+	fanOutCases []fanOutCase
+)
+
+// fanOutSetup walks the first two phases of the default workload, mining
+// candidates as it goes, and keeps the first three statements whose IBG's
+// used union exceeds exactEnumBits and the first three within it. The wide
+// graphs reach both fan-out gates; the narrow ones stay serial.
+func fanOutSetup(t *testing.T) (*whatif.Optimizer, []fanOutCase) {
+	t.Helper()
+	fanOutOnce.Do(func() {
+		cat, joins := datagen.Build()
+		m := cost.NewModel(cat, index.NewRegistry(), cost.DefaultParams())
+		fanOutOpt = whatif.New(m)
+		wo := workload.DefaultOptions()
+		wo.Phases = 2
+		ex := cost.NewExtractor(m)
+		mined := index.EmptySet
+		wide, narrow := 0, 0
+		for _, s := range workload.Generate(cat, joins, wo).Statements {
+			mined = mined.Union(ex.Extract(s))
+			isWide := Build(fanOutOpt, s, mined).UsedUnion().Len() > exactEnumBits
+			if isWide && wide < 3 || !isWide && narrow < 3 {
+				fanOutCases = append(fanOutCases, fanOutCase{s, mined})
+				if isWide {
+					wide++
+				} else {
+					narrow++
 				}
 			}
-			cfg := index.NewSet(cur...)
-			if cs, cp := serial.Cost(cfg), parallel.Cost(cfg); cs != cp {
-				t.Fatalf("stmt %d cfg %v: cost %v vs %v", s.ID, cfg, cs, cp)
+			if wide == 3 && narrow == 3 {
+				break
 			}
 		}
-		for _, a := range u {
-			if bs, bp := serial.MaxBenefit(a), parallel.MaxBenefit(a); bs != bp {
-				t.Fatalf("stmt %d idx %d: max benefit %v vs %v", s.ID, a, bs, bp)
+	})
+	return fanOutOpt, fanOutCases
+}
+
+// maxWave returns the widest construction wave of g: wave k holds the
+// nodes k used indices below the root.
+func maxWave(g *Graph) int {
+	full := g.fullMask()
+	waves := make(map[int]int)
+	widest := 0
+	for i := range g.nodes {
+		k := bits.OnesCount32(full &^ g.nodes[i].cfgMask)
+		waves[k]++
+		widest = max(widest, waves[k])
+	}
+	return widest
+}
+
+// TestParallelBuildIdenticalToSerial checks BuildWorkers' contract on
+// generated statements: a build whose waves reach parallelWave, priced on
+// a worker pool, is node for node the serial build.
+func TestParallelBuildIdenticalToSerial(t *testing.T) {
+	o, cases := fanOutSetup(t)
+	gated := false
+	for _, c := range cases {
+		serial := Build(o, c.s, c.cands)
+		parallel := BuildWorkers(o, c.s, c.cands, 8)
+		gated = gated || maxWave(serial) >= parallelWave
+		if serial.NodeCount() != parallel.NodeCount() || serial.Truncated() != parallel.Truncated() {
+			t.Fatalf("stmt %d: %d nodes (truncated %v) vs %d (truncated %v)", c.s.ID,
+				serial.NodeCount(), serial.Truncated(), parallel.NodeCount(), parallel.Truncated())
+		}
+		if !serial.UsedUnion().Equal(parallel.UsedUnion()) {
+			t.Fatalf("stmt %d: used unions differ: %v vs %v", c.s.ID, serial.UsedUnion(), parallel.UsedUnion())
+		}
+		si, pi := nodeIndex(serial), nodeIndex(parallel)
+		for i := range serial.nodes {
+			sn, pn := &serial.nodes[i], &parallel.nodes[i]
+			if sn.cost != pn.cost || sn.cfgMask != pn.cfgMask || sn.usedMask != pn.usedMask || len(sn.children) != len(pn.children) {
+				t.Fatalf("stmt %d node %d: %+v vs %+v", c.s.ID, i, *sn, *pn)
 			}
-		}
-		is := serial.Interactions(1e-9)
-		ip := parallel.InteractionsWorkers(1e-9, 8)
-		if len(is) != len(ip) {
-			t.Fatalf("stmt %d: interaction counts differ: %d vs %d", s.ID, len(is), len(ip))
-		}
-		for k := range is {
-			if is[k] != ip[k] {
-				t.Fatalf("stmt %d: interaction %d differs: %+v vs %+v", s.ID, k, is[k], ip[k])
+			for k, sc := range sn.children {
+				pc := pn.children[k]
+				if (sc == nil) != (pc == nil) || sc != nil && si[sc] != pi[pc] {
+					t.Fatalf("stmt %d node %d: child %d differs", c.s.ID, i, k)
+				}
 			}
 		}
 	}
+	if !gated {
+		t.Fatalf("no generated graph has a wave of %d nodes: the pooled path went untested", parallelWave)
+	}
 }
 
-// TestCostMaskFuncMatchesCost checks the mask-space fast path against the
-// set-based probe interface over every subset of an id slice that mixes
-// used, unused, and absent indices.
-func TestCostMaskFuncMatchesCost(t *testing.T) {
-	o, _, ids := testSetup(t)
-	q := joinQuery()
-	g := Build(o, q, index.NewSet(ids...))
-	probe := g.CostMaskFunc(ids)
-	for mask := 0; mask < 1<<len(ids); mask++ {
-		var cur []index.ID
-		for j := range ids {
-			if mask&(1<<j) != 0 {
-				cur = append(cur, ids[j])
+// nodeIndex maps each node of g to its position in the node slab.
+func nodeIndex(g *Graph) map[*node]int {
+	idx := make(map[*node]int, len(g.nodes))
+	for i := range g.nodes {
+		idx[&g.nodes[i]] = i
+	}
+	return idx
+}
+
+// TestStatisticsMatchesDefinitions checks Statistics on generated
+// statements, with one worker and with eight, against the per-index
+// MaxBenefit and pairwise DOI it folds together. The eight-worker pass
+// runs first on a fresh graph, so under -race it also fills the cost memo
+// concurrently.
+func TestStatisticsMatchesDefinitions(t *testing.T) {
+	o, cases := fanOutSetup(t)
+	const threshold = 1e-6
+	gated := false
+	for _, c := range cases {
+		g := Build(o, c.s, c.cands)
+		used := g.UsedUnion().IDs()
+		gated = gated || len(used) > exactEnumBits
+		b8, in8 := g.Statistics(threshold, 8)
+		b1, in1 := g.Statistics(threshold, 1)
+		var want []Interaction
+		for i := range used {
+			for j := i + 1; j < len(used); j++ {
+				if d := g.DOI(used[i], used[j]); d > threshold {
+					want = append(want, Interaction{A: used[i], B: used[j], Doi: d})
+				}
 			}
 		}
-		if got, want := probe(uint32(mask)), g.Cost(index.NewSet(cur...)); got != want {
-			t.Fatalf("mask %b: fast path %v, set path %v", mask, got, want)
+		for _, got := range []struct {
+			workers      int
+			benefits     []float64
+			interactions []Interaction
+		}{{8, b8, in8}, {1, b1, in1}} {
+			if len(got.benefits) != len(used) || len(got.interactions) != len(want) {
+				t.Fatalf("stmt %d, %d workers: %d benefits and %d interactions, want %d and %d", c.s.ID,
+					got.workers, len(got.benefits), len(got.interactions), len(used), len(want))
+			}
+			for i, a := range used {
+				if b := g.MaxBenefit(a); got.benefits[i] != b {
+					t.Fatalf("stmt %d, %d workers: benefit of %d is %v, MaxBenefit %v", c.s.ID, got.workers, a, got.benefits[i], b)
+				}
+			}
+			for k := range want {
+				if got.interactions[k] != want[k] {
+					t.Fatalf("stmt %d, %d workers: interaction %d is %+v, want %+v", c.s.ID, got.workers, k, got.interactions[k], want[k])
+				}
+			}
 		}
+	}
+	if !gated {
+		t.Fatalf("no generated graph has a used union wider than %d: the pooled path went untested", exactEnumBits)
 	}
 }
 

@@ -1,7 +1,7 @@
-// Package par provides the tiny data-parallel primitive the analysis
-// pipeline is built on: run n independent units of work across a bounded
-// set of goroutines, with results written by index so callers stay
-// deterministic regardless of scheduling.
+// Package par provides the tiny data-parallel primitive behind the IBG's
+// fan-out and the experiment harness: run n independent units of work
+// across a bounded set of goroutines, with results written by index so
+// callers stay deterministic regardless of scheduling.
 package par
 
 import (
@@ -10,9 +10,9 @@ import (
 	"sync/atomic"
 )
 
-// Workers resolves a worker-count option: values <= 0 mean "one per
+// workerCount resolves a worker-count option: values <= 0 mean "one per
 // available CPU", anything else is taken literally.
-func Workers(n int) int {
+func workerCount(n int) int {
 	if n <= 0 {
 		return runtime.GOMAXPROCS(0)
 	}
@@ -29,7 +29,7 @@ func Do(workers, n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	workers = Workers(workers)
+	workers = workerCount(workers)
 	if workers > n {
 		workers = n
 	}

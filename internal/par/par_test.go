@@ -32,10 +32,10 @@ func TestMapOrdersResults(t *testing.T) {
 }
 
 func TestWorkers(t *testing.T) {
-	if Workers(3) != 3 {
+	if workerCount(3) != 3 {
 		t.Fatal("explicit worker count not honored")
 	}
-	if Workers(0) < 1 || Workers(-5) < 1 {
+	if workerCount(0) < 1 || workerCount(-5) < 1 {
 		t.Fatal("auto worker count must be at least 1")
 	}
 }
