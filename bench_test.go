@@ -12,6 +12,7 @@ package repro
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
@@ -260,6 +261,72 @@ func BenchmarkIBGBuild(b *testing.B) {
 			b.Fatal("empty IBG")
 		}
 	}
+}
+
+// wideFixture holds the largest index benefit graphs of the default
+// generated workload, as statements with the candidates to build over.
+type wideFixture struct {
+	optm  *whatif.Optimizer
+	stmts []*stmt.Statement
+	cands []index.Set
+	nodes int // total nodes of one build of each
+}
+
+// wideGraphs is how many of the largest graphs BenchmarkIBGBuildWide
+// cycles through.
+const wideGraphs = 8
+
+var (
+	wideOnce sync.Once
+	wide     *wideFixture
+)
+
+// wideEnv builds every statement's graph of the default workload over the
+// candidates mined up to it, as WFIT does, and keeps the wideGraphs
+// largest by node count.
+func wideEnv(b *testing.B) *wideFixture {
+	b.Helper()
+	wideOnce.Do(func() {
+		cat, joins := datagen.Build()
+		model := cost.NewModel(cat, index.NewRegistry(), cost.DefaultParams())
+		ex := cost.NewExtractor(model)
+		type built struct {
+			s     *stmt.Statement
+			cands index.Set
+			nodes int
+		}
+		var all []built
+		optm := whatif.New(model)
+		mined := index.EmptySet
+		for _, s := range workload.Generate(cat, joins, workload.DefaultOptions()).Statements {
+			mined = mined.Union(ex.Extract(s))
+			g := ibg.Build(optm, s, mined)
+			all = append(all, built{s, mined, g.NodeCount()})
+			g.Release()
+		}
+		sort.SliceStable(all, func(i, j int) bool { return all[i].nodes > all[j].nodes })
+		wide = &wideFixture{optm: optm}
+		for _, c := range all[:wideGraphs] {
+			wide.stmts = append(wide.stmts, c.s)
+			wide.cands = append(wide.cands, c.cands)
+			wide.nodes += c.nodes
+		}
+	})
+	return wide
+}
+
+// BenchmarkIBGBuildWide measures construction of the largest graphs of
+// the default generated workload (about a thousand nodes and more each),
+// one build per iteration, cycling through them. Each graph is released
+// after its build, as WFIT releases each statement's graph.
+func BenchmarkIBGBuildWide(b *testing.B) {
+	w := wideEnv(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % wideGraphs
+		ibg.Build(w.optm, w.stmts[k], w.cands[k]).Release()
+	}
+	b.ReportMetric(float64(w.nodes)/wideGraphs, "nodes/build")
 }
 
 // BenchmarkIBGCostLookup measures configuration probes against a built

@@ -11,6 +11,13 @@
 // interact exactly as they do in a real optimizer — which is the property
 // WFIT's interaction machinery (IBG, doi, stable partitions) exists to
 // handle.
+//
+// CostUsed is the definition of the model. Prepare specializes it to one
+// statement and a list of at most 64 candidates, resolving once what
+// depends only on the statement, so that the many configurations of one
+// index benefit graph are priced without repeating that work; its
+// CostMask equals CostUsed bit for bit. Both call the same helper for
+// each cost formula.
 package cost
 
 import (
@@ -82,6 +89,77 @@ func (m *Model) Registry() *index.Registry { return m.reg }
 // Params returns the model constants.
 func (m *Model) Params() Params { return m.p }
 
+// The cost formulas. CostUsed and Prepared.CostMask both price every plan
+// step through these, so the two paths perform the same floating-point
+// operations on the same operands.
+
+// seqScanCost prices a heap scan of a table.
+func (p *Params) seqScanCost(pages, rows float64) float64 {
+	return pages + rows*p.CPUPerRow
+}
+
+// indexScanCost prices a range scan over the fraction sel of an index:
+// leafScan leaf pages, then every matching row read from the leaf when the
+// index covers the statement's columns, fetched from the heap otherwise.
+func (p *Params) indexScanCost(sel, leafScan, rows float64, covering bool) float64 {
+	if covering {
+		return p.ProbeCost + leafScan + sel*rows*p.CPUPerRow
+	}
+	return p.ProbeCost + leafScan + sel*rows*p.RandomFetch
+}
+
+// coveringScanCost prices an index-only full scan: cheaper than a heap
+// scan when the key is narrower than the row.
+func (p *Params) coveringScanCost(leafPages, rows float64) float64 {
+	return p.ProbeCost + leafPages + rows*p.CPUPerRow
+}
+
+// intersectCost prices a two-index intersection: scan both leaf ranges,
+// intersect RID sets, fetch only rows matching both predicates.
+func (p *Params) intersectCost(aSel, aLeafScan, bSel, bLeafScan, rows float64) float64 {
+	combined := aSel * bSel
+	return 2*p.ProbeCost + aLeafScan + bLeafScan +
+		rows*(aSel+bSel)*p.CPUPerRow +
+		rows*combined*p.RandomFetch
+}
+
+// probeCost prices one index nested-loop probe that fetches the given
+// rows, from the leaf when the index covers the statement's columns.
+func (p *Params) probeCost(fetched float64, covering bool) float64 {
+	if covering {
+		return p.ProbeCost + fetched*p.CPUPerRow
+	}
+	return p.ProbeCost + fetched*p.RandomFetch
+}
+
+// hashJoinCost prices a hash-join step: scan the inner once, hash both
+// sides.
+func (p *Params) hashJoinCost(innerCost, rows, innerRows float64) float64 {
+	return innerCost + (rows+innerRows)*p.CPUPerRow
+}
+
+// joinRows estimates the rows of an equi-join whose inner join column has
+// d distinct values.
+func joinRows(rows, innerRows, d float64) float64 {
+	return math.Max(rows*innerRows/d, 1e-9)
+}
+
+// outputCost adds the CPU of emitting a plan's result rows.
+func (p *Params) outputCost(cost, rows float64) float64 {
+	return cost + rows*p.CPUPerRow
+}
+
+// heapWriteCost adds the heap writes of an update's affected rows to the
+// cost of locating them.
+func (p *Params) heapWriteCost(whereCost, affected float64) float64 {
+	return whereCost + affected*p.UpdateRowCost
+}
+
+// maintCost prices maintaining one index for an update's affected rows.
+func (p *Params) maintCost(affected float64) float64 {
+	return p.ProbeCost + affected*p.MaintPerRow
+}
+
 // Cost returns the estimated cost of s under configuration cfg.
 func (m *Model) Cost(s *stmt.Statement, cfg index.Set) float64 {
 	c, _ := m.CostUsed(s, cfg)
@@ -136,7 +214,7 @@ type accessResult struct {
 }
 
 // tableIndexes resolves the members of cfg that live on the given table,
-// appending into buf (reused across calls by the pooled plan context).
+// in ascending ID order, appending into buf (the plan context's scratch).
 func (m *Model) tableIndexes(cfg index.Set, table string, buf []*index.Index) []*index.Index {
 	out := buf[:0]
 	cfg.Each(func(id index.ID) {
@@ -181,67 +259,67 @@ func matchPredCols(cols []string, preds []stmt.Pred) (sel float64, matched int) 
 	return sel, matched
 }
 
+// indexAccess is what one index offers the standalone access to its
+// table, whatever else the configuration holds.
+type indexAccess struct {
+	cost     float64 // the cheaper of its scans; valid when ok
+	sel      float64 // selectivity of the matched predicates; valid when usable
+	leafScan float64 // leaf pages the matched range reads; valid when usable
+	usable   bool    // matches a predicate, so it may join an intersection
+	ok       bool    // offers a scan: usable, or covering for a full scan
+}
+
+// access prices idx as a single-index access path to a table of rows rows
+// read through view: a range scan when its key matches a predicate, an
+// index-only full scan when it only covers the needed columns.
+func (m *Model) access(idx *index.Index, view *stmt.TableView, rows float64) indexAccess {
+	sel, matched := matchPreds(idx, view.Preds)
+	covering := idx.Covers(view.Needed)
+	if matched > 0 {
+		leafScan := sel * idx.LeafPages
+		return indexAccess{
+			cost: m.p.indexScanCost(sel, leafScan, rows, covering),
+			sel:  sel, leafScan: leafScan, usable: true, ok: true,
+		}
+	}
+	if covering {
+		return indexAccess{cost: m.p.coveringScanCost(idx.LeafPages, rows), ok: true}
+	}
+	return indexAccess{}
+}
+
 // scanTable prices the cheapest standalone access to a table: sequential
 // scan, single index scan (covering or fetching), covering-only full index
 // scan, or two-index intersection. pc only supplies reusable scratch.
 func (m *Model) scanTable(s *stmt.Statement, table string, avail []*index.Index, pc *planContext) accessResult {
 	t := m.cat.MustTable(table)
 	view := s.View(table)
-	preds := view.Preds
-	selAll := view.Selectivity
-	needed := view.Needed
 	rows := t.Rows
 
 	best := accessResult{
-		cost: t.Pages() + rows*m.p.CPUPerRow,
-		rows: rows * selAll,
+		cost: m.p.seqScanCost(t.Pages(), rows),
+		rows: rows * view.Selectivity,
 	}
 
 	usable := pc.usable[:0]
-
 	for _, idx := range avail {
-		sel, matched := matchPreds(idx, preds)
-		covering := idx.Covers(needed)
-		if matched > 0 {
-			leafScan := sel * idx.LeafPages
-			var c float64
-			if covering {
-				c = m.p.ProbeCost + leafScan + sel*rows*m.p.CPUPerRow
-			} else {
-				c = m.p.ProbeCost + leafScan + sel*rows*m.p.RandomFetch
-			}
-			if c < best.cost {
-				best = accessResult{cost: c, rows: rows * selAll, used: []index.ID{idx.ID}}
-			}
-			usable = append(usable, scored{idx, sel, matched, leafScan})
-		} else if covering {
-			// Index-only full scan: cheaper than a heap scan when the
-			// key is narrower than the row.
-			c := m.p.ProbeCost + idx.LeafPages + rows*m.p.CPUPerRow
-			if c < best.cost {
-				best = accessResult{cost: c, rows: rows * selAll, used: []index.ID{idx.ID}}
-			}
+		a := m.access(idx, view, rows)
+		if a.ok && a.cost < best.cost {
+			best.cost, best.used = a.cost, []index.ID{idx.ID}
+		}
+		if a.usable {
+			usable = append(usable, scored{idx, a.sel, a.leafScan})
 		}
 	}
 
-	// Two-index intersection: scan both leaf ranges, intersect RID sets,
-	// fetch only rows matching both predicates.
 	for i := 0; i < len(usable); i++ {
 		for j := i + 1; j < len(usable); j++ {
 			a, b := usable[i], usable[j]
 			if a.idx.LeadingColumn() == b.idx.LeadingColumn() {
 				continue // same predicate: no extra filtering power
 			}
-			combined := a.sel * b.sel
-			c := 2*m.p.ProbeCost + a.leafScan + b.leafScan +
-				rows*(a.sel+b.sel)*m.p.CPUPerRow +
-				rows*combined*m.p.RandomFetch
-			if c < best.cost {
-				best = accessResult{
-					cost: c,
-					rows: rows * selAll,
-					used: []index.ID{a.idx.ID, b.idx.ID},
-				}
+			if c := m.p.intersectCost(a.sel, a.leafScan, b.sel, b.leafScan, rows); c < best.cost {
+				best.cost, best.used = c, []index.ID{a.idx.ID, b.idx.ID}
 			}
 		}
 	}
@@ -249,45 +327,48 @@ func (m *Model) scanTable(s *stmt.Statement, table string, avail []*index.Index,
 	return best
 }
 
-// probeTable prices one index nested-loop probe into table via joinCol.
-// Index key columns after the join column may consume further predicates.
-// ok is false when no index leads with the join column.
-func (m *Model) probeTable(s *stmt.Statement, table, joinCol string, avail []*index.Index) (perProbe, rowsPerProbe float64, used []index.ID, ok bool) {
-	t := m.cat.MustTable(table)
+// probeRows returns how many rows of t one index nested-loop probe via
+// joinCol matches; found is false when the catalog lacks the column.
+func probeRows(t *catalog.Table, joinCol string) (rows float64, found bool) {
 	col, found := t.Column(joinCol)
 	if !found {
-		return 0, 0, nil, false
+		return 0, false
 	}
-	preds := s.TablePreds(table)
-	selAll := s.PredSelectivity(table)
-	needed := s.NeededColumns(table)
-	matchRows := t.Rows / math.Max(col.Distinct, 1)
+	return t.Rows / math.Max(col.Distinct, 1), true
+}
 
+// probeOption prices one probe through idx via joinCol, matching
+// matchRows rows of a table read through view; ok is false when idx does
+// not lead with joinCol. Key columns after the join column may consume
+// further predicates and cut down the rows fetched per probe.
+func (m *Model) probeOption(idx *index.Index, joinCol string, view *stmt.TableView, matchRows float64) (cost float64, ok bool) {
+	if idx.LeadingColumn() != joinCol {
+		return 0, false
+	}
+	extraSel, _ := matchPredCols(idx.Columns[1:], view.Preds)
+	return m.p.probeCost(matchRows*extraSel, idx.Covers(view.Needed)), true
+}
+
+// probeTable prices one index nested-loop probe into table via joinCol.
+// ok is false when no index leads with the join column.
+func (m *Model) probeTable(s *stmt.Statement, table, joinCol string, avail []*index.Index) (perProbe float64, used []index.ID, ok bool) {
+	matchRows, found := probeRows(m.cat.MustTable(table), joinCol)
+	if !found {
+		return 0, nil, false
+	}
+	view := s.View(table)
 	bestCost := math.Inf(1)
 	var bestUsed []index.ID
 	for _, idx := range avail {
-		if idx.LeadingColumn() != joinCol {
-			continue
-		}
-		// Predicates matched by key columns after the join column cut
-		// down the rows that must be fetched per probe.
-		extraSel, _ := matchPredCols(idx.Columns[1:], preds)
-		fetched := matchRows * extraSel
-		var c float64
-		if idx.Covers(needed) {
-			c = m.p.ProbeCost + fetched*m.p.CPUPerRow
-		} else {
-			c = m.p.ProbeCost + fetched*m.p.RandomFetch
-		}
-		if c < bestCost {
+		if c, ok := m.probeOption(idx, joinCol, view, matchRows); ok && c < bestCost {
 			bestCost = c
 			bestUsed = []index.ID{idx.ID}
 		}
 	}
 	if math.IsInf(bestCost, 1) {
-		return 0, 0, nil, false
+		return 0, nil, false
 	}
-	return bestCost, math.Max(matchRows*selAll, 1e-9), bestUsed, true
+	return bestCost, bestUsed, true
 }
 
 // joinDistinct returns the distinct count of the join column on the given
@@ -315,12 +396,11 @@ type joinLink struct {
 	colA, colB string
 }
 
-// planContext holds the per-table work of one cost call — resolved
+// planContext holds the per-table work of one CostUsed call — resolved
 // candidate indexes, scan and probe results, join links — indexed by
-// table position, plus the enumeration scratch. Everything the
-// join-order enumeration touches is a flat slice: the string-keyed memo
-// maps this replaces were the single largest per-optimization cost.
-// Contexts are pooled and reused across what-if optimizations.
+// table position, plus the enumeration scratch. Contexts are pooled and
+// reused across CostUsed calls; a Prepared resolves the statement's share
+// of this work once instead.
 type planContext struct {
 	tables []string
 	avail  [][]*index.Index // resolved per table position, backing reused
@@ -334,11 +414,10 @@ type planContext struct {
 	best   []index.ID // used set of the best order so far
 }
 
-// scored is scanTable's per-index evaluation record.
+// scored is scanTable's record of an index that may join an intersection.
 type scored struct {
 	idx      *index.Index
 	sel      float64
-	matched  int
 	leafScan float64
 }
 
@@ -381,7 +460,7 @@ func (pc *planContext) ensureProbe(m *Model, s *stmt.Statement, ti int, joinCol 
 			return
 		}
 	}
-	perProbe, _, used, ok := m.probeTable(s, pc.tables[ti], joinCol, pc.avail[ti])
+	perProbe, used, ok := m.probeTable(s, pc.tables[ti], joinCol, pc.avail[ti])
 	pc.probes[ti] = append(pc.probes[ti], probeEntry{
 		col: joinCol,
 		res: probeResult{perProbe: perProbe, used: used, ok: ok},
@@ -399,6 +478,17 @@ func (pc *planContext) probeFor(ti int, joinCol string) (probeResult, bool) {
 	return probeResult{}, false
 }
 
+// tablePos returns the position of the first occurrence of table in
+// tables, or -1.
+func tablePos(tables []string, table string) int {
+	for i, x := range tables {
+		if x == table {
+			return i
+		}
+	}
+	return -1
+}
+
 // queryCost prices a query by minimizing over left-deep join orders.
 func (m *Model) queryCost(s *stmt.Statement, cfg index.Set) (float64, index.Set) {
 	tables := s.Tables
@@ -408,29 +498,18 @@ func (m *Model) queryCost(s *stmt.Statement, cfg index.Set) (float64, index.Set)
 	if len(tables) == 1 {
 		pc.avail[0] = m.tableIndexes(cfg, tables[0], pc.avail[0])
 		r := m.scanTable(s, tables[0], pc.avail[0], pc)
-		return r.cost + r.rows*m.p.CPUPerRow, index.NewSet(r.used...)
+		return m.p.outputCost(r.cost, r.rows), index.NewSet(r.used...)
 	}
 
 	// Resolve candidate indexes, scans, join links, and probe options per
-	// table position up front. Everything is a pure function of the
-	// statement and configuration, so eager resolution prices exactly
-	// what the former lazy string-keyed memo did — without any hashing in
-	// the enumeration loop.
+	// table position up front, so the enumeration loop does no lookups.
 	for i, t := range tables {
 		pc.avail[i] = m.tableIndexes(cfg, t, pc.avail[i])
 		pc.scans[i] = m.scanTable(s, t, pc.avail[i], pc)
 	}
-	pos := func(t string) int {
-		for i, x := range tables {
-			if x == t {
-				return i
-			}
-		}
-		return -1
-	}
 	for i := range s.Joins {
 		j := &s.Joins[i]
-		a, b := pos(j.LeftTable), pos(j.RightTable)
+		a, b := tablePos(tables, j.LeftTable), tablePos(tables, j.RightTable)
 		if a < 0 || b < 0 {
 			continue // a dangling join can never connect an order
 		}
@@ -443,9 +522,9 @@ func (m *Model) queryCost(s *stmt.Statement, cfg index.Set) (float64, index.Set)
 
 	bestCost := math.Inf(1)
 	tryOrder := func(order []int) {
-		cost, rows, ok := m.planOrder(pc, s, order)
+		cost, rows, ok := m.planOrder(pc, order)
 		if ok && cost < bestCost {
-			bestCost = cost + rows*m.p.CPUPerRow
+			bestCost = m.p.outputCost(cost, rows)
 			pc.best = append(pc.best[:0], pc.used...)
 		}
 	}
@@ -467,9 +546,32 @@ func (m *Model) queryCost(s *stmt.Statement, cfg index.Set) (float64, index.Set)
 			rows *= math.Max(r.rows, 1)
 			used = append(used, r.used...)
 		}
-		return total + rows*m.p.CPUPerRow, index.NewSet(used...)
+		return m.p.outputCost(total, rows), index.NewSet(used...)
 	}
 	return bestCost, index.NewSet(pc.best...)
+}
+
+// connectingLink returns the first link, in s.Joins order, that joins
+// table position ti to one of the positions in prefix, and the join column
+// on ti's side.
+func connectingLink(links []joinLink, ti int, prefix []int) (col string, ok bool) {
+	for _, l := range links {
+		var other int
+		switch ti {
+		case l.a:
+			other, col = l.b, l.colA
+		case l.b:
+			other, col = l.a, l.colB
+		default:
+			continue
+		}
+		for _, p := range prefix {
+			if p == other {
+				return col, true
+			}
+		}
+	}
+	return "", false
 }
 
 // planOrder prices one left-deep join order (given as table positions),
@@ -478,7 +580,7 @@ func (m *Model) queryCost(s *stmt.Statement, cfg index.Set) (float64, index.Set)
 // join predicate) or hash join; disconnected orders are rejected.
 // Membership in the partial plan is a prefix of order, so connectivity is
 // a few integer comparisons per step.
-func (m *Model) planOrder(pc *planContext, s *stmt.Statement, order []int) (cost, rows float64, ok bool) {
+func (m *Model) planOrder(pc *planContext, order []int) (cost, rows float64, ok bool) {
 	first := &pc.scans[order[0]]
 	cost = first.cost
 	rows = first.rows
@@ -486,32 +588,7 @@ func (m *Model) planOrder(pc *planContext, s *stmt.Statement, order []int) (cost
 
 	for oi := 1; oi < len(order); oi++ {
 		ti := order[oi]
-		// Find a join predicate connecting ti to the tables already in
-		// the plan — exactly the positions in order[:oi]. Links are in
-		// s.Joins order, preserving the original first-match rule.
-		joinCol := ""
-		connected := false
-		for _, l := range pc.links {
-			var other int
-			var col string
-			switch ti {
-			case l.a:
-				other, col = l.b, l.colA
-			case l.b:
-				other, col = l.a, l.colB
-			default:
-				continue
-			}
-			for k := 0; k < oi; k++ {
-				if order[k] == other {
-					joinCol, connected = col, true
-					break
-				}
-			}
-			if connected {
-				break
-			}
-		}
+		joinCol, connected := connectingLink(pc.links, ti, order[:oi])
 		if !connected {
 			pc.used = used
 			return 0, 0, false
@@ -527,17 +604,15 @@ func (m *Model) planOrder(pc *planContext, s *stmt.Statement, order []int) (cost
 				stepUsed = pr.used
 			}
 		}
-		// Hash join: scan the inner once, hash both sides.
 		inner := &pc.scans[ti]
-		hashCost := inner.cost + (rows+inner.rows)*m.p.CPUPerRow
-		if hashCost < stepCost {
+		if hashCost := m.p.hashJoinCost(inner.cost, rows, inner.rows); hashCost < stepCost {
 			stepCost = hashCost
 			stepUsed = inner.used
 		}
 
 		cost += stepCost
 		used = append(used, stepUsed...)
-		rows = math.Max(rows*inner.rows/d, 1e-9)
+		rows = joinRows(rows, inner.rows, d)
 	}
 	pc.used = used
 	return cost, rows, true
@@ -556,12 +631,12 @@ func (m *Model) updateCost(s *stmt.Statement, cfg index.Set) (float64, index.Set
 
 	where := m.scanTable(s, table, avail, pc)
 	affected := t.Rows * s.PredSelectivity(table)
-	total := where.cost + affected*m.p.UpdateRowCost
+	total := m.p.heapWriteCost(where.cost, affected)
 	used := append([]index.ID(nil), where.used...)
 
 	for _, idx := range avail {
 		if containsAny(idx.Columns, s.SetColumns) {
-			total += m.p.ProbeCost + affected*m.p.MaintPerRow
+			total += m.p.maintCost(affected)
 			used = append(used, idx.ID)
 		}
 	}

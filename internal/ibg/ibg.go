@@ -20,6 +20,12 @@
 // with bitmask walks over the used union and a flat memo array: no
 // allocation, no optimizer.
 //
+// Construction runs in mask space whenever the relevant candidates fit in
+// 64 bits: one cost.Prepared per build prices every node from its
+// configuration mask and returns the used set as a mask, so a node is two
+// bitmasks and a cost, and a child drops one used bit. Larger candidate
+// sets take the same algorithm over index.Set values.
+//
 // Because WFIT builds and discards a graph per statement, construction
 // and serving are tuned for steady-state reuse: the construction scratch
 // (node slab, child links, dedup maps) lives in a sync.Pool, the frozen
@@ -43,6 +49,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/cost"
 	"repro/internal/index"
 	"repro/internal/par"
 	"repro/internal/stmt"
@@ -136,14 +143,17 @@ type Graph struct {
 	memo *costMemo
 }
 
-// buildNode is the construction-time representation before masks exist.
+// buildNode is the construction-time representation of a vertex. When
+// top holds at most 64 indices, construction runs in mask space and a
+// node is its top-space masks alone; cfg and used are set only on the
+// path for larger candidate sets.
 type buildNode struct {
-	cfg      index.Set
-	mask     uint64 // bitmask over top's IDs (valid when top has <= 64 indices)
+	mask     uint64 // configuration as a bitmask over top's IDs (<= 64 indices)
+	usedTop  uint64 // used set as a bitmask over top's IDs (<= 64 indices)
 	cost     float64
-	used     index.Set
-	usedTop  uint64 // used as a top-space mask (valid when top has <= 64 indices)
-	kidStart int32  // span into builder.links
+	cfg      index.Set // configuration (more than 64 indices only)
+	used     index.Set // used set (more than 64 indices only)
+	kidStart int32     // span into builder.links
 	kidEnd   int32
 }
 
@@ -164,14 +174,10 @@ type builder struct {
 	nextWv []int32
 	byMask map[uint64]int32
 	byKey  map[string]int32
-	topPos map[index.ID]int32
 }
 
 var builderPool = sync.Pool{New: func() any {
-	return &builder{
-		byMask: make(map[uint64]int32),
-		topPos: make(map[index.ID]int32),
-	}
+	return &builder{byMask: make(map[uint64]int32)}
 }}
 
 func (b *builder) reset() {
@@ -180,7 +186,6 @@ func (b *builder) reset() {
 	b.wave = b.wave[:0]
 	b.nextWv = b.nextWv[:0]
 	clear(b.byMask)
-	clear(b.topPos)
 	if b.byKey != nil {
 		clear(b.byKey)
 	}
@@ -208,35 +213,26 @@ func BuildWorkers(opt *whatif.Optimizer, s *stmt.Statement, candidates index.Set
 	defer builderPool.Put(b)
 
 	// Node lookup is by configuration identity. Configurations are
-	// subsets of top, so when top is small they intern as bitmasks; the
+	// subsets of top, so when top is small they are bitmasks over it,
+	// priced from one prepared statement; the set-valued path with its
 	// string-key map is the fallback for oversized candidate sets.
 	topIDs := top.IDs()
-	useMask := len(topIDs) <= 64
-	for i, id := range topIDs {
-		b.topPos[id] = int32(i)
-	}
-	if !useMask && b.byKey == nil {
-		b.byKey = make(map[string]int32)
-	}
-
-	var fullMask uint64
-	if useMask {
-		if len(topIDs) == 64 {
-			fullMask = ^uint64(0)
-		} else {
-			fullMask = (1 << len(topIDs)) - 1
-		}
-	}
-	b.nodes = append(b.nodes, buildNode{cfg: top, mask: fullMask})
-	if useMask {
+	var prep *cost.Prepared
+	if len(topIDs) <= 64 {
+		prep = opt.Model().Prepare(s, topIDs)
+		fullMask := uint64(1)<<len(topIDs) - 1 // a shift by 64 gives 0
+		b.nodes = append(b.nodes, buildNode{mask: fullMask})
 		b.byMask[fullMask] = 0
 	} else {
+		if b.byKey == nil {
+			b.byKey = make(map[string]int32)
+		}
+		b.nodes = append(b.nodes, buildNode{cfg: top})
 		b.byKey[top.Key()] = 0
 	}
 
 	// costWave prices every node of a frontier wave: one independent
-	// what-if optimization each. The used set is also projected onto the
-	// top bit space here so the freeze below runs map-free.
+	// what-if optimization each.
 	costWave := func(wave []int32) {
 		w := workers
 		if len(wave) < parallelWave {
@@ -244,13 +240,10 @@ func BuildWorkers(opt *whatif.Optimizer, s *stmt.Statement, candidates index.Set
 		}
 		par.Do(w, len(wave), func(i int) {
 			n := &b.nodes[wave[i]]
-			n.cost, n.used = opt.CostUsed(s, n.cfg)
-			if useMask {
-				var um uint64
-				n.used.Each(func(a index.ID) {
-					um |= 1 << b.topPos[a]
-				})
-				n.usedTop = um
+			if prep != nil {
+				n.cost, n.usedTop = opt.CostMask(prep, n.mask)
+			} else {
+				n.cost, n.used = opt.CostUsed(s, n.cfg)
 			}
 		})
 	}
@@ -264,36 +257,12 @@ func BuildWorkers(opt *whatif.Optimizer, s *stmt.Statement, candidates index.Set
 				g.truncated = true
 				break
 			}
-			// Copy the expansion inputs out: appending children may grow
-			// the node slab and invalidate pointers into it.
-			mask := b.nodes[ni].mask
-			cfg := b.nodes[ni].cfg
-			used := b.nodes[ni].used
 			kidStart := int32(len(b.links))
-			used.Each(func(a index.ID) {
-				var child int32
-				var ok bool
-				if useMask {
-					childMask := mask &^ (1 << b.topPos[a])
-					if child, ok = b.byMask[childMask]; !ok {
-						child = int32(len(b.nodes))
-						b.nodes = append(b.nodes, buildNode{cfg: cfg.Remove(a), mask: childMask})
-						b.byMask[childMask] = child
-					}
-				} else {
-					childCfg := cfg.Remove(a)
-					key := childCfg.Key()
-					if child, ok = b.byKey[key]; !ok {
-						child = int32(len(b.nodes))
-						b.nodes = append(b.nodes, buildNode{cfg: childCfg})
-						b.byKey[key] = child
-					}
-				}
-				if !ok {
-					b.nextWv = append(b.nextWv, child)
-				}
-				b.links = append(b.links, childLink{id: a, child: child})
-			})
+			if prep != nil {
+				b.expandMask(ni, topIDs)
+			} else {
+				b.expandSet(ni)
+			}
 			b.nodes[ni].kidStart, b.nodes[ni].kidEnd = kidStart, int32(len(b.links))
 		}
 		// Even on truncation the created children get priced: the serial
@@ -302,8 +271,44 @@ func BuildWorkers(opt *whatif.Optimizer, s *stmt.Statement, candidates index.Set
 		b.wave, b.nextWv = b.nextWv, b.wave
 	}
 
-	g.freeze(b, topIDs, useMask)
+	g.freeze(b, topIDs, prep != nil)
 	return g
+}
+
+// expandMask links node ni to one child per used index, in ascending ID
+// order, creating and enqueueing the children not seen yet.
+func (b *builder) expandMask(ni int32, topIDs []index.ID) {
+	mask := b.nodes[ni].mask
+	for u := b.nodes[ni].usedTop; u != 0; u &= u - 1 {
+		childMask := mask &^ (u & -u)
+		child, ok := b.byMask[childMask]
+		if !ok {
+			child = int32(len(b.nodes))
+			b.nodes = append(b.nodes, buildNode{mask: childMask})
+			b.byMask[childMask] = child
+			b.nextWv = append(b.nextWv, child)
+		}
+		b.links = append(b.links, childLink{id: topIDs[bits.TrailingZeros64(u)], child: child})
+	}
+}
+
+// expandSet is expandMask for candidate sets too large for a mask.
+func (b *builder) expandSet(ni int32) {
+	// Copy the expansion inputs out: appending children may grow the node
+	// slab and invalidate pointers into it.
+	cfg, used := b.nodes[ni].cfg, b.nodes[ni].used
+	used.Each(func(a index.ID) {
+		childCfg := cfg.Remove(a)
+		key := childCfg.Key()
+		child, ok := b.byKey[key]
+		if !ok {
+			child = int32(len(b.nodes))
+			b.nodes = append(b.nodes, buildNode{cfg: childCfg})
+			b.byKey[key] = child
+			b.nextWv = append(b.nextWv, child)
+		}
+		b.links = append(b.links, childLink{id: a, child: child})
+	})
 }
 
 // freeze computes the used union (capped at maxUsedBits) and rewrites the
@@ -328,7 +333,7 @@ func (g *Graph) freeze(b *builder, topIDs []index.ID, useMask bool) {
 		g.usedUnion = union
 	}
 	if g.usedUnion.Len() > maxUsedBits {
-		g.usedUnion = capUsed(b.nodes)
+		g.usedUnion = capUsed(b.nodes, topIDs, useMask)
 		g.truncated = true
 	}
 	g.usedIDs = g.usedUnion.IDs()
@@ -394,14 +399,21 @@ func (g *Graph) freeze(b *builder, topIDs []index.ID, useMask bool) {
 // capUsed keeps the first maxUsedBits used indices in node order, then ID
 // order. A dropped index gets no bit and no child link, so the walk treats
 // it as always present, as it does past a MaxNodes truncation.
-func capUsed(nodes []buildNode) index.Set {
+func capUsed(nodes []buildNode, topIDs []index.ID, useMask bool) index.Set {
 	kept := index.EmptySet
+	keep := func(a index.ID) {
+		if kept.Len() < maxUsedBits {
+			kept = kept.Add(a)
+		}
+	}
 	for i := range nodes {
-		nodes[i].used.Each(func(a index.ID) {
-			if kept.Len() < maxUsedBits {
-				kept = kept.Add(a)
-			}
-		})
+		if !useMask {
+			nodes[i].used.Each(keep)
+			continue
+		}
+		for u := nodes[i].usedTop; u != 0; u &= u - 1 {
+			keep(topIDs[bits.TrailingZeros64(u)])
+		}
 	}
 	return kept
 }

@@ -62,27 +62,65 @@ func updateStmt() *stmt.Statement {
 	}
 }
 
-// TestIBGCostMatchesWhatIf is the central contract: for every subset of
-// the candidates, the IBG lookup must equal a direct what-if optimization.
+// TestIBGCostMatchesWhatIf is the central contract: for any subset of
+// the candidates, the IBG lookup must equal a direct what-if optimization
+// bit for bit. Besides the hand-built join and update, whose graphs are
+// narrow, it checks every untruncated generated graph wider than
+// exactEnumBits.
 func TestIBGCostMatchesWhatIf(t *testing.T) {
-	opt, m, ids := testSetup(t)
-	for _, s := range []*stmt.Statement{joinQuery(), updateStmt()} {
-		cands := index.NewSet(ids...)
-		g := Build(opt, s, cands)
-		rng := rand.New(rand.NewSource(71))
+	rng := rand.New(rand.NewSource(71))
+	check := func(o *whatif.Optimizer, s *stmt.Statement, g *Graph, cands []index.ID) {
 		for trial := 0; trial < 200; trial++ {
 			var sub []index.ID
-			for _, id := range ids {
+			for _, id := range cands {
 				if rng.Intn(2) == 0 {
 					sub = append(sub, id)
 				}
 			}
 			cfg := index.NewSet(sub...)
-			got := g.Cost(cfg)
-			want := m.Cost(s, m.RestrictConfig(s, cfg))
-			if math.Abs(got-want) > 1e-9*(1+want) {
+			if got, want := g.Cost(cfg), o.Model().Cost(s, cfg); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("stmt %d cfg %v: IBG=%v direct=%v", s.ID, cfg, got, want)
 			}
+		}
+	}
+	opt, _, ids := testSetup(t)
+	for _, s := range []*stmt.Statement{joinQuery(), updateStmt()} {
+		check(opt, s, Build(opt, s, index.NewSet(ids...)), ids)
+	}
+	wide := 0
+	for _, profile := range []string{"", workload.ProfileAdhoc} {
+		generatedGraphs(profile, func(o *whatif.Optimizer, s *stmt.Statement, cands index.Set, g *Graph) bool {
+			if g.UsedUnion().Len() > exactEnumBits && !g.Truncated() {
+				check(o, s, g, cands.IDs())
+				wide++
+			}
+			g.Release()
+			return true
+		})
+	}
+	if wide == 0 {
+		t.Fatalf("no generated graph is wider than %d used indices", exactEnumBits)
+	}
+	t.Logf("%d wide generated graphs", wide)
+}
+
+// generatedGraphs walks the first two phases of a workload generated with
+// the given profile, mining candidates as it goes, and passes keep each
+// statement with the candidates mined up to it and its graph over them,
+// until keep returns false.
+func generatedGraphs(profile string, keep func(o *whatif.Optimizer, s *stmt.Statement, cands index.Set, g *Graph) bool) {
+	cat, joins := datagen.Build()
+	m := cost.NewModel(cat, index.NewRegistry(), cost.DefaultParams())
+	o := whatif.New(m)
+	wo := workload.DefaultOptions()
+	wo.Profile = profile
+	wo.Phases = 2
+	ex := cost.NewExtractor(m)
+	mined := index.EmptySet
+	for _, s := range workload.Generate(cat, joins, wo).Statements {
+		mined = mined.Union(ex.Extract(s))
+		if !keep(o, s, mined, Build(o, s, mined)) {
+			return
 		}
 	}
 }
@@ -367,29 +405,20 @@ var (
 func fanOutSetup(t *testing.T) (*whatif.Optimizer, []fanOutCase) {
 	t.Helper()
 	fanOutOnce.Do(func() {
-		cat, joins := datagen.Build()
-		m := cost.NewModel(cat, index.NewRegistry(), cost.DefaultParams())
-		fanOutOpt = whatif.New(m)
-		wo := workload.DefaultOptions()
-		wo.Phases = 2
-		ex := cost.NewExtractor(m)
-		mined := index.EmptySet
 		wide, narrow := 0, 0
-		for _, s := range workload.Generate(cat, joins, wo).Statements {
-			mined = mined.Union(ex.Extract(s))
-			isWide := Build(fanOutOpt, s, mined).UsedUnion().Len() > exactEnumBits
+		generatedGraphs("", func(o *whatif.Optimizer, s *stmt.Statement, cands index.Set, g *Graph) bool {
+			fanOutOpt = o
+			isWide := g.UsedUnion().Len() > exactEnumBits
 			if isWide && wide < 3 || !isWide && narrow < 3 {
-				fanOutCases = append(fanOutCases, fanOutCase{s, mined})
+				fanOutCases = append(fanOutCases, fanOutCase{s, cands})
 				if isWide {
 					wide++
 				} else {
 					narrow++
 				}
 			}
-			if wide == 3 && narrow == 3 {
-				break
-			}
-		}
+			return wide < 3 || narrow < 3
+		})
 	})
 	return fanOutOpt, fanOutCases
 }

@@ -3,7 +3,9 @@
 // paper reports tuning overhead partly as the number of what-if
 // optimizations per query (§6.2); Calls counts exactly those. Repeated
 // configuration probes of one statement are answered by its IBG, which
-// costs one call per node, so there is nothing left to memoize here.
+// costs one call per node, so there is nothing left to memoize here. An
+// IBG build prices its nodes through CostMask on a cost.Prepared
+// statement; each CostMask counts one call, like CostUsed.
 package whatif
 
 import (
@@ -34,6 +36,14 @@ func (o *Optimizer) Model() *cost.Model { return o.model }
 func (o *Optimizer) CostUsed(s *stmt.Statement, cfg index.Set) (float64, index.Set) {
 	o.calls.Add(1)
 	return o.model.CostUsed(s, cfg)
+}
+
+// CostMask returns the what-if cost of a prepared statement under the
+// candidates whose bits are set in mask, and the plan's used-index mask:
+// one what-if optimization, counted like CostUsed.
+func (o *Optimizer) CostMask(p *cost.Prepared, mask uint64) (float64, uint64) {
+	o.calls.Add(1)
+	return p.CostMask(mask)
 }
 
 // Cost returns just the what-if cost.
