@@ -108,14 +108,19 @@ func (t *WFIT) ExportState() *TunerState {
 // (restore the registry first — see internal/state). The restored instance
 // continues the interrupted one bit-identically.
 func RestoreWFIT(opt *whatif.Optimizer, st *TunerState) (*WFIT, error) {
+	if st.Options.MaxPartSize > MaxPartBits {
+		return nil, fmt.Errorf("core: tuner state caps parts at %d indices, more than MaxPartBits=%d", st.Options.MaxPartSize, MaxPartBits)
+	}
 	options := st.Options
 	options.InitialMaterialized = st.S0
 	t := newWFITBase(opt, options)
 	t.n = st.N
 	t.repartitions = st.Repartitions
 	t.retired = st.Retired
+	pins := make([]index.ID, 0, len(st.Pinned))
 	for _, p := range st.Pinned {
 		t.pinned[p.ID] = p.Pos
+		pins = append(pins, p.ID)
 	}
 	t.materialized = st.Materialized
 	t.universe = st.Universe
@@ -123,22 +128,9 @@ func RestoreWFIT(opt *whatif.Optimizer, st *TunerState) (*WFIT, error) {
 	t.rng.SetState(st.RandState)
 
 	reg := opt.Model().Registry()
-	regLen := reg.Len()
-	check := func(s index.Set) error {
-		if !s.Empty() && int(s.IDs()[s.Len()-1]) > regLen {
-			return fmt.Errorf("core: tuner state references index ID %d beyond registry size %d", s.IDs()[s.Len()-1], regLen)
-		}
-		return nil
-	}
-	if err := check(t.universe); err != nil {
-		return nil, err
-	}
-	if err := check(t.partsetC); err != nil {
-		return nil, err
-	}
-	for _, p := range st.Pinned {
-		if int(p.ID) > regLen {
-			return nil, fmt.Errorf("core: tuner state pins index ID %d beyond registry size %d", p.ID, regLen)
+	for _, ids := range [][]index.ID{t.s0.IDs(), t.materialized.IDs(), t.universe.IDs(), t.partsetC.IDs(), pins} {
+		if err := reg.CheckIDs(ids...); err != nil {
+			return nil, fmt.Errorf("core: tuner state references %w", err)
 		}
 	}
 
@@ -155,8 +147,11 @@ func RestoreWFIT(opt *whatif.Optimizer, st *TunerState) (*WFIT, error) {
 		if part.Len() != len(ps.Cand) {
 			return nil, fmt.Errorf("core: part %d has duplicate members", i)
 		}
-		if err := check(part); err != nil {
-			return nil, err
+		if err := reg.CheckIDs(ps.Cand...); err != nil {
+			return nil, fmt.Errorf("core: part %d references %w", i, err)
+		}
+		if len(ps.Cand) > MaxPartBits {
+			return nil, fmt.Errorf("core: part %d has %d candidates, more than MaxPartBits=%d", i, len(ps.Cand), MaxPartBits)
 		}
 		if len(ps.W) != 1<<len(ps.Cand) {
 			return nil, fmt.Errorf("core: part %d has %d work entries for %d candidates", i, len(ps.W), len(ps.Cand))
@@ -178,10 +173,8 @@ func RestoreWFIT(opt *whatif.Optimizer, st *TunerState) (*WFIT, error) {
 	// The histories must name registry indices and end at or before the
 	// restored statement count: the next statement appends at N+1.
 	checkHistory := func(what string, w interaction.WindowState, ids ...index.ID) error {
-		for _, id := range ids {
-			if id == index.Invalid || int(id) > regLen {
-				return fmt.Errorf("core: %s history for index ID %d outside registry size %d", what, id, regLen)
-			}
+		if err := reg.CheckIDs(ids...); err != nil {
+			return fmt.Errorf("core: %s history for %w", what, err)
 		}
 		if k := len(w.Pos); k > 0 && w.Pos[k-1] > st.N {
 			return fmt.Errorf("core: %s history position %d beyond statement count %d", what, w.Pos[k-1], st.N)

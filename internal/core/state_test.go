@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -39,9 +40,11 @@ func cloneStats(st *TunerState) *TunerState {
 // CompactRegistry (index out of range in Remap), a history position
 // beyond the statement count panics in Window.Add on the next statement,
 // a recommendation mask beyond the part's candidates panics in the next
-// WFA.Feedback that reaches the part, and a work function over indices
+// WFA.Feedback that reaches the part, a work function over indices
 // outside the partition panics in the next CompactRegistry, which drops
-// them.
+// them, and the invalid ID 0 in the materialized set, the universe or a
+// pin panics the next AnalyzeQuery. ID 0 in a part, or a part wider than
+// MaxPartBits, panics inside an unchecked RestoreWFIT itself.
 func TestRestoreRejectsImpossibleHistories(t *testing.T) {
 	e := newWFITEnv(t)
 	w := NewWFIT(e.opt, DefaultOptions())
@@ -57,6 +60,11 @@ func TestRestoreRejectsImpossibleHistories(t *testing.T) {
 	}
 	// A definition nothing references, so compaction has work to do.
 	orphan := e.internIndex("tpch.orders", "o_orderdate")
+	// Definitions enough for a part wider than a WFA holds.
+	wide := make([]index.ID, MaxPartBits+1)
+	for i := range wide {
+		wide[i] = e.reg.Intern(index.Index{Table: "wide", Columns: []string{fmt.Sprint("c", i)}})
+	}
 	st := w.ExportState()
 	if len(st.IdxStats.Entries) == 0 || len(st.IntStats.Entries) == 0 {
 		t.Fatalf("setup: want benefit and interaction histories, got %d and %d",
@@ -69,6 +77,7 @@ func TestRestoreRejectsImpossibleHistories(t *testing.T) {
 		t.Fatalf("restoring the tuner's own state: %v", err)
 	}
 	regLen := index.ID(e.reg.Len())
+	analyzeNext := func(w *WFIT) { w.AnalyzeQuery(e.tradeQuery(w.StatementsSeen() + 1)) }
 
 	cases := []struct {
 		name    string
@@ -141,11 +150,41 @@ func TestRestoreRejectsImpossibleHistories(t *testing.T) {
 				}
 			}
 		}, "not a normalized partition", nil},
+		{"materialized ID invalid", func(st *TunerState) {
+			st.Materialized = st.Materialized.Add(index.Invalid)
+		}, "outside registry", analyzeNext},
+		{"universe ID invalid", func(st *TunerState) {
+			st.Universe = st.Universe.Add(index.Invalid)
+		}, "outside registry", analyzeNext},
+		{"initial set ID beyond registry", func(st *TunerState) {
+			st.S0 = st.S0.Add(regLen + 1)
+		}, "outside registry", nil},
+		{"pin ID invalid", func(st *TunerState) {
+			st.Pinned = append([]PinnedVote{{ID: index.Invalid, Pos: st.N}}, st.Pinned...)
+		}, "outside registry", analyzeNext},
+		{"part member invalid", func(st *TunerState) {
+			cand := append([]index.ID(nil), st.Parts[0].Cand...)
+			cand[0] = index.Invalid
+			st.Parts[0].Cand = cand
+		}, "outside registry", nil},
+		{"part wider than MaxPartBits", func(st *TunerState) {
+			st.Parts = append(st.Parts, WFAState{Cand: wide, W: make([]float64, 1<<len(wide))})
+		}, "more than MaxPartBits", nil},
+		{"part cap wider than MaxPartBits", func(st *TunerState) {
+			st.Options.MaxPartSize = MaxPartBits + 10
+		}, "more than MaxPartBits", nil},
 	}
 	for _, c := range cases {
 		bad := cloneStats(st)
 		c.corrupt(bad)
-		restored, err := RestoreWFIT(e.opt, bad)
+		restored, err := func() (w *WFIT, err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err = fmt.Errorf("panic: %v", r)
+				}
+			}()
+			return RestoreWFIT(e.opt, bad)
+		}()
 		if err != nil {
 			if !strings.Contains(err.Error(), c.want) {
 				t.Errorf("%s: RestoreWFIT error = %v, want one mentioning %q", c.name, err, c.want)

@@ -12,17 +12,20 @@
 // WFIT's interaction machinery (IBG, doi, stable partitions) exists to
 // handle.
 //
-// CostUsed is the definition of the model. Prepare specializes it to one
-// statement and a list of at most 64 candidates, resolving once what
-// depends only on the statement, so that the many configurations of one
-// index benefit graph are priced without repeating that work; its
+// CostUsed is the definition of the model: plain code that resolves what
+// it needs on every call and shares no state between calls. The tuner
+// calls it once per statement, for the statement's cost under the
+// materialized configuration, and for the nodes of an index benefit graph
+// over more than 64 candidates. Prepare is the fast path: it specializes
+// the model to one statement and a list of at most 64 candidates,
+// resolving once what depends only on the statement, so that the many
+// configurations of one graph are priced without repeating that work; its
 // CostMask equals CostUsed bit for bit. Both call the same helper for
 // each cost formula.
 package cost
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/index"
@@ -214,12 +217,11 @@ type accessResult struct {
 }
 
 // tableIndexes resolves the members of cfg that live on the given table,
-// in ascending ID order, appending into buf (the plan context's scratch).
-func (m *Model) tableIndexes(cfg index.Set, table string, buf []*index.Index) []*index.Index {
-	out := buf[:0]
+// in ascending ID order.
+func (m *Model) tableIndexes(cfg index.Set, table string) []*index.Index {
+	var out []*index.Index
 	cfg.Each(func(id index.ID) {
-		def := m.reg.Get(id)
-		if def.Table == table {
+		if def := m.reg.Get(id); def.Table == table {
 			out = append(out, def)
 		}
 	})
@@ -288,10 +290,17 @@ func (m *Model) access(idx *index.Index, view *stmt.TableView, rows float64) ind
 	return indexAccess{}
 }
 
+// scored is scanTable's record of an index that may join an intersection.
+type scored struct {
+	idx      *index.Index
+	sel      float64
+	leafScan float64
+}
+
 // scanTable prices the cheapest standalone access to a table: sequential
 // scan, single index scan (covering or fetching), covering-only full index
-// scan, or two-index intersection. pc only supplies reusable scratch.
-func (m *Model) scanTable(s *stmt.Statement, table string, avail []*index.Index, pc *planContext) accessResult {
+// scan, or two-index intersection.
+func (m *Model) scanTable(s *stmt.Statement, table string, avail []*index.Index) accessResult {
 	t := m.cat.MustTable(table)
 	view := s.View(table)
 	rows := t.Rows
@@ -301,7 +310,7 @@ func (m *Model) scanTable(s *stmt.Statement, table string, avail []*index.Index,
 		rows: rows * view.Selectivity,
 	}
 
-	usable := pc.usable[:0]
+	var usable []scored
 	for _, idx := range avail {
 		a := m.access(idx, view, rows)
 		if a.ok && a.cost < best.cost {
@@ -323,7 +332,6 @@ func (m *Model) scanTable(s *stmt.Statement, table string, avail []*index.Index,
 			}
 		}
 	}
-	pc.usable = usable
 	return best
 }
 
@@ -381,101 +389,28 @@ func (m *Model) joinDistinct(table, column string) float64 {
 	return 1
 }
 
-// probeEntry is one resolved index-nested-loop probe option of a table
-// (keyed by the join column that drives it).
-type probeEntry struct {
-	col string
-	res probeResult
-}
-
-// joinLink is a join predicate resolved to table positions within one
-// cost call, so order enumeration compares small integers instead of
-// hashing table names.
+// joinLink is a join predicate resolved to positions in the statement's
+// table list, so order enumeration compares small integers instead of
+// table names.
 type joinLink struct {
-	a, b       int // positions in planContext.tables
+	a, b       int // positions in Statement.Tables
 	colA, colB string
 }
 
-// planContext holds the per-table work of one CostUsed call — resolved
-// candidate indexes, scan and probe results, join links — indexed by
-// table position, plus the enumeration scratch. Contexts are pooled and
-// reused across CostUsed calls; a Prepared resolves the statement's share
-// of this work once instead.
-type planContext struct {
-	tables []string
-	avail  [][]*index.Index // resolved per table position, backing reused
-	scans  []accessResult
-	probes [][]probeEntry
-	links  []joinLink
-
-	usable []scored   // scanTable scratch
-	order  []int      // permutation scratch
-	used   []index.ID // per-order used accumulator
-	best   []index.ID // used set of the best order so far
-}
-
-// scored is scanTable's record of an index that may join an intersection.
-type scored struct {
-	idx      *index.Index
-	sel      float64
-	leafScan float64
-}
-
-var planContextPool = sync.Pool{New: func() any { return &planContext{} }}
-
-func acquirePlanContext(tables []string) *planContext {
-	pc := planContextPool.Get().(*planContext)
-	n := len(tables)
-	pc.tables = tables
-	for len(pc.avail) < n {
-		pc.avail = append(pc.avail, nil)
-		pc.probes = append(pc.probes, nil)
-	}
-	if cap(pc.scans) < n {
-		pc.scans = make([]accessResult, n)
-	}
-	pc.scans = pc.scans[:n]
-	for i := 0; i < n; i++ {
-		pc.avail[i] = pc.avail[i][:0]
-		pc.probes[i] = pc.probes[i][:0]
-	}
-	pc.links = pc.links[:0]
-	pc.order = pc.order[:0]
-	pc.used = pc.used[:0]
-	pc.best = pc.best[:0]
-	return pc
-}
-
-type probeResult struct {
-	perProbe float64
-	used     []index.ID
-	ok       bool
-}
-
-// ensureProbe resolves (and memoizes) the index-nested-loop probe option
-// of table position ti via joinCol.
-func (pc *planContext) ensureProbe(m *Model, s *stmt.Statement, ti int, joinCol string) {
-	for _, e := range pc.probes[ti] {
-		if e.col == joinCol {
-			return
+// joinLinks resolves s's join predicates, in s.Joins order, to the first
+// occurrence of each side's table. A join naming a table s does not
+// access can never connect an order and is dropped.
+func joinLinks(s *stmt.Statement) []joinLink {
+	var links []joinLink
+	for i := range s.Joins {
+		j := &s.Joins[i]
+		a, b := tablePos(s.Tables, j.LeftTable), tablePos(s.Tables, j.RightTable)
+		if a < 0 || b < 0 {
+			continue
 		}
+		links = append(links, joinLink{a: a, b: b, colA: j.LeftColumn, colB: j.RightColumn})
 	}
-	perProbe, used, ok := m.probeTable(s, pc.tables[ti], joinCol, pc.avail[ti])
-	pc.probes[ti] = append(pc.probes[ti], probeEntry{
-		col: joinCol,
-		res: probeResult{perProbe: perProbe, used: used, ok: ok},
-	})
-}
-
-// probeFor returns the resolved probe option of table position ti via
-// joinCol.
-func (pc *planContext) probeFor(ti int, joinCol string) (probeResult, bool) {
-	for _, e := range pc.probes[ti] {
-		if e.col == joinCol {
-			return e.res, true
-		}
-	}
-	return probeResult{}, false
+	return links
 }
 
 // tablePos returns the position of the first occurrence of table in
@@ -492,63 +427,50 @@ func tablePos(tables []string, table string) int {
 // queryCost prices a query by minimizing over left-deep join orders.
 func (m *Model) queryCost(s *stmt.Statement, cfg index.Set) (float64, index.Set) {
 	tables := s.Tables
-	pc := acquirePlanContext(tables)
-	defer planContextPool.Put(pc)
-
-	if len(tables) == 1 {
-		pc.avail[0] = m.tableIndexes(cfg, tables[0], pc.avail[0])
-		r := m.scanTable(s, tables[0], pc.avail[0], pc)
-		return m.p.outputCost(r.cost, r.rows), index.NewSet(r.used...)
-	}
-
-	// Resolve candidate indexes, scans, join links, and probe options per
-	// table position up front, so the enumeration loop does no lookups.
+	// Each table position's indexes and standalone scan are resolved once
+	// and shared by every order.
+	avail := make([][]*index.Index, len(tables))
+	scans := make([]accessResult, len(tables))
 	for i, t := range tables {
-		pc.avail[i] = m.tableIndexes(cfg, t, pc.avail[i])
-		pc.scans[i] = m.scanTable(s, t, pc.avail[i], pc)
+		avail[i] = m.tableIndexes(cfg, t)
+		scans[i] = m.scanTable(s, t, avail[i])
 	}
-	for i := range s.Joins {
-		j := &s.Joins[i]
-		a, b := tablePos(tables, j.LeftTable), tablePos(tables, j.RightTable)
-		if a < 0 || b < 0 {
-			continue // a dangling join can never connect an order
-		}
-		pc.links = append(pc.links, joinLink{a: a, b: b, colA: j.LeftColumn, colB: j.RightColumn})
-	}
-	for _, l := range pc.links {
-		pc.ensureProbe(m, s, l.a, l.colA)
-		pc.ensureProbe(m, s, l.b, l.colB)
+	if len(tables) == 1 {
+		return m.p.outputCost(scans[0].cost, scans[0].rows), index.NewSet(scans[0].used...)
 	}
 
+	links := joinLinks(s)
 	bestCost := math.Inf(1)
+	var bestUsed []index.ID
 	tryOrder := func(order []int) {
-		cost, rows, ok := m.planOrder(pc, order)
+		cost, rows, used, ok := m.planOrder(s, avail, scans, links, order)
 		if ok && cost < bestCost {
 			bestCost = m.p.outputCost(cost, rows)
-			pc.best = append(pc.best[:0], pc.used...)
+			bestUsed = used
 		}
 	}
-	for i := range tables {
-		pc.order = append(pc.order, i)
+	order := make([]int, len(tables))
+	for i := range order {
+		order[i] = i
 	}
 	if len(tables) <= m.p.MaxPermutedTables {
-		permute(pc.order, 0, tryOrder)
+		permute(order, 0, tryOrder)
 	} else {
-		tryOrder(pc.order)
+		tryOrder(order)
 	}
 	if math.IsInf(bestCost, 1) {
 		// No connected order: price the cross product pessimistically.
 		var total, rows float64 = 0, 1
 		var used []index.ID
-		for i := range tables {
-			r := &pc.scans[i]
+		for i := range scans {
+			r := &scans[i]
 			total += r.cost
 			rows *= math.Max(r.rows, 1)
 			used = append(used, r.used...)
 		}
 		return m.p.outputCost(total, rows), index.NewSet(used...)
 	}
-	return bestCost, index.NewSet(pc.best...)
+	return bestCost, index.NewSet(bestUsed...)
 }
 
 // connectingLink returns the first link, in s.Joins order, that joins
@@ -574,37 +496,36 @@ func connectingLink(links []joinLink, ti int, prefix []int) (col string, ok bool
 	return "", false
 }
 
-// planOrder prices one left-deep join order (given as table positions),
-// leaving the used indices of the order in pc.used. Each joined table
-// enters via the cheaper of index nested-loop (driven by a connecting
-// join predicate) or hash join; disconnected orders are rejected.
-// Membership in the partial plan is a prefix of order, so connectivity is
-// a few integer comparisons per step.
-func (m *Model) planOrder(pc *planContext, order []int) (cost, rows float64, ok bool) {
-	first := &pc.scans[order[0]]
-	cost = first.cost
-	rows = first.rows
-	used := append(pc.used[:0], first.used...)
+// planOrder prices one left-deep join order (given as table positions over
+// the per-position indexes avail and scans) and returns the indices it
+// uses. Each joined table enters via the cheaper of index nested-loop
+// (driven by a connecting join predicate) or hash join; disconnected
+// orders are rejected. Membership in the partial plan is a prefix of
+// order, so connectivity is a few integer comparisons per step.
+func (m *Model) planOrder(s *stmt.Statement, avail [][]*index.Index, scans []accessResult, links []joinLink, order []int) (cost, rows float64, used []index.ID, ok bool) {
+	first := &scans[order[0]]
+	cost, rows = first.cost, first.rows
+	used = append(used, first.used...)
 
 	for oi := 1; oi < len(order); oi++ {
 		ti := order[oi]
-		joinCol, connected := connectingLink(pc.links, ti, order[:oi])
+		joinCol, connected := connectingLink(links, ti, order[:oi])
 		if !connected {
-			pc.used = used
-			return 0, 0, false
+			return 0, 0, nil, false
 		}
-		d := m.joinDistinct(pc.tables[ti], joinCol)
+		table := s.Tables[ti]
+		d := m.joinDistinct(table, joinCol)
 
 		stepCost := math.Inf(1)
 		var stepUsed []index.ID
 		// Index nested-loop join.
-		if pr, found := pc.probeFor(ti, joinCol); found && pr.ok {
-			if c := rows * pr.perProbe; c < stepCost {
+		if perProbe, probeUsed, found := m.probeTable(s, table, joinCol, avail[ti]); found {
+			if c := rows * perProbe; c < stepCost {
 				stepCost = c
-				stepUsed = pr.used
+				stepUsed = probeUsed
 			}
 		}
-		inner := &pc.scans[ti]
+		inner := &scans[ti]
 		if hashCost := m.p.hashJoinCost(inner.cost, rows, inner.rows); hashCost < stepCost {
 			stepCost = hashCost
 			stepUsed = inner.used
@@ -614,8 +535,7 @@ func (m *Model) planOrder(pc *planContext, order []int) (cost, rows float64, ok 
 		used = append(used, stepUsed...)
 		rows = joinRows(rows, inner.rows, d)
 	}
-	pc.used = used
-	return cost, rows, true
+	return cost, rows, used, true
 }
 
 // updateCost prices an update: locate the affected rows via the cheapest
@@ -623,14 +543,10 @@ func (m *Model) planOrder(pc *planContext, order []int) (cost, rows float64, ok 
 // key contains a modified column.
 func (m *Model) updateCost(s *stmt.Statement, cfg index.Set) (float64, index.Set) {
 	table := s.UpdateTable()
-	t := m.cat.MustTable(table)
-	pc := acquirePlanContext(s.Tables)
-	defer planContextPool.Put(pc)
-	avail := m.tableIndexes(cfg, table, pc.avail[0])
-	pc.avail[0] = avail
+	avail := m.tableIndexes(cfg, table)
 
-	where := m.scanTable(s, table, avail, pc)
-	affected := t.Rows * s.PredSelectivity(table)
+	where := m.scanTable(s, table, avail)
+	affected := m.cat.MustTable(table).Rows * s.PredSelectivity(table)
 	total := m.p.heapWriteCost(where.cost, affected)
 	used := append([]index.ID(nil), where.used...)
 

@@ -138,10 +138,10 @@ func (m *Model) Prepare(s *stmt.Statement, ids []index.ID) *Prepared {
 	return p
 }
 
-// prepareJoins resolves the join links, one probe slot per distinct
-// (table position, join column), and every connected join order with its
-// per-step slot, distinct count and row estimate — the part of queryCost
-// and planOrder that no configuration changes.
+// prepareJoins resolves every connected join order with its per-step
+// probe slot, distinct count and row estimate, and one slot per distinct
+// (table position, join column) some order joins through — the part of
+// queryCost and planOrder that no configuration changes.
 func (p *Prepared) prepareJoins(m *Model, s *stmt.Statement, ids []index.ID, members []uint64) {
 	tables := s.Tables
 	type slotKey struct {
@@ -165,18 +165,7 @@ func (p *Prepared) prepareJoins(m *Model, s *stmt.Statement, ids []index.ID, mem
 		p.slots = append(p.slots, opts)
 		return len(keys) - 1
 	}
-	var links []joinLink
-	for i := range s.Joins {
-		j := &s.Joins[i]
-		a, b := tablePos(tables, j.LeftTable), tablePos(tables, j.RightTable)
-		if a < 0 || b < 0 {
-			continue
-		}
-		links = append(links, joinLink{a: a, b: b, colA: j.LeftColumn, colB: j.RightColumn})
-		slotOf(a, j.LeftColumn)
-		slotOf(b, j.RightColumn)
-	}
-
+	links := joinLinks(s)
 	visit := func(order []int) {
 		o := prepOrder{first: order[0], rows: p.tables[order[0]].out}
 		for oi := 1; oi < len(order); oi++ {

@@ -546,20 +546,6 @@ func (g *Graph) CostProbe(ids []index.ID, xlat []uint32) (func(mask uint32) floa
 	return probe, relevant
 }
 
-// EmptyCost returns cost(q, ∅).
-func (g *Graph) EmptyCost() float64 { return g.CostMask(0) }
-
-// Benefit returns benefit_q({a}, X) = cost(X) − cost(X ∪ {a}). Negative
-// values arise for updates when a must be maintained.
-func (g *Graph) Benefit(a index.ID, x index.Set) float64 {
-	pos, ok := g.usedPos[a]
-	if !ok {
-		return 0
-	}
-	m := g.maskOf(x) &^ (1 << pos)
-	return g.CostMask(m) - g.CostMask(m|(1<<pos))
-}
-
 // MaxBenefit returns max_X benefit_q({a}, X), the βn statistic of
 // chooseCands. Exact over subsets of the used union when small; otherwise
 // maximized over node-derived contexts.

@@ -128,10 +128,17 @@ func generatedGraphs(profile string, keep func(o *whatif.Optimizer, s *stmt.Stat
 // TestUsedUnionCappedAt32 builds graphs whose used unions would exceed the
 // 32 bits of a probe mask: ad-hoc statements over every candidate mined so
 // far. Each such graph keeps 32 used indices and reports itself truncated,
-// every child link drops the kept index it is filed under, and the graph
-// prices exactly every configuration that holds all the indices it
-// dropped. Graphs cut at MaxNodes are skipped, since they price only
-// approximately anyway.
+// every child link drops the kept index it is filed under, and the first
+// one prices every configuration that holds all the indices it dropped
+// exactly as a direct what-if optimization does, bit for bit. Graphs cut
+// at MaxNodes are skipped, since they price only approximately anyway.
+//
+// The same walk holds the build over more than 64 relevant candidates,
+// which takes the set path instead of a cost.Prepared and prices every
+// node with CostUsed, to the same contract: the first three such graphs
+// that are not truncated price every configuration bit for bit. Builds
+// run on two workers, so under -race the wide waves also check that
+// concurrent CostUsed calls share no state.
 func TestUsedUnionCappedAt32(t *testing.T) {
 	cat, joins := datagen.Build()
 	m := cost.NewModel(cat, index.NewRegistry(), cost.DefaultParams())
@@ -143,33 +150,10 @@ func TestUsedUnionCappedAt32(t *testing.T) {
 	ex := cost.NewExtractor(m)
 	mined := index.EmptySet
 	rng := rand.New(rand.NewSource(33))
-	for _, s := range workload.Generate(cat, joins, wo).Statements {
-		if s.Kind != stmt.Query {
-			continue
-		}
-		mined = mined.Union(ex.Extract(s))
-		if m.RestrictConfig(s, mined).Len() <= maxUsedBits {
-			continue // too few relevant candidates to need the cap
-		}
-		g := Build(o, s, mined)
-		if n := g.UsedUnion().Len(); n > maxUsedBits {
-			t.Fatalf("stmt %d: %d used indices, more than a probe mask holds", s.ID, n)
-		}
-		if g.NodeCount() >= MaxNodes || !g.Truncated() {
-			continue
-		}
-		if n := g.UsedUnion().Len(); n != maxUsedBits {
-			t.Fatalf("stmt %d: truncated below MaxNodes with %d used indices", s.ID, n)
-		}
-		for i := range g.nodes {
-			for p, child := range g.nodes[i].children {
-				if child != nil && child.cfgMask != g.nodes[i].cfgMask&^(1<<p) {
-					t.Fatalf("stmt %d node %d: child link %d does not drop used index %d", s.ID, i, p, p)
-				}
-			}
-		}
+	// checkSubsets compares g with direct optimizations on 200 random
+	// subsets of its top, each joined with always.
+	checkSubsets := func(s *stmt.Statement, g *Graph, always index.Set) {
 		top := g.Top().IDs()
-		unused := g.Top().Minus(g.UsedUnion())
 		for trial := 0; trial < 200; trial++ {
 			var sub []index.ID
 			for _, id := range top {
@@ -177,16 +161,54 @@ func TestUsedUnionCappedAt32(t *testing.T) {
 					sub = append(sub, id)
 				}
 			}
-			cfg := index.NewSet(sub...).Union(unused)
-			got := g.Cost(cfg)
-			want := m.Cost(s, m.RestrictConfig(s, cfg))
-			if math.Abs(got-want) > 1e-9*(1+want) {
+			cfg := index.NewSet(sub...).Union(always)
+			if got, want := g.Cost(cfg), m.Cost(s, cfg); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("stmt %d cfg %v: IBG=%v direct=%v", s.ID, cfg, got, want)
 			}
 		}
-		return // one capped graph suffices
 	}
-	t.Fatalf("no graph was capped at %d used indices", maxUsedBits)
+	capped, setPath := false, 0
+	for _, s := range workload.Generate(cat, joins, wo).Statements {
+		if s.Kind != stmt.Query {
+			continue
+		}
+		mined = mined.Union(ex.Extract(s))
+		relevant := m.RestrictConfig(s, mined).Len()
+		if relevant <= maxUsedBits || capped && relevant <= 64 {
+			continue // too few relevant candidates to need the cap, or no graph left to find
+		}
+		g := BuildWorkers(o, s, mined, 2)
+		if n := g.UsedUnion().Len(); n > maxUsedBits {
+			t.Fatalf("stmt %d: %d used indices, more than a probe mask holds", s.ID, n)
+		}
+		switch {
+		case !g.Truncated():
+			if relevant > 64 && setPath < 3 {
+				checkSubsets(s, g, index.EmptySet)
+				setPath++
+			}
+		case g.NodeCount() < MaxNodes:
+			if n := g.UsedUnion().Len(); n != maxUsedBits {
+				t.Fatalf("stmt %d: truncated below MaxNodes with %d used indices", s.ID, n)
+			}
+			for i := range g.nodes {
+				for p, child := range g.nodes[i].children {
+					if child != nil && child.cfgMask != g.nodes[i].cfgMask&^(1<<p) {
+						t.Fatalf("stmt %d node %d: child link %d does not drop used index %d", s.ID, i, p, p)
+					}
+				}
+			}
+			if !capped {
+				checkSubsets(s, g, g.Top().Minus(g.UsedUnion()))
+				capped = true
+			}
+		}
+		g.Release()
+		if capped && setPath == 3 {
+			return
+		}
+	}
+	t.Fatalf("found %t for a graph capped at %d used indices and %d of 3 untruncated graphs over more than 64 candidates", capped, maxUsedBits, setPath)
 }
 
 func TestIBGTopRestrictedToRelevant(t *testing.T) {
@@ -341,7 +363,8 @@ func TestBenefitSign(t *testing.T) {
 	opt, _, ids := testSetup(t)
 	q := joinQuery()
 	g := Build(opt, q, index.NewSet(ids...))
-	if b := g.Benefit(ids[0], index.EmptySet); b <= 0 {
+	only := index.NewSet(ids[0])
+	if b := g.Cost(index.EmptySet) - g.Cost(only); b <= 0 {
 		t.Fatalf("selective index benefit = %v, want > 0", b)
 	}
 	u := updateStmt()
@@ -349,7 +372,7 @@ func TestBenefitSign(t *testing.T) {
 	// ids[0] = lineitem(l_shipdate): l_shipdate is modified, so the index
 	// must be maintained; without helping the WHERE clause its benefit is
 	// negative.
-	if b := gu.Benefit(ids[0], index.EmptySet); b >= 0 {
+	if b := gu.Cost(index.EmptySet) - gu.Cost(only); b >= 0 {
 		t.Fatalf("maintained index benefit = %v, want < 0", b)
 	}
 }
@@ -380,8 +403,8 @@ func TestEmptyCandidates(t *testing.T) {
 	if g.NodeCount() != 1 {
 		t.Fatalf("empty-candidate IBG has %d nodes", g.NodeCount())
 	}
-	if got, want := g.EmptyCost(), m.Cost(q, index.EmptySet); got != want {
-		t.Fatalf("EmptyCost = %v, want %v", got, want)
+	if got, want := g.Cost(index.EmptySet), m.Cost(q, index.EmptySet); got != want {
+		t.Fatalf("empty-configuration cost = %v, want %v", got, want)
 	}
 }
 

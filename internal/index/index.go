@@ -177,6 +177,20 @@ func (r *Registry) Len() int {
 	return len(r.defs)
 }
 
+// CheckIDs returns an error unless every ID in ids names a definition in
+// r: none is Invalid and none is beyond Len. Restores call it on every ID
+// a persisted state carries, since that state comes from outside the
+// process and Get panics on an unknown ID.
+func (r *Registry) CheckIDs(ids ...ID) error {
+	n := r.Len()
+	for _, id := range ids {
+		if id == Invalid || int(id) > n {
+			return fmt.Errorf("index ID %d outside registry size %d", id, n)
+		}
+	}
+	return nil
+}
+
 // All returns the definitions of every interned index in ID order.
 func (r *Registry) All() []*Index {
 	r.mu.RLock()

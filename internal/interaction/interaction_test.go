@@ -3,6 +3,7 @@ package interaction
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/index"
@@ -36,9 +37,9 @@ func TestWindowCapExpiresOldest(t *testing.T) {
 	if w.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", w.Len())
 	}
-	// Entries 3,4,5 remain; total 12.
-	if got := w.Total(); got != 12 {
-		t.Fatalf("Total = %v, want 12", got)
+	// Entries 3,4,5 remain.
+	if got := w.Export(); !slices.Equal(got.Pos, []int{3, 4, 5}) || !slices.Equal(got.Vals, []float64{3, 4, 5}) || got.Dropped != 2 {
+		t.Fatalf("retained %+v, want positions and values 3, 4, 5 with 2 dropped", got)
 	}
 }
 
@@ -86,8 +87,8 @@ func TestBenefitStats(t *testing.T) {
 	if got := s.Current(3, 6); got != 0 {
 		t.Fatalf("unknown index Current = %v", got)
 	}
-	if got := s.Total(1); got != 10 {
-		t.Fatalf("Total = %v", got)
+	if got := s.Export().Entries; len(got) != 2 || got[0].ID != 1 || !slices.Equal(got[0].Window.Vals, []float64{10}) {
+		t.Fatalf("retained histories %+v, want index 1 with the one value 10 first", got)
 	}
 }
 

@@ -117,16 +117,6 @@ func (w *Window) LastPos() int {
 	return w.pos[len(w.pos)-1]
 }
 
-// Total returns the sum of retained values (used by the offline variant
-// of chooseCands that averages over the whole workload).
-func (w *Window) Total() float64 {
-	t := 0.0
-	for _, v := range w.vals {
-		t += v
-	}
-	return t
-}
-
 // BenefitStats is idxStats: per-index benefit histories, kept in an
 // array indexed by ID. Registry IDs are dense, so the array is O(registry
 // size); every restore path checks IDs against the registry first.
@@ -241,14 +231,6 @@ func (s *BenefitStats) PenalizedBound(a index.ID, n int, penalty float64) (float
 	return e.sum / denominator(n, e.oldest), true
 }
 
-// Total returns the summed recorded benefit of a.
-func (s *BenefitStats) Total(a index.ID) float64 {
-	if w := s.window(a); w != nil {
-		return w.Total()
-	}
-	return 0
-}
-
 // Len reports the number of retained per-index histories.
 func (s *BenefitStats) Len() int { return s.live }
 
@@ -333,14 +315,6 @@ func (s *InteractionStats) Add(a, b index.ID, n int, d float64) {
 func (s *InteractionStats) Current(a, b index.ID, n int) float64 {
 	if w, ok := s.m[MakePair(a, b)]; ok {
 		return w.Current(n)
-	}
-	return 0
-}
-
-// Total returns the summed recorded doi of the pair.
-func (s *InteractionStats) Total(a, b index.ID) float64 {
-	if w, ok := s.m[MakePair(a, b)]; ok {
-		return w.Total()
 	}
 	return 0
 }

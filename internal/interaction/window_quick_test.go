@@ -2,6 +2,7 @@ package interaction
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -65,12 +66,8 @@ func TestWindowCapKeepsMostRecent(t *testing.T) {
 		if len(vals) > cap {
 			keep = vals[len(vals)-cap:]
 		}
-		wantTotal := 0.0
-		for _, v := range keep {
-			wantTotal += v
-		}
-		if got := w.Total(); got < wantTotal-1e-9 || got > wantTotal+1e-9 {
-			t.Fatalf("cap=%d n=%d: Total=%v want %v", cap, n, got, wantTotal)
+		if got := w.Export(); !slices.Equal(got.Vals, keep) || len(got.Pos) != len(keep) || got.Pos[0] != n-len(keep)+1 {
+			t.Fatalf("cap=%d n=%d: retained %+v, want the last %d values %v", cap, n, got, len(keep), keep)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/datagen"
 )
 
@@ -169,6 +170,7 @@ func TestSessionConfigValidation(t *testing.T) {
 		func(c *SessionConfig) { c.Options.HistSize = -1 },
 		func(c *SessionConfig) { c.Options.RetireAfter = -2 },
 		func(c *SessionConfig) { c.CheckpointBytes = -64 },
+		func(c *SessionConfig) { c.Options.MaxPartSize = core.MaxPartBits + 1 },
 	}
 	for i, mut := range muts {
 		cfg := testSessionConfig("bad")

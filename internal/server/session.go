@@ -165,9 +165,11 @@ func (c SessionConfig) Check() error {
 // validate rejects knob values that would silently create unbounded
 // tuner state — a non-positive IdxCnt/StateCnt/HistSize flows into
 // NewWindow(cap <= 0), an infinite history, turning the durable service
-// into a memory leak — or that are nonsensical for the service. It runs
-// after applyDefaults, so zeros have already become defaults and anything
-// non-positive here was an explicit request.
+// into a memory leak — or that are nonsensical for the service. A
+// MaxPartSize above core.MaxPartBits is refused too, as RestoreWFIT
+// refuses it, so no session is created that its own recovery rejects.
+// It runs after applyDefaults, so zeros have already become defaults and
+// anything non-positive here was an explicit request.
 func (c *SessionConfig) validate() error {
 	bad := func(format string, args ...any) error {
 		return &ConfigError{Err: fmt.Errorf(format, args...)}
@@ -182,6 +184,8 @@ func (c *SessionConfig) validate() error {
 		return bad("hist_size must be positive, got %d (unbounded histories are not allowed in the service)", o.HistSize)
 	case o.RetireAfter < 0:
 		return bad("retire_after must be non-negative, got %d", o.RetireAfter)
+	case o.MaxPartSize > core.MaxPartBits:
+		return bad("max_part_size must be at most %d, the widest part a work function holds, got %d", core.MaxPartBits, o.MaxPartSize)
 	case c.CheckpointBytes < 0:
 		return bad("checkpoint_bytes must be non-negative, got %d", c.CheckpointBytes)
 	}

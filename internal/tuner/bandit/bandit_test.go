@@ -91,7 +91,10 @@ func TestCompactRegistryPreservesDecisions(t *testing.T) {
 }
 
 // TestRestoreRejectsHistoryBeyondRegistry checks that Restore refuses a
-// benefit history whose index ID the registry does not hold.
+// state naming an index ID the registry does not hold, the invalid ID 0
+// included, in a benefit history, a set, a pin or a ban. Restored
+// unchecked, ID 0 in the selection, the materialized set or the universe
+// panics the next AnalyzeQuery ("index: unknown ID 0").
 func TestRestoreRejectsHistoryBeyondRegistry(t *testing.T) {
 	cat, _ := datagen.Build()
 	reg := index.NewRegistry()
@@ -109,8 +112,25 @@ func TestRestoreRejectsHistoryBeyondRegistry(t *testing.T) {
 	if _, err := Restore(opt, st); err != nil {
 		t.Fatalf("Restore of an exported state: %v", err)
 	}
-	st.Stats.Entries[len(st.Stats.Entries)-1].ID = index.ID(reg.Len() + 1)
-	if _, err := Restore(opt, st); err == nil || !strings.Contains(err.Error(), "outside registry") {
-		t.Fatalf("Restore error = %v, want one mentioning %q", err, "outside registry")
+	beyond := index.ID(reg.Len() + 1)
+	cases := []struct {
+		name    string
+		corrupt func(st *State)
+	}{
+		{"benefit ID beyond registry", func(st *State) { st.Stats.Entries[len(st.Stats.Entries)-1].ID = beyond }},
+		{"benefit ID invalid", func(st *State) { st.Stats.Entries[0].ID = index.Invalid }},
+		{"selection ID invalid", func(st *State) { st.Selection = st.Selection.Add(index.Invalid) }},
+		{"materialized ID invalid", func(st *State) { st.Materialized = st.Materialized.Add(index.Invalid) }},
+		{"universe ID invalid", func(st *State) { st.Universe = st.Universe.Add(index.Invalid) }},
+		{"initial set ID beyond registry", func(st *State) { st.S0 = st.S0.Add(beyond) }},
+		{"pin ID beyond registry", func(st *State) { st.Pinned = append(st.Pinned, Vote{ID: beyond, Pos: st.N}) }},
+		{"ban ID invalid", func(st *State) { st.Banned = append([]Vote{{ID: index.Invalid, Pos: st.N}}, st.Banned...) }},
+	}
+	for _, c := range cases {
+		bad := b.ExportState().(*State)
+		c.corrupt(bad)
+		if _, err := Restore(opt, bad); err == nil || !strings.Contains(err.Error(), "outside registry") {
+			t.Errorf("%s: Restore error = %v, want one mentioning %q", c.name, err, "outside registry")
+		}
 	}
 }

@@ -103,11 +103,14 @@ func Restore(opt *whatif.Optimizer, st *State) (*Bandit, error) {
 	t.materialized = st.Materialized
 	t.universe = st.Universe
 	t.selection = st.Selection
+	var votes []index.ID
 	for _, v := range st.Pinned {
 		t.pinned[v.ID] = v.Pos
+		votes = append(votes, v.ID)
 	}
 	for _, v := range st.Banned {
 		t.banned[v.ID] = v.Pos
+		votes = append(votes, v.ID)
 	}
 	if len(st.Gram) != featDim*featDim || len(st.Reward) != featDim {
 		return nil, fmt.Errorf("bandit: state carries a %d/%d regression, want %d/%d", len(st.Gram), len(st.Reward), featDim*featDim, featDim)
@@ -116,23 +119,16 @@ func Restore(opt *whatif.Optimizer, st *State) (*Bandit, error) {
 	copy(t.reward, st.Reward)
 	t.rng.SetState(st.RandState)
 
-	regLen := t.reg.Len()
-	check := func(s index.Set) error {
-		if !s.Empty() && int(s.IDs()[s.Len()-1]) > regLen {
-			return fmt.Errorf("bandit: state references index ID %d beyond registry size %d", s.IDs()[s.Len()-1], regLen)
-		}
-		return nil
-	}
-	for _, s := range []index.Set{t.universe, t.selection, t.materialized} {
-		if err := check(s); err != nil {
-			return nil, err
+	for _, ids := range [][]index.ID{t.s0.IDs(), t.materialized.IDs(), t.universe.IDs(), t.selection.IDs(), votes} {
+		if err := t.reg.CheckIDs(ids...); err != nil {
+			return nil, fmt.Errorf("bandit: state references %w", err)
 		}
 	}
 	// The statistics are indexed by ID, so an ID beyond the registry
 	// would size them by the ID instead of the registry.
 	for _, e := range st.Stats.Entries {
-		if e.ID == index.Invalid || int(e.ID) > regLen {
-			return nil, fmt.Errorf("bandit: benefit history for index ID %d outside registry size %d", e.ID, regLen)
+		if err := t.reg.CheckIDs(e.ID); err != nil {
+			return nil, fmt.Errorf("bandit: benefit history for %w", err)
 		}
 	}
 	var err error
