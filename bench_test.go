@@ -329,6 +329,28 @@ func BenchmarkIBGBuildWide(b *testing.B) {
 	b.ReportMetric(float64(w.nodes)/wideGraphs, "nodes/build")
 }
 
+// BenchmarkStatisticsWide measures the serial benefit and doi statistics
+// of the graphs BenchmarkIBGBuildWide builds, one graph per iteration,
+// cycling through them. Each graph is built outside the timer and
+// released after its statistics, as WFIT releases each statement's graph.
+func BenchmarkStatisticsWide(b *testing.B) {
+	w := wideEnv(b)
+	used := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % wideGraphs
+		b.StopTimer()
+		g := ibg.Build(w.optm, w.stmts[k], w.cands[k])
+		used += g.UsedUnion().Len()
+		b.StartTimer()
+		g.Statistics(1e-6, 1)
+		b.StopTimer()
+		g.Release()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(used)/float64(b.N), "used/graph")
+}
+
 // BenchmarkIBGCostLookup measures configuration probes against a built
 // graph (the operation WFA performs 2^|part| times per statement).
 func BenchmarkIBGCostLookup(b *testing.B) {

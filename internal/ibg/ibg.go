@@ -40,12 +40,17 @@
 // Either way the result is byte-identical to the serial form. A frozen
 // graph is safe for concurrent probing: the cost memo is filled with
 // atomic writes of values that are deterministic functions of the
-// (immutable) node structure.
+// (immutable) node structure. Statistics is the exception: on a graph
+// wider than exactEnumBits whose memo is live it fills the whole memo in
+// one walk of the graph and empties it again, so it must not overlap
+// probes of the graph or another Statistics call on it. WFIT runs it
+// once per graph, right after the build and before any probe.
 package ibg
 
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -88,7 +93,9 @@ type node struct {
 // clearing: bumping the epoch invalidates every stale entry at once.
 // (Earlier versions allocated a fresh array per statement and initialized
 // every slot to an all-ones sentinel — a NaN bit pattern — which made the
-// memo the single largest per-statement allocation.)
+// memo the single largest per-statement allocation.) The wide statistics
+// pass also writes vals, without stamps and without atomics, so it must not
+// overlap probes; it bumps the epoch when done (see Graph.Statistics).
 type costMemo struct {
 	bits  int
 	epoch uint32
@@ -107,13 +114,7 @@ var memoPool [memoMaxBits + 1]sync.Pool
 
 func acquireMemo(bits int) *costMemo {
 	if m, _ := memoPool[bits].Get().(*costMemo); m != nil {
-		m.epoch++
-		if m.epoch == 0 {
-			// Stamp wraparound (once per 2^32 reuses): old stamps could
-			// collide with the restarted epoch, so clear them.
-			clear(m.stamp)
-			m.epoch = 1
-		}
+		m.nextEpoch()
 		return m
 	}
 	return &costMemo{
@@ -121,6 +122,17 @@ func acquireMemo(bits int) *costMemo {
 		epoch: 1,
 		vals:  make([]uint64, 1<<bits),
 		stamp: make([]uint32, 1<<bits),
+	}
+}
+
+// nextEpoch invalidates every slot of the memo at once.
+func (m *costMemo) nextEpoch() {
+	m.epoch++
+	if m.epoch == 0 {
+		// Stamp wraparound (once per 2^32 bumps): old stamps could
+		// collide with the restarted epoch, so clear them.
+		clear(m.stamp)
+		m.epoch = 1
 	}
 }
 
@@ -153,6 +165,7 @@ type buildNode struct {
 	cost     float64
 	cfg      index.Set // configuration (more than 64 indices only)
 	used     index.Set // used set (more than 64 indices only)
+	key      string    // cfg as a bitmap over top's positions (more than 64 indices only)
 	kidStart int32     // span into builder.links
 	kidEnd   int32
 }
@@ -174,6 +187,7 @@ type builder struct {
 	nextWv []int32
 	byMask map[uint64]int32
 	byKey  map[string]int32
+	keyBuf []byte // a child's key under construction (more than 64 indices only)
 }
 
 var builderPool = sync.Pool{New: func() any {
@@ -214,8 +228,9 @@ func BuildWorkers(opt *whatif.Optimizer, s *stmt.Statement, candidates index.Set
 
 	// Node lookup is by configuration identity. Configurations are
 	// subsets of top, so when top is small they are bitmasks over it,
-	// priced from one prepared statement; the set-valued path with its
-	// string-key map is the fallback for oversized candidate sets.
+	// priced from one prepared statement; the set-valued path, keyed by
+	// bitmaps over top's positions, is the fallback for oversized
+	// candidate sets.
 	topIDs := top.IDs()
 	var prep *cost.Prepared
 	if len(topIDs) <= 64 {
@@ -227,8 +242,14 @@ func BuildWorkers(opt *whatif.Optimizer, s *stmt.Statement, candidates index.Set
 		if b.byKey == nil {
 			b.byKey = make(map[string]int32)
 		}
-		b.nodes = append(b.nodes, buildNode{cfg: top})
-		b.byKey[top.Key()] = 0
+		// The root's key has every position of top set.
+		b.keyBuf = append(b.keyBuf[:0], make([]byte, (len(topIDs)+7)/8)...)
+		for i := range topIDs {
+			b.keyBuf[i/8] |= 1 << (i % 8)
+		}
+		key := string(b.keyBuf)
+		b.nodes = append(b.nodes, buildNode{cfg: top, key: key})
+		b.byKey[key] = 0
 	}
 
 	// costWave prices every node of a frontier wave: one independent
@@ -261,7 +282,7 @@ func BuildWorkers(opt *whatif.Optimizer, s *stmt.Statement, candidates index.Set
 			if prep != nil {
 				b.expandMask(ni, topIDs)
 			} else {
-				b.expandSet(ni)
+				b.expandSet(ni, topIDs)
 			}
 			b.nodes[ni].kidStart, b.nodes[ni].kidEnd = kidStart, int32(len(b.links))
 		}
@@ -292,19 +313,25 @@ func (b *builder) expandMask(ni int32, topIDs []index.ID) {
 	}
 }
 
-// expandSet is expandMask for candidate sets too large for a mask.
-func (b *builder) expandSet(ni int32) {
+// expandSet is expandMask for candidate sets too large for a mask. A
+// child is looked up by its key, the parent's with one position cleared,
+// without allocating; its key string and index.Set are built only when it
+// is new.
+func (b *builder) expandSet(ni int32, topIDs []index.ID) {
 	// Copy the expansion inputs out: appending children may grow the node
 	// slab and invalidate pointers into it.
-	cfg, used := b.nodes[ni].cfg, b.nodes[ni].used
+	cfg, used, key := b.nodes[ni].cfg, b.nodes[ni].used, b.nodes[ni].key
 	used.Each(func(a index.ID) {
-		childCfg := cfg.Remove(a)
-		key := childCfg.Key()
-		child, ok := b.byKey[key]
+		b.keyBuf = append(b.keyBuf[:0], key...)
+		if p, ok := slices.BinarySearch(topIDs, a); ok {
+			b.keyBuf[p/8] &^= 1 << (p % 8)
+		}
+		child, ok := b.byKey[string(b.keyBuf)]
 		if !ok {
 			child = int32(len(b.nodes))
-			b.nodes = append(b.nodes, buildNode{cfg: childCfg})
-			b.byKey[key] = child
+			childKey := string(b.keyBuf)
+			b.nodes = append(b.nodes, buildNode{cfg: cfg.Remove(a), key: childKey})
+			b.byKey[childKey] = child
 			b.nextWv = append(b.nextWv, child)
 		}
 		b.links = append(b.links, childLink{id: a, child: child})
@@ -630,7 +657,9 @@ func (g *Graph) DOI(a, b index.ID) float64 {
 // statsCosts returns a dense cost table over every used-union mask —
 // dense[m] == CostMask(m) — filled once per graph, or nil when the union
 // exceeds exactEnumBits or the memo was released. Safe for concurrent
-// use: the sync.Once fill happens-before every read.
+// use: the sync.Once fill happens-before every read. (Wider graphs with a
+// live memo get their table from fillCosts, written into the memo itself
+// by Statistics.)
 func (g *Graph) statsCosts() []float64 {
 	if len(g.usedIDs) > exactEnumBits {
 		return nil
@@ -698,10 +727,19 @@ func (g *Graph) Interactions(threshold float64) []Interaction {
 }
 
 // Statistics returns MaxBenefit of every used index, in UsedUnion order,
-// and the Interactions above threshold. On a graph wider than
-// exactEnumBits, whose node-context fallback is slow, the maximizations
-// run on up to workers goroutines (<= 0 means one per CPU); results are
-// collected by index, so any worker count gives the same output.
+// and the Interactions above threshold, each bit for bit what the
+// per-index and per-pair calls return. On a graph wider than
+// exactEnumBits, whose maximizations run over node contexts and are the
+// analysis tail, the work fans out on up to workers goroutines (<= 0 means
+// one per CPU); results are collected by index, so any worker count gives
+// the same output.
+//
+// If that graph's memo is live (at most memoMaxBits used indices, not
+// released), Statistics fills the memo with every mask's cost and reads
+// it with plain loads (contextStatistics), then empties it. It must
+// therefore not overlap probes of the graph or another Statistics call on
+// it; run it before probing, as WFIT's analysis and the benchmark
+// environment's Interactions do.
 func (g *Graph) Statistics(threshold float64, workers int) (benefits []float64, interactions []Interaction) {
 	n := len(g.usedIDs)
 	pairs := make([][2]index.ID, 0, n*(n-1)/2)
@@ -710,23 +748,158 @@ func (g *Graph) Statistics(threshold float64, workers int) (benefits []float64, 
 			pairs = append(pairs, [2]index.ID{g.usedIDs[i], g.usedIDs[j]})
 		}
 	}
-	if n <= exactEnumBits {
-		workers = 1
-	}
 	benefits = make([]float64, n)
 	dois := make([]float64, len(pairs))
-	par.Do(workers, n+len(pairs), func(k int) {
-		if k < n {
-			benefits[k] = g.MaxBenefit(g.usedIDs[k])
-			return
+	if n > exactEnumBits && g.memo != nil {
+		g.contextStatistics(benefits, dois, workers)
+	} else {
+		if n <= exactEnumBits {
+			workers = 1
 		}
-		p := pairs[k-n]
-		dois[k-n] = g.DOI(p[0], p[1])
-	})
+		par.Do(workers, n+len(pairs), func(k int) {
+			if k < n {
+				benefits[k] = g.MaxBenefit(g.usedIDs[k])
+				return
+			}
+			p := pairs[k-n]
+			dois[k-n] = g.DOI(p[0], p[1])
+		})
+	}
 	for k, p := range pairs {
 		if dois[k] > threshold {
 			interactions = append(interactions, Interaction{A: p[0], B: p[1], Doi: dois[k]})
 		}
 	}
 	return benefits, interactions
+}
+
+// statsChunk is how many node contexts make one unit of
+// contextStatistics' fan-out.
+const statsChunk = 256
+
+// contextStatistics computes Statistics' benefits and dois (pairs in
+// ascending bit order) over node contexts, for a graph wider than
+// exactEnumBits with a live memo. It fills the memo with every mask's cost
+// in one walk (fillCosts), so each term is MaxBenefit's and DOI's own
+// expression over plain loads instead of CostMask probes. The node slab is
+// split into contiguous chunks maximized in parallel, and the chunk maxima
+// are merged in chunk order by the same strict >, which keeps the value
+// the scans in node order keep, bit for bit. The stamps never saw the
+// fill, so the epoch bump at the end leaves later probes an empty memo.
+func (g *Graph) contextStatistics(benefits, dois []float64, workers int) {
+	m := g.memo
+	g.fillCosts(m.vals)
+	vals := m.vals
+	n := len(benefits)
+	width := n + len(dois)
+	chunks := (len(g.nodes) + statsChunk - 1) / statsChunk
+	maxima := make([]float64, chunks*width)
+	par.Do(workers, chunks, func(c int) {
+		best := maxima[c*width : (c+1)*width]
+		bens, ds := best[:n], best[n:]
+		for i := range bens {
+			bens[i] = math.Inf(-1)
+		}
+		for _, nd := range g.nodes[c*statsChunk : min((c+1)*statsChunk, len(g.nodes))] {
+			k := 0
+			for i := 0; i < n; i++ {
+				bitA := uint32(1) << i
+				ctx := nd.cfgMask &^ bitA
+				if v := costAt(vals, ctx) - costAt(vals, ctx|bitA); v > bens[i] {
+					bens[i] = v
+				}
+				for j := i + 1; j < n; j++ {
+					bitB := uint32(1) << j
+					x := nd.cfgMask &^ (bitA | bitB)
+					v := math.Abs(costAt(vals, x) - costAt(vals, x|bitA) -
+						costAt(vals, x|bitB) + costAt(vals, x|bitA|bitB))
+					if v > ds[k] {
+						ds[k] = v
+					}
+					k++
+				}
+			}
+		}
+	})
+	for i := range benefits {
+		benefits[i] = math.Inf(-1)
+	}
+	for c := 0; c < chunks; c++ {
+		best := maxima[c*width : (c+1)*width]
+		for i, v := range best[:n] {
+			if v > benefits[i] {
+				benefits[i] = v
+			}
+		}
+		for k, v := range best[n:] {
+			if v > dois[k] {
+				dois[k] = v
+			}
+		}
+	}
+	for i, v := range benefits {
+		if math.IsInf(v, -1) {
+			benefits[i] = 0
+		}
+	}
+	m.nextEpoch()
+}
+
+// costAt reads mask x's cost from a table fillCosts wrote.
+func costAt(vals []uint64, x uint32) float64 {
+	return math.Float64frombits(vals[x])
+}
+
+// fillCosts writes math.Float64bits(find(m).cost) into vals[m] for every
+// used-union mask m, in one walk of the decisions find makes instead of
+// one walk per mask. Each mask is written exactly once.
+func (g *Graph) fillCosts(vals []uint64) {
+	g.fillFrom(vals, g.root, 0, 0)
+}
+
+// fillFrom fills the subcube of masks that find brings to n: the masks
+// that agree with present on the known bits, any subset of the free rest.
+// It reads n's used bits in find's ascending order. A bit known present is
+// skipped. A bit known absent is the lowest used bit every mask left
+// lacks, so all of them step to its child, or stop at n when a truncated
+// graph has no child there. A free bit splits the subcube: the masks
+// without it step to its child (or stop at n), and the masks with it read
+// on. The masks left once the used bits run out, or at a node without
+// children, stop at n.
+func (g *Graph) fillFrom(vals []uint64, n *node, known, present uint32) {
+	if n.children != nil {
+		for rest := n.usedMask; rest != 0; rest &= rest - 1 {
+			bit := rest & -rest
+			if present&bit != 0 {
+				continue
+			}
+			child := n.children[bits.TrailingZeros32(bit)]
+			if known&bit != 0 {
+				if child == nil {
+					break
+				}
+				g.fillFrom(vals, child, known, present)
+				return
+			}
+			if child != nil {
+				g.fillFrom(vals, child, known|bit, present)
+			} else {
+				fillSubcube(vals, n.cost, present, g.fullMask()&^(known|bit))
+			}
+			known |= bit
+			present |= bit
+		}
+	}
+	fillSubcube(vals, n.cost, present, g.fullMask()&^known)
+}
+
+// fillSubcube writes cost into vals[present|s] for every subset s of free.
+func fillSubcube(vals []uint64, cost float64, present, free uint32) {
+	v := math.Float64bits(cost)
+	for s := free; ; s = (s - 1) & free {
+		vals[present|s] = v
+		if s == 0 {
+			return
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package ibg
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -505,53 +506,200 @@ func nodeIndex(g *Graph) map[*node]int {
 	return idx
 }
 
-// TestStatisticsMatchesDefinitions checks Statistics on generated
-// statements, with one worker and with eight, against the per-index
-// MaxBenefit and pairwise DOI it folds together. The eight-worker pass
-// runs first on a fresh graph, so under -race it also fills the cost memo
-// concurrently.
+// TestStatisticsMatchesDefinitions checks Statistics bit for bit against
+// the per-index MaxBenefit and pairwise DOI, with eight workers and with
+// one, on every wide generated graph of both profiles (every twentieth under
+// the race detector) and on the first three narrow ones. On wide graphs
+// MaxBenefit and DOI keep their CostMask probes, so they are a reference
+// independent of the memo fill Statistics reads. They run first, so the
+// memo holds stamped entries when Statistics fills it; afterwards every
+// mask up to 16 used indices (a random sample above) must still probe to
+// find's cost, so no memo entry survives stale. A released wide graph,
+// which has no memo to fill, must give the same statistics.
 func TestStatisticsMatchesDefinitions(t *testing.T) {
-	o, cases := fanOutSetup(t)
 	const threshold = 1e-6
-	gated := false
-	for _, c := range cases {
-		g := Build(o, c.s, c.cands)
+	rng := rand.New(rand.NewSource(513))
+	check := func(s *stmt.Statement, g *Graph) {
+		t.Helper()
 		used := g.UsedUnion().IDs()
-		gated = gated || len(used) > exactEnumBits
-		b8, in8 := g.Statistics(threshold, 8)
-		b1, in1 := g.Statistics(threshold, 1)
-		var want []Interaction
-		for i := range used {
+		wantB := make([]float64, len(used))
+		var wantIn []Interaction
+		for i, a := range used {
+			wantB[i] = g.MaxBenefit(a)
 			for j := i + 1; j < len(used); j++ {
-				if d := g.DOI(used[i], used[j]); d > threshold {
-					want = append(want, Interaction{A: used[i], B: used[j], Doi: d})
+				if d := g.DOI(a, used[j]); d > threshold {
+					wantIn = append(wantIn, Interaction{A: a, B: used[j], Doi: d})
 				}
 			}
 		}
-		for _, got := range []struct {
-			workers      int
-			benefits     []float64
-			interactions []Interaction
-		}{{8, b8, in8}, {1, b1, in1}} {
-			if len(got.benefits) != len(used) || len(got.interactions) != len(want) {
-				t.Fatalf("stmt %d, %d workers: %d benefits and %d interactions, want %d and %d", c.s.ID,
-					got.workers, len(got.benefits), len(got.interactions), len(used), len(want))
+		compare := func(pass string, benefits []float64, interactions []Interaction) {
+			t.Helper()
+			if len(benefits) != len(wantB) || len(interactions) != len(wantIn) {
+				t.Fatalf("stmt %d, %s: %d benefits and %d interactions, want %d and %d", s.ID,
+					pass, len(benefits), len(interactions), len(wantB), len(wantIn))
 			}
-			for i, a := range used {
-				if b := g.MaxBenefit(a); got.benefits[i] != b {
-					t.Fatalf("stmt %d, %d workers: benefit of %d is %v, MaxBenefit %v", c.s.ID, got.workers, a, got.benefits[i], b)
+			for i := range wantB {
+				if math.Float64bits(benefits[i]) != math.Float64bits(wantB[i]) {
+					t.Fatalf("stmt %d, %s: benefit of %d is %v, MaxBenefit %v", s.ID, pass, used[i], benefits[i], wantB[i])
 				}
 			}
-			for k := range want {
-				if got.interactions[k] != want[k] {
-					t.Fatalf("stmt %d, %d workers: interaction %d is %+v, want %+v", c.s.ID, got.workers, k, got.interactions[k], want[k])
+			for k := range wantIn {
+				if got := interactions[k]; got.A != wantIn[k].A || got.B != wantIn[k].B ||
+					math.Float64bits(got.Doi) != math.Float64bits(wantIn[k].Doi) {
+					t.Fatalf("stmt %d, %s: interaction %d is %+v, want %+v", s.ID, pass, k, got, wantIn[k])
 				}
 			}
 		}
+		b8, in8 := g.Statistics(threshold, 8)
+		compare("8 workers", b8, in8)
+		b1, in1 := g.Statistics(threshold, 1)
+		compare("1 worker", b1, in1)
+		full := g.fullMask()
+		for k := uint32(0); k <= full && k < 1<<16; k++ {
+			m := k
+			if full >= 1<<16 {
+				m = rng.Uint32() & full
+			}
+			if got, want := g.CostMask(m), g.find(m).cost; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("stmt %d mask %b: probe after Statistics %v, find %v", s.ID, m, got, want)
+			}
+		}
+		if len(used) > exactEnumBits {
+			g.Release()
+			bR, inR := g.Statistics(threshold, 2)
+			compare("released", bR, inR)
+		}
 	}
-	if !gated {
-		t.Fatalf("no generated graph has a used union wider than %d: the pooled path went untested", exactEnumBits)
+	wide, narrow := 0, 0
+	for _, profile := range []string{"", workload.ProfileAdhoc} {
+		generatedGraphs(profile, func(_ *whatif.Optimizer, s *stmt.Statement, _ index.Set, g *Graph) bool {
+			if len(g.usedIDs) > exactEnumBits {
+				if wide++; !raceEnabled || wide%20 == 1 {
+					check(s, g)
+				}
+			} else if narrow < 3 {
+				check(s, g)
+				narrow++
+			}
+			g.Release()
+			return true
+		})
 	}
+	if wide == 0 {
+		t.Fatalf("no generated graph has a used union wider than %d: the node-context pass went untested", exactEnumBits)
+	}
+	t.Logf("%d wide generated graphs", wide)
+}
+
+// TestFillCostsMatchesFind holds fillCosts to find, bit for bit on every
+// mask, on every generated graph of exactEnumBits+1 to memoMaxBits used
+// indices and on the graphs of that width that the ad-hoc stream of 200
+// query templates cuts at MaxNodes. Random node structures then start the
+// walk at any node on a subcube with some bits already known: every mask of
+// the subcube must get the cost find reaches from that node, and no other
+// mask may be written. Builds never give a node a used index outside its
+// configuration, which is how a known-absent bit meets a used one, or a
+// used index without a child, but find defines a cost for those shapes
+// too, and only the random graphs reach the branches that follow it there.
+func TestFillCostsMatchesFind(t *testing.T) {
+	check := func(name string, g *Graph) {
+		t.Helper()
+		vals := make([]uint64, 1<<len(g.usedIDs))
+		g.fillCosts(vals)
+		for m := range vals {
+			if want := g.find(uint32(m)).cost; vals[m] != math.Float64bits(want) {
+				t.Fatalf("%s mask %b: filled %v, find %v", name, m, math.Float64frombits(vals[m]), want)
+			}
+		}
+	}
+	wide := 0
+	for _, profile := range []string{"", workload.ProfileAdhoc} {
+		generatedGraphs(profile, func(_ *whatif.Optimizer, s *stmt.Statement, _ index.Set, g *Graph) bool {
+			if n := len(g.usedIDs); n > exactEnumBits && n <= memoMaxBits {
+				check(fmt.Sprintf("stmt %d", s.ID), g)
+				wide++
+			}
+			g.Release()
+			return true
+		})
+	}
+
+	// Only statements whose relevant candidates fit memoMaxBits are built:
+	// the stream's wider graphs are slow to build and have no memo.
+	cat, joins := datagen.Build()
+	m := cost.NewModel(cat, index.NewRegistry(), cost.DefaultParams())
+	o := whatif.New(m)
+	wo := workload.DefaultOptions()
+	wo.Profile, wo.Phases, wo.QueryTemplates = workload.ProfileAdhoc, 4, 200
+	ex := cost.NewExtractor(m)
+	mined := index.EmptySet
+	truncated := 0
+	for _, s := range workload.Generate(cat, joins, wo).Statements {
+		mined = mined.Union(ex.Extract(s))
+		if r := m.RestrictConfig(s, mined).Len(); r <= exactEnumBits || r > memoMaxBits {
+			continue
+		}
+		g := Build(o, s, mined)
+		if g.NodeCount() >= MaxNodes {
+			check(fmt.Sprintf("truncated stmt %d", s.ID), g)
+			truncated++
+		}
+		g.Release()
+	}
+	if wide == 0 || truncated == 0 {
+		t.Fatalf("%d generated graphs of %d to %d used indices, %d of them cut at MaxNodes", wide+truncated,
+			exactEnumBits+1, memoMaxBits, truncated)
+	}
+
+	const unwritten = math.MaxUint64
+	rng := rand.New(rand.NewSource(97))
+	for i := 0; i < 500; i++ {
+		g := randomGraph(rng)
+		full := g.fullMask()
+		known := rng.Uint32() & full
+		present := rng.Uint32() & known
+		vals := make([]uint64, full+1)
+		for m := range vals {
+			vals[m] = unwritten
+		}
+		g.root = &g.nodes[rng.Intn(len(g.nodes))]
+		g.fillFrom(vals, g.root, known, present)
+		for m := range vals {
+			want := uint64(unwritten)
+			if uint32(m)&known == present {
+				want = math.Float64bits(g.find(uint32(m)).cost)
+			}
+			if vals[m] != want {
+				t.Fatalf("random graph %d, known %b present %b, mask %b: wrote %x, want %x", i, known, present, m, vals[m], want)
+			}
+		}
+	}
+}
+
+// randomGraph returns a graph of random shape over at most 8 used indices,
+// every node with its own cost. A node's children are later nodes, so
+// find's walk ends; some children are missing, and used masks ignore
+// configurations.
+func randomGraph(rng *rand.Rand) *Graph {
+	width := 1 + rng.Intn(8)
+	full := uint32(1)<<width - 1
+	g := &Graph{usedIDs: make([]index.ID, width), nodes: make([]node, 1+rng.Intn(40))}
+	for i := range g.nodes {
+		n := &g.nodes[i]
+		n.cost = float64(i)
+		n.cfgMask, n.usedMask = rng.Uint32()&full, rng.Uint32()&full
+		if i+1 == len(g.nodes) || rng.Intn(4) == 0 {
+			continue
+		}
+		n.children = make([]*node, width)
+		for p := range n.children {
+			if rng.Intn(5) > 0 {
+				n.children[p] = &g.nodes[i+1+rng.Intn(len(g.nodes)-i-1)]
+			}
+		}
+	}
+	g.root = &g.nodes[0]
+	return g
 }
 
 // TestCostProbeProjection checks the projection contract of CostProbe:
