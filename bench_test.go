@@ -264,17 +264,26 @@ func BenchmarkIBGBuild(b *testing.B) {
 }
 
 // wideFixture holds the largest index benefit graphs of the default
-// generated workload, as statements with the candidates to build over.
+// generated workload, and its narrow ones, as statements with the
+// candidates to build over.
 type wideFixture struct {
 	optm  *whatif.Optimizer
 	stmts []*stmt.Statement
 	cands []index.Set
 	nodes int // total nodes of one build of each
+	// narrowStmts and narrowCands hold, in stream order, every statement
+	// whose graph has at most narrowBits used indices.
+	narrowStmts []*stmt.Statement
+	narrowCands []index.Set
 }
 
 // wideGraphs is how many of the largest graphs BenchmarkIBGBuildWide
 // cycles through.
 const wideGraphs = 8
+
+// narrowBits is the widest used union whose benefit and doi statistics
+// enumerate every context instead of node contexts.
+const narrowBits = 12
 
 var (
 	wideOnce sync.Once
@@ -283,7 +292,7 @@ var (
 
 // wideEnv builds every statement's graph of the default workload over the
 // candidates mined up to it, as WFIT does, and keeps the wideGraphs
-// largest by node count.
+// largest by node count and every one of at most narrowBits used indices.
 func wideEnv(b *testing.B) *wideFixture {
 	b.Helper()
 	wideOnce.Do(func() {
@@ -297,15 +306,19 @@ func wideEnv(b *testing.B) *wideFixture {
 		}
 		var all []built
 		optm := whatif.New(model)
+		wide = &wideFixture{optm: optm}
 		mined := index.EmptySet
 		for _, s := range workload.Generate(cat, joins, workload.DefaultOptions()).Statements {
 			mined = mined.Union(ex.Extract(s))
 			g := ibg.Build(optm, s, mined)
 			all = append(all, built{s, mined, g.NodeCount()})
+			if g.UsedUnion().Len() <= narrowBits {
+				wide.narrowStmts = append(wide.narrowStmts, s)
+				wide.narrowCands = append(wide.narrowCands, mined)
+			}
 			g.Release()
 		}
 		sort.SliceStable(all, func(i, j int) bool { return all[i].nodes > all[j].nodes })
-		wide = &wideFixture{optm: optm}
 		for _, c := range all[:wideGraphs] {
 			wide.stmts = append(wide.stmts, c.s)
 			wide.cands = append(wide.cands, c.cands)
@@ -330,17 +343,34 @@ func BenchmarkIBGBuildWide(b *testing.B) {
 }
 
 // BenchmarkStatisticsWide measures the serial benefit and doi statistics
-// of the graphs BenchmarkIBGBuildWide builds, one graph per iteration,
-// cycling through them. Each graph is built outside the timer and
-// released after its statistics, as WFIT releases each statement's graph.
+// of the graphs BenchmarkIBGBuildWide builds, which maximize over node
+// contexts.
 func BenchmarkStatisticsWide(b *testing.B) {
 	w := wideEnv(b)
+	benchStatistics(b, w.optm, w.stmts, w.cands)
+}
+
+// BenchmarkStatisticsNarrow measures the serial benefit and doi statistics
+// of the default workload's graphs of at most narrowBits used indices,
+// which maximize over every context. Each iteration builds a graph outside
+// the timer, so run it at a fixed count (-benchtime=Nx): the automatic
+// count is sized by the short statistics alone.
+func BenchmarkStatisticsNarrow(b *testing.B) {
+	w := wideEnv(b)
+	benchStatistics(b, w.optm, w.narrowStmts, w.narrowCands)
+}
+
+// benchStatistics times Statistics on one graph per iteration, cycling
+// through the statements in order. Each graph is built outside the timer
+// and released after its statistics, as WFIT releases each statement's
+// graph.
+func benchStatistics(b *testing.B, optm *whatif.Optimizer, stmts []*stmt.Statement, cands []index.Set) {
 	used := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k := i % wideGraphs
+		k := i % len(stmts)
 		b.StopTimer()
-		g := ibg.Build(w.optm, w.stmts[k], w.cands[k])
+		g := ibg.Build(optm, stmts[k], cands[k])
 		used += g.UsedUnion().Len()
 		b.StartTimer()
 		g.Statistics(1e-6, 1)

@@ -70,10 +70,10 @@ func SmallOptions() Options {
 }
 
 // Env is a fully constructed experimental environment. After construction
-// it is read-only and safe to share across concurrent runs: the
-// per-statement IBGs fill their memo with atomic writes of deterministic
-// values, and every other field is immutable. RunAll exploits this by
-// evaluating independent algorithms concurrently.
+// it is read-only and safe to share across concurrent runs: nothing writes
+// the per-statement IBGs after their builds, and every other field is
+// immutable. RunAll exploits this by evaluating independent algorithms
+// concurrently.
 type Env struct {
 	Options Options
 

@@ -206,8 +206,8 @@ func (e *Env) Run(spec RunSpec) *RunResult {
 
 // RunAll evaluates the given runs concurrently, one goroutine per run,
 // and returns results in spec order. Runs only share read-only
-// environment state — the per-statement IBGs answer concurrent probes
-// through an atomic memo, the cost model is stateless, the registry is
+// environment state — nothing writes the per-statement IBGs after their
+// builds, the cost model is stateless, the registry is
 // fully populated at construction (internUpdateCandidates), and every
 // algorithm instance is private to its spec — so concurrent results are
 // identical to sequential ones. Per-run AnalyzeTime is wall time and

@@ -255,7 +255,7 @@ func (a *WFA) analyzeMask(costFn func(mask uint32) float64, relevant uint32) {
 	// Stage 1a: v[X] = w[X] + cost(q, X). The cost is constant across
 	// each coset of the irrelevant bits, so evaluate the 2^k distinct
 	// costs once (k = |rel|) and broadcast each across its 2^(n−k)
-	// untouched-bit coset — the probe, its bit remap, and the memo walk
+	// untouched-bit coset — the probe, its bit remap, and the table load
 	// run 2^k times instead of 2^n.
 	if irr == 0 {
 		for s := 0; s < size; s++ {

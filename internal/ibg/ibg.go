@@ -16,9 +16,11 @@
 // WFIT builds one Graph per statement (line 2 of chooseCands, Figure 6)
 // and serves all subsequent cost(q, X) probes — from WFA's work-function
 // update, OPT's dynamic program, and the statistics maintenance — without
-// further optimizer calls. After construction the graph answers probes
-// with bitmask walks over the used union and a flat memo array: no
-// allocation, no optimizer.
+// further optimizer calls. When the used union has at most memoMaxBits
+// indices, construction ends by filling a flat table with the cost of
+// every mask over it, in one walk of the graph, so a probe is one load;
+// wider graphs answer with a bitmask walk. Either way a probe allocates
+// nothing and calls no optimizer.
 //
 // Construction runs in mask space whenever the relevant candidates fit in
 // 64 bits: one cost.Prepared per build prices every node from its
@@ -29,22 +31,16 @@
 // Because WFIT builds and discards a graph per statement, construction
 // and serving are tuned for steady-state reuse: the construction scratch
 // (node slab, child links, dedup maps) lives in a sync.Pool, the frozen
-// form is two flat slabs instead of per-node maps, and the cost memo is
-// a pooled, epoch-stamped buffer that Release returns for the next
-// statement — so the analysis path performs no O(2^bits) allocation or
-// initialization per statement.
+// form is two flat slabs instead of per-node maps, and the cost table is
+// a pooled buffer that Release returns for the next statement — so the
+// analysis path performs no O(2^bits) allocation per statement.
 //
 // A statement's analysis fans out only here, where the work is big:
 // BuildWorkers prices frontier waves of at least parallelWave nodes on a
 // worker pool, and Statistics does so for graphs wider than exactEnumBits.
-// Either way the result is byte-identical to the serial form. A frozen
-// graph is safe for concurrent probing: the cost memo is filled with
-// atomic writes of values that are deterministic functions of the
-// (immutable) node structure. Statistics is the exception: on a graph
-// wider than exactEnumBits whose memo is live it fills the whole memo in
-// one walk of the graph and empties it again, so it must not overlap
-// probes of the graph or another Statistics call on it. WFIT runs it
-// once per graph, right after the build and before any probe.
+// Either way the result is byte-identical to the serial form. Nothing
+// writes a graph after construction until Release, so probes and
+// Statistics calls may run on it concurrently in any mix.
 package ibg
 
 import (
@@ -52,7 +48,6 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/cost"
 	"repro/internal/index"
@@ -69,8 +64,8 @@ const MaxNodes = 4096
 // enumeration; larger graphs fall back to node-derived contexts.
 const exactEnumBits = 12
 
-// memoMaxBits bounds the used-union size for the flat cost memo; wider
-// graphs (which the MaxNodes cap keeps rare) fall back to uncached walks.
+// memoMaxBits bounds the used-union size for the flat cost table; wider
+// graphs (which the MaxNodes cap keeps rare) answer probes with walks.
 const memoMaxBits = 20
 
 // maxUsedBits bounds the used union: probe masks are uint32 (see capUsed).
@@ -88,52 +83,23 @@ type node struct {
 	children []*node // indexed by bit position in the used union; nil = leaf
 }
 
-// costMemo is a pooled probe cache. A slot is valid only when its stamp
-// equals the current epoch, so a recycled buffer needs no O(2^bits)
-// clearing: bumping the epoch invalidates every stale entry at once.
-// (Earlier versions allocated a fresh array per statement and initialized
-// every slot to an all-ones sentinel — a NaN bit pattern — which made the
-// memo the single largest per-statement allocation.) The wide statistics
-// pass also writes vals, without stamps and without atomics, so it must not
-// overlap probes; it bumps the epoch when done (see Graph.Statistics).
+// costMemo is a graph's cost table: vals[m] is the cost of used-union mask
+// m. freeze fills every slot (fillCosts), and nothing writes the table
+// again until Release returns it to memoPool, so a recycled table needs no
+// clearing.
 type costMemo struct {
-	bits  int
-	epoch uint32
-	vals  []uint64 // float64 bit patterns, valid iff stamped
-	stamp []uint32
-	// dense is the benefit/doi statistics table: every mask's cost as a
-	// plain float64, filled in one pass (Graph.statsCosts) when the used
-	// union fits exactEnumBits. The submask enumerations behind
-	// MaxBenefit and DOI then read raw floats instead of doing an atomic
-	// dance per probe. Lazily sized, pooled with the memo.
-	dense []float64
+	bits int
+	vals []float64
 }
 
-// memoPool[b] recycles memos of 2^b slots.
+// memoPool[b] recycles tables of 2^b slots.
 var memoPool [memoMaxBits + 1]sync.Pool
 
 func acquireMemo(bits int) *costMemo {
 	if m, _ := memoPool[bits].Get().(*costMemo); m != nil {
-		m.nextEpoch()
 		return m
 	}
-	return &costMemo{
-		bits:  bits,
-		epoch: 1,
-		vals:  make([]uint64, 1<<bits),
-		stamp: make([]uint32, 1<<bits),
-	}
-}
-
-// nextEpoch invalidates every slot of the memo at once.
-func (m *costMemo) nextEpoch() {
-	m.epoch++
-	if m.epoch == 0 {
-		// Stamp wraparound (once per 2^32 bumps): old stamps could
-		// collide with the restarted epoch, so clear them.
-		clear(m.stamp)
-		m.epoch = 1
-	}
+	return &costMemo{bits: bits, vals: make([]float64, 1<<bits)}
 }
 
 // Graph is the index benefit graph of one statement over a candidate set.
@@ -146,12 +112,10 @@ type Graph struct {
 	kids      []*node // children backing storage, sliced per parent
 	truncated bool
 	usedUnion index.Set
-	denseOnce sync.Once // guards memo.dense fill for this graph
 
-	// memo caches CostMask results as float64 bit patterns accessed
-	// atomically, so concurrent probes are race-free: every writer stores
-	// the same deterministic value. Only present when the used union is
-	// small enough; nil after Release.
+	// memo holds the cost of every used-union mask, filled by freeze.
+	// Only present when the used union has at most memoMaxBits indices;
+	// nil after Release.
 	memo *costMemo
 }
 
@@ -340,7 +304,7 @@ func (b *builder) expandSet(ni int32, topIDs []index.ID) {
 
 // freeze computes the used union (capped at maxUsedBits) and rewrites the
 // construction state into the compact probe-time form: one flat node slab,
-// one children slab, and (when feasible) a pooled cost memo.
+// one children slab, and (when feasible) a pooled cost table it fills.
 func (g *Graph) freeze(b *builder, topIDs []index.ID, useMask bool) {
 	if useMask {
 		var unionTop uint64
@@ -420,6 +384,7 @@ func (g *Graph) freeze(b *builder, topIDs []index.ID, useMask bool) {
 
 	if bits := len(g.usedIDs); bits <= memoMaxBits {
 		g.memo = acquireMemo(bits)
+		g.fillCosts(g.memo.vals)
 	}
 }
 
@@ -445,12 +410,12 @@ func capUsed(nodes []buildNode, topIDs []index.ID, useMask bool) index.Set {
 	return kept
 }
 
-// Release returns the graph's pooled probe cache for reuse by a later
+// Release returns the graph's cost table to the pool for reuse by a later
 // graph. Call it once all probing is done (WFIT releases each
 // statement's graph at the end of the analysis); probing a released
-// graph is still correct but falls back to uncached walks. Long-lived
+// graph is still correct but walks the graph for every probe. Long-lived
 // graphs (the benchmark environment's evaluation IBGs) simply never
-// release. Release must not run concurrently with probes.
+// release. Release must not run concurrently with probes or Statistics.
 func (g *Graph) Release() {
 	if m := g.memo; m != nil {
 		g.memo = nil
@@ -506,7 +471,9 @@ func (g *Graph) Influences(cfg index.Set) bool {
 	return g.usedUnion.Intersects(cfg)
 }
 
-// find walks from the root to the node covering mask (used ⊆ mask).
+// find walks from the root to the node covering mask (used ⊆ mask), or to
+// the deepest node a graph cut at MaxNodes reaches. An expanded node has a
+// child for every used index, so the walk stops only there.
 func (g *Graph) find(mask uint32) *node {
 	n := g.root
 	for {
@@ -514,28 +481,15 @@ func (g *Graph) find(mask uint32) *node {
 		if rem == 0 || n.children == nil {
 			return n
 		}
-		child := n.children[bits.TrailingZeros32(rem)]
-		if child == nil {
-			// Truncated graph: approximate with the deepest node.
-			return n
-		}
-		n = child
+		n = n.children[bits.TrailingZeros32(rem)]
 	}
 }
 
-// CostMask returns cost(q, X) for X given as a used-union mask.
+// CostMask returns cost(q, X) for X given as a used-union mask: a load
+// from the cost table, or a walk when the graph has none.
 func (g *Graph) CostMask(mask uint32) float64 {
 	if m := g.memo; m != nil {
-		if atomic.LoadUint32(&m.stamp[mask]) == m.epoch {
-			return math.Float64frombits(atomic.LoadUint64(&m.vals[mask]))
-		}
-		v := g.find(mask).cost
-		// Value first, stamp second: a reader that observes the stamp is
-		// guaranteed to read a (deterministic) value. Racing writers
-		// store identical bits.
-		atomic.StoreUint64(&m.vals[mask], math.Float64bits(v))
-		atomic.StoreUint32(&m.stamp[mask], m.epoch)
-		return v
+		return m.vals[mask]
 	}
 	return g.find(mask).cost
 }
@@ -587,10 +541,11 @@ func (g *Graph) MaxBenefit(a index.ID) float64 {
 	bit := uint32(1) << pos
 	full := g.fullMask()
 	best := math.Inf(-1)
-	if dense := g.statsCosts(); dense != nil {
+	if m := g.memo; m != nil && len(g.usedIDs) <= exactEnumBits {
+		vals := m.vals
 		forEachSubmask(full&^bit, func(ctx uint32) {
 			ctx &^= bit
-			if b := dense[ctx] - dense[ctx|bit]; b > best {
+			if b := vals[ctx] - vals[ctx|bit]; b > best {
 				best = b
 			}
 		})
@@ -627,11 +582,12 @@ func (g *Graph) DOI(a, b index.ID) float64 {
 	}
 	bitA, bitB := uint32(1)<<pa, uint32(1)<<pb
 	best := 0.0
-	if dense := g.statsCosts(); dense != nil {
+	if m := g.memo; m != nil && len(g.usedIDs) <= exactEnumBits {
+		vals := m.vals
 		forEachSubmask(g.fullMask()&^(bitA|bitB), func(ctx uint32) {
 			ctx &^= bitA | bitB
-			v := math.Abs(dense[ctx] - dense[ctx|bitA] -
-				dense[ctx|bitB] + dense[ctx|bitA|bitB])
+			v := math.Abs(vals[ctx] - vals[ctx|bitA] -
+				vals[ctx|bitB] + vals[ctx|bitA|bitB])
 			if v > best {
 				best = v
 			}
@@ -652,33 +608,6 @@ func (g *Graph) DOI(a, b index.ID) float64 {
 		}
 	}
 	return best
-}
-
-// statsCosts returns a dense cost table over every used-union mask —
-// dense[m] == CostMask(m) — filled once per graph, or nil when the union
-// exceeds exactEnumBits or the memo was released. Safe for concurrent
-// use: the sync.Once fill happens-before every read. (Wider graphs with a
-// live memo get their table from fillCosts, written into the memo itself
-// by Statistics.)
-func (g *Graph) statsCosts() []float64 {
-	if len(g.usedIDs) > exactEnumBits {
-		return nil
-	}
-	m := g.memo
-	if m == nil {
-		return nil
-	}
-	g.denseOnce.Do(func() {
-		size := 1 << len(g.usedIDs)
-		if cap(m.dense) < size {
-			m.dense = make([]float64, size)
-		}
-		m.dense = m.dense[:size]
-		for mask := 0; mask < size; mask++ {
-			m.dense[mask] = g.find(uint32(mask)).cost
-		}
-	})
-	return m.dense
 }
 
 // fullMask is the mask with every used-union bit set.
@@ -732,14 +661,7 @@ func (g *Graph) Interactions(threshold float64) []Interaction {
 // exactEnumBits, whose maximizations run over node contexts and are the
 // analysis tail, the work fans out on up to workers goroutines (<= 0 means
 // one per CPU); results are collected by index, so any worker count gives
-// the same output.
-//
-// If that graph's memo is live (at most memoMaxBits used indices, not
-// released), Statistics fills the memo with every mask's cost and reads
-// it with plain loads (contextStatistics), then empties it. It must
-// therefore not overlap probes of the graph or another Statistics call on
-// it; run it before probing, as WFIT's analysis and the benchmark
-// environment's Interactions do.
+// the same output. Statistics only reads the graph.
 func (g *Graph) Statistics(threshold float64, workers int) (benefits []float64, interactions []Interaction) {
 	n := len(g.usedIDs)
 	pairs := make([][2]index.ID, 0, n*(n-1)/2)
@@ -779,17 +701,13 @@ const statsChunk = 256
 
 // contextStatistics computes Statistics' benefits and dois (pairs in
 // ascending bit order) over node contexts, for a graph wider than
-// exactEnumBits with a live memo. It fills the memo with every mask's cost
-// in one walk (fillCosts), so each term is MaxBenefit's and DOI's own
-// expression over plain loads instead of CostMask probes. The node slab is
-// split into contiguous chunks maximized in parallel, and the chunk maxima
-// are merged in chunk order by the same strict >, which keeps the value
-// the scans in node order keep, bit for bit. The stamps never saw the
-// fill, so the epoch bump at the end leaves later probes an empty memo.
+// exactEnumBits with a cost table. Each term is MaxBenefit's and DOI's own
+// expression over plain loads from the table. The node slab is split into
+// contiguous chunks maximized in parallel, and the chunk maxima are merged
+// in chunk order by the same strict >, which keeps the value the scans in
+// node order keep, bit for bit.
 func (g *Graph) contextStatistics(benefits, dois []float64, workers int) {
-	m := g.memo
-	g.fillCosts(m.vals)
-	vals := m.vals
+	vals := g.memo.vals
 	n := len(benefits)
 	width := n + len(dois)
 	chunks := (len(g.nodes) + statsChunk - 1) / statsChunk
@@ -805,14 +723,14 @@ func (g *Graph) contextStatistics(benefits, dois []float64, workers int) {
 			for i := 0; i < n; i++ {
 				bitA := uint32(1) << i
 				ctx := nd.cfgMask &^ bitA
-				if v := costAt(vals, ctx) - costAt(vals, ctx|bitA); v > bens[i] {
+				if v := vals[ctx] - vals[ctx|bitA]; v > bens[i] {
 					bens[i] = v
 				}
 				for j := i + 1; j < n; j++ {
 					bitB := uint32(1) << j
 					x := nd.cfgMask &^ (bitA | bitB)
-					v := math.Abs(costAt(vals, x) - costAt(vals, x|bitA) -
-						costAt(vals, x|bitB) + costAt(vals, x|bitA|bitB))
+					v := math.Abs(vals[x] - vals[x|bitA] -
+						vals[x|bitB] + vals[x|bitA|bitB])
 					if v > ds[k] {
 						ds[k] = v
 					}
@@ -842,50 +760,29 @@ func (g *Graph) contextStatistics(benefits, dois []float64, workers int) {
 			benefits[i] = 0
 		}
 	}
-	m.nextEpoch()
 }
 
-// costAt reads mask x's cost from a table fillCosts wrote.
-func costAt(vals []uint64, x uint32) float64 {
-	return math.Float64frombits(vals[x])
-}
-
-// fillCosts writes math.Float64bits(find(m).cost) into vals[m] for every
-// used-union mask m, in one walk of the decisions find makes instead of
-// one walk per mask. Each mask is written exactly once.
-func (g *Graph) fillCosts(vals []uint64) {
+// fillCosts writes find(m).cost into vals[m] for every used-union mask m,
+// in one walk of the decisions find makes instead of one walk per mask.
+// Each mask is written exactly once.
+func (g *Graph) fillCosts(vals []float64) {
 	g.fillFrom(vals, g.root, 0, 0)
 }
 
 // fillFrom fills the subcube of masks that find brings to n: the masks
 // that agree with present on the known bits, any subset of the free rest.
-// It reads n's used bits in find's ascending order. A bit known present is
-// skipped. A bit known absent is the lowest used bit every mask left
-// lacks, so all of them step to its child, or stop at n when a truncated
-// graph has no child there. A free bit splits the subcube: the masks
-// without it step to its child (or stop at n), and the masks with it read
-// on. The masks left once the used bits run out, or at a node without
-// children, stop at n.
-func (g *Graph) fillFrom(vals []uint64, n *node, known, present uint32) {
+// A known bit absent from the subcube was dropped on the way to n, so it
+// lies outside n's configuration and hence outside its used set: every
+// used bit of n is known present or free. fillFrom reads the free ones in
+// find's ascending order. Each splits the subcube: the masks without it
+// step to its child, and the masks with it read on. The masks left once
+// the used bits run out, or at a node a MaxNodes cut left unexpanded,
+// stop at n.
+func (g *Graph) fillFrom(vals []float64, n *node, known, present uint32) {
 	if n.children != nil {
-		for rest := n.usedMask; rest != 0; rest &= rest - 1 {
+		for rest := n.usedMask &^ known; rest != 0; rest &= rest - 1 {
 			bit := rest & -rest
-			if present&bit != 0 {
-				continue
-			}
-			child := n.children[bits.TrailingZeros32(bit)]
-			if known&bit != 0 {
-				if child == nil {
-					break
-				}
-				g.fillFrom(vals, child, known, present)
-				return
-			}
-			if child != nil {
-				g.fillFrom(vals, child, known|bit, present)
-			} else {
-				fillSubcube(vals, n.cost, present, g.fullMask()&^(known|bit))
-			}
+			g.fillFrom(vals, n.children[bits.TrailingZeros32(bit)], known|bit, present)
 			known |= bit
 			present |= bit
 		}
@@ -894,10 +791,9 @@ func (g *Graph) fillFrom(vals []uint64, n *node, known, present uint32) {
 }
 
 // fillSubcube writes cost into vals[present|s] for every subset s of free.
-func fillSubcube(vals []uint64, cost float64, present, free uint32) {
-	v := math.Float64bits(cost)
+func fillSubcube(vals []float64, cost float64, present, free uint32) {
 	for s := free; ; s = (s - 1) & free {
-		vals[present|s] = v
+		vals[present|s] = cost
 		if s == 0 {
 			return
 		}

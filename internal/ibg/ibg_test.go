@@ -509,18 +509,18 @@ func nodeIndex(g *Graph) map[*node]int {
 // TestStatisticsMatchesDefinitions checks Statistics bit for bit against
 // the per-index MaxBenefit and pairwise DOI, with eight workers and with
 // one, on every wide generated graph of both profiles (every twentieth under
-// the race detector) and on the first three narrow ones. On wide graphs
-// MaxBenefit and DOI keep their CostMask probes, so they are a reference
-// independent of the memo fill Statistics reads. They run first, so the
-// memo holds stamped entries when Statistics fills it; afterwards every
-// mask up to 16 used indices (a random sample above) must still probe to
-// find's cost, so no memo entry survives stale. A released wide graph,
-// which has no memo to fill, must give the same statistics.
+// the race detector) and on the first three narrow ones. The reference is
+// computed after Release: the graph then has no cost table, and every term
+// of MaxBenefit and DOI is a find walk, independent of the table Statistics
+// read. Statistics on the released wide graph, on two workers, must give
+// the same results.
 func TestStatisticsMatchesDefinitions(t *testing.T) {
 	const threshold = 1e-6
-	rng := rand.New(rand.NewSource(513))
 	check := func(s *stmt.Statement, g *Graph) {
 		t.Helper()
+		b8, in8 := g.Statistics(threshold, 8)
+		b1, in1 := g.Statistics(threshold, 1)
+		g.Release()
 		used := g.UsedUnion().IDs()
 		wantB := make([]float64, len(used))
 		var wantIn []Interaction
@@ -534,38 +534,13 @@ func TestStatisticsMatchesDefinitions(t *testing.T) {
 		}
 		compare := func(pass string, benefits []float64, interactions []Interaction) {
 			t.Helper()
-			if len(benefits) != len(wantB) || len(interactions) != len(wantIn) {
-				t.Fatalf("stmt %d, %s: %d benefits and %d interactions, want %d and %d", s.ID,
-					pass, len(benefits), len(interactions), len(wantB), len(wantIn))
-			}
-			for i := range wantB {
-				if math.Float64bits(benefits[i]) != math.Float64bits(wantB[i]) {
-					t.Fatalf("stmt %d, %s: benefit of %d is %v, MaxBenefit %v", s.ID, pass, used[i], benefits[i], wantB[i])
-				}
-			}
-			for k := range wantIn {
-				if got := interactions[k]; got.A != wantIn[k].A || got.B != wantIn[k].B ||
-					math.Float64bits(got.Doi) != math.Float64bits(wantIn[k].Doi) {
-					t.Fatalf("stmt %d, %s: interaction %d is %+v, want %+v", s.ID, pass, k, got, wantIn[k])
-				}
+			if err := diffStatistics(used, wantB, wantIn, benefits, interactions); err != nil {
+				t.Fatalf("stmt %d, %s: %v", s.ID, pass, err)
 			}
 		}
-		b8, in8 := g.Statistics(threshold, 8)
 		compare("8 workers", b8, in8)
-		b1, in1 := g.Statistics(threshold, 1)
 		compare("1 worker", b1, in1)
-		full := g.fullMask()
-		for k := uint32(0); k <= full && k < 1<<16; k++ {
-			m := k
-			if full >= 1<<16 {
-				m = rng.Uint32() & full
-			}
-			if got, want := g.CostMask(m), g.find(m).cost; math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("stmt %d mask %b: probe after Statistics %v, find %v", s.ID, m, got, want)
-			}
-		}
 		if len(used) > exactEnumBits {
-			g.Release()
 			bR, inR := g.Statistics(threshold, 2)
 			compare("released", bR, inR)
 		}
@@ -591,33 +566,55 @@ func TestStatisticsMatchesDefinitions(t *testing.T) {
 	t.Logf("%d wide generated graphs", wide)
 }
 
-// TestFillCostsMatchesFind holds fillCosts to find, bit for bit on every
-// mask, on every generated graph of exactEnumBits+1 to memoMaxBits used
-// indices and on the graphs of that width that the ad-hoc stream of 200
-// query templates cuts at MaxNodes. Random node structures then start the
-// walk at any node on a subcube with some bits already known: every mask of
-// the subcube must get the cost find reaches from that node, and no other
-// mask may be written. Builds never give a node a used index outside its
-// configuration, which is how a known-absent bit meets a used one, or a
-// used index without a child, but find defines a cost for those shapes
-// too, and only the random graphs reach the branches that follow it there.
+// diffStatistics reports the first difference, bit for bit, between the
+// statistics want and got of a graph with the given used union, or nil.
+func diffStatistics(used []index.ID, wantB []float64, wantIn []Interaction, gotB []float64, gotIn []Interaction) error {
+	if len(gotB) != len(wantB) || len(gotIn) != len(wantIn) {
+		return fmt.Errorf("%d benefits and %d interactions, want %d and %d", len(gotB), len(gotIn), len(wantB), len(wantIn))
+	}
+	for i := range wantB {
+		if math.Float64bits(gotB[i]) != math.Float64bits(wantB[i]) {
+			return fmt.Errorf("benefit of %d is %v, want %v", used[i], gotB[i], wantB[i])
+		}
+	}
+	for k := range wantIn {
+		if got := gotIn[k]; got.A != wantIn[k].A || got.B != wantIn[k].B ||
+			math.Float64bits(got.Doi) != math.Float64bits(wantIn[k].Doi) {
+			return fmt.Errorf("interaction %d is %+v, want %+v", k, got, wantIn[k])
+		}
+	}
+	return nil
+}
+
+// TestFillCostsMatchesFind holds the cost table Build fills to find, bit
+// for bit on every mask, on every generated graph of both profiles with at
+// most memoMaxBits used indices, and on the graphs of more than
+// exactEnumBits relevant candidates, up to memoMaxBits, that the ad-hoc
+// stream of 200 query templates cuts at MaxNodes. All of those graphs must
+// have the shape checkShape asserts. Random graphs of that shape then start
+// the walk at any node on a subcube with some bits already known: present
+// ones anywhere, absent ones only outside the node's configuration, as on
+// a walk down from the root. Every mask of the subcube must get the cost
+// find reaches from that node, and no other mask may be written.
 func TestFillCostsMatchesFind(t *testing.T) {
 	check := func(name string, g *Graph) {
 		t.Helper()
-		vals := make([]uint64, 1<<len(g.usedIDs))
-		g.fillCosts(vals)
-		for m := range vals {
-			if want := g.find(uint32(m)).cost; vals[m] != math.Float64bits(want) {
-				t.Fatalf("%s mask %b: filled %v, find %v", name, m, math.Float64frombits(vals[m]), want)
+		checkShape(t, name, g)
+		if g.memo == nil {
+			return
+		}
+		for m, v := range g.memo.vals {
+			if want := g.find(uint32(m)).cost; math.Float64bits(v) != math.Float64bits(want) {
+				t.Fatalf("%s mask %b: table %v, find %v", name, m, v, want)
 			}
 		}
 	}
-	wide := 0
+	tabled := 0
 	for _, profile := range []string{"", workload.ProfileAdhoc} {
 		generatedGraphs(profile, func(_ *whatif.Optimizer, s *stmt.Statement, _ index.Set, g *Graph) bool {
-			if n := len(g.usedIDs); n > exactEnumBits && n <= memoMaxBits {
-				check(fmt.Sprintf("stmt %d", s.ID), g)
-				wide++
+			check(fmt.Sprintf("stmt %d", s.ID), g)
+			if len(g.usedIDs) > exactEnumBits && g.memo != nil {
+				tabled++
 			}
 			g.Release()
 			return true
@@ -625,7 +622,7 @@ func TestFillCostsMatchesFind(t *testing.T) {
 	}
 
 	// Only statements whose relevant candidates fit memoMaxBits are built:
-	// the stream's wider graphs are slow to build and have no memo.
+	// the stream's wider graphs are slow to build and have no table.
 	cat, joins := datagen.Build()
 	m := cost.NewModel(cat, index.NewRegistry(), cost.DefaultParams())
 	o := whatif.New(m)
@@ -646,56 +643,95 @@ func TestFillCostsMatchesFind(t *testing.T) {
 		}
 		g.Release()
 	}
-	if wide == 0 || truncated == 0 {
-		t.Fatalf("%d generated graphs of %d to %d used indices, %d of them cut at MaxNodes", wide+truncated,
+	if tabled == 0 || truncated == 0 {
+		t.Fatalf("%d generated graphs of %d to %d used indices, %d graphs cut at MaxNodes", tabled,
 			exactEnumBits+1, memoMaxBits, truncated)
 	}
 
-	const unwritten = math.MaxUint64
+	unwritten := math.Inf(-1)
 	rng := rand.New(rand.NewSource(97))
 	for i := 0; i < 500; i++ {
 		g := randomGraph(rng)
+		checkShape(t, fmt.Sprintf("random graph %d", i), g)
 		full := g.fullMask()
+		g.root = &g.nodes[rng.Intn(len(g.nodes))]
 		known := rng.Uint32() & full
-		present := rng.Uint32() & known
-		vals := make([]uint64, full+1)
+		present := known & (g.root.cfgMask | rng.Uint32())
+		vals := make([]float64, full+1)
 		for m := range vals {
 			vals[m] = unwritten
 		}
-		g.root = &g.nodes[rng.Intn(len(g.nodes))]
 		g.fillFrom(vals, g.root, known, present)
 		for m := range vals {
-			want := uint64(unwritten)
+			want := unwritten
 			if uint32(m)&known == present {
-				want = math.Float64bits(g.find(uint32(m)).cost)
+				want = g.find(uint32(m)).cost
 			}
 			if vals[m] != want {
-				t.Fatalf("random graph %d, known %b present %b, mask %b: wrote %x, want %x", i, known, present, m, vals[m], want)
+				t.Fatalf("random graph %d, known %b present %b, mask %b: wrote %v, want %v", i, known, present, m, vals[m], want)
 			}
 		}
 	}
 }
 
-// randomGraph returns a graph of random shape over at most 8 used indices,
-// every node with its own cost. A node's children are later nodes, so
-// find's walk ends; some children are missing, and used masks ignore
-// configurations.
+// checkShape asserts the two facts find and fillFrom rely on: a node's used
+// set lies inside its configuration, and an expanded node has a child for
+// every used index, the node whose configuration lacks just that index.
+func checkShape(t *testing.T, name string, g *Graph) {
+	t.Helper()
+	for i := range g.nodes {
+		n := &g.nodes[i]
+		if n.usedMask&^n.cfgMask != 0 {
+			t.Fatalf("%s node %d: used %b outside configuration %b", name, i, n.usedMask, n.cfgMask)
+		}
+		if n.children == nil {
+			continue
+		}
+		for u := n.usedMask; u != 0; u &= u - 1 {
+			if c := n.children[bits.TrailingZeros32(u)]; c == nil || c.cfgMask != n.cfgMask&^(u&-u) {
+				t.Fatalf("%s node %d: no child drops used bit %d", name, i, bits.TrailingZeros32(u))
+			}
+		}
+	}
+}
+
+// randomGraph returns a random graph of IBG shape over at most 8 used
+// indices, every node with its own cost. A node's used set is a random
+// subset of its configuration. Expansion runs breadth first from the full
+// configuration, as Build's does: an expanded node links one child per used
+// index, the node without it, shared by configuration. It stops at a random
+// node budget and leaves the later nodes unexpanded, as a MaxNodes cut does.
 func randomGraph(rng *rand.Rand) *Graph {
 	width := 1 + rng.Intn(8)
 	full := uint32(1)<<width - 1
-	g := &Graph{usedIDs: make([]index.ID, width), nodes: make([]node, 1+rng.Intn(40))}
-	for i := range g.nodes {
+	budget := 1 + rng.Intn(64)
+	cfgs, used := []uint32{full}, []uint32(nil)
+	at := map[uint32]int{full: 0}
+	expanded := 0 // nodes [0, expanded) are expanded
+	for i := 0; i < len(cfgs); i++ {
+		used = append(used, rng.Uint32()&cfgs[i])
+		if len(cfgs) >= budget {
+			continue
+		}
+		expanded = i + 1
+		for u := used[i]; u != 0; u &= u - 1 {
+			c := cfgs[i] &^ (u & -u)
+			if _, ok := at[c]; !ok {
+				at[c] = len(cfgs)
+				cfgs = append(cfgs, c)
+			}
+		}
+	}
+	g := &Graph{usedIDs: make([]index.ID, width), nodes: make([]node, len(cfgs))}
+	for i, c := range cfgs {
 		n := &g.nodes[i]
-		n.cost = float64(i)
-		n.cfgMask, n.usedMask = rng.Uint32()&full, rng.Uint32()&full
-		if i+1 == len(g.nodes) || rng.Intn(4) == 0 {
+		n.cost, n.cfgMask, n.usedMask = float64(i), c, used[i]
+		if i >= expanded || used[i] == 0 {
 			continue
 		}
 		n.children = make([]*node, width)
-		for p := range n.children {
-			if rng.Intn(5) > 0 {
-				n.children[p] = &g.nodes[i+1+rng.Intn(len(g.nodes)-i-1)]
-			}
+		for u := used[i]; u != 0; u &= u - 1 {
+			n.children[bits.TrailingZeros32(u)] = &g.nodes[at[c&^(u&-u)]]
 		}
 	}
 	g.root = &g.nodes[0]
@@ -735,61 +771,103 @@ func TestCostProbeProjection(t *testing.T) {
 }
 
 // TestReleaseRecyclesMemo builds, probes, and releases graphs in a loop —
-// the per-statement lifecycle WFIT drives — checking that probe answers
-// stay correct as the pooled, epoch-stamped memo buffers are recycled
-// across statements, and that a released graph still answers correctly
-// through the uncached path.
+// the per-statement lifecycle WFIT drives — alternating two joins of
+// different selectivities whose graphs have the same used width, so a
+// build can get the other statement's released cost table from the pool.
+// Every mask must probe to find's cost, so a recycled table must be fully
+// overwritten, and a released graph still answers correctly through walks.
 func TestReleaseRecyclesMemo(t *testing.T) {
 	o, _, ids := testSetup(t)
-	stmts := []*stmt.Statement{joinQuery(), updateStmt()}
+	other := joinQuery()
+	for i := range other.Preds {
+		other.Preds[i].Selectivity *= 2
+	}
+	stmts := []*stmt.Statement{joinQuery(), other}
+	var last *costMemo
+	width, recycled := -1, 0
 	for round := 0; round < 6; round++ {
 		s := stmts[round%len(stmts)]
 		g := Build(o, s, index.NewSet(ids...))
-		want := make(map[uint32]float64)
-		full := g.fullMask()
-		for m := uint32(0); m <= full; m++ {
-			want[m] = g.find(m).cost
-			if got := g.CostMask(m); got != want[m] {
-				t.Fatalf("round %d mask %b: memoized %v, walk %v", round, m, got, want[m])
-			}
+		if width < 0 {
+			width = len(g.usedIDs)
 		}
-		// Probe twice: the second pass is served from the recycled memo.
-		for m := uint32(0); m <= full; m++ {
-			if got := g.CostMask(m); got != want[m] {
-				t.Fatalf("round %d mask %b: second probe %v, want %v", round, m, got, want[m])
+		if len(g.usedIDs) != width || g.memo == nil {
+			t.Fatalf("round %d: %d used indices (table %t), want %d with a table", round, len(g.usedIDs), g.memo != nil, width)
+		}
+		if g.memo == last {
+			recycled++
+		}
+		last = g.memo
+		want := make([]float64, g.fullMask()+1)
+		for m := range want {
+			want[m] = g.find(uint32(m)).cost
+			if got := g.CostMask(uint32(m)); math.Float64bits(got) != math.Float64bits(want[m]) {
+				t.Fatalf("round %d mask %b: table %v, walk %v", round, m, got, want[m])
 			}
 		}
 		g.Release()
-		for m := uint32(0); m <= full; m++ {
-			if got := g.CostMask(m); got != want[m] {
+		for m := range want {
+			if got := g.CostMask(uint32(m)); math.Float64bits(got) != math.Float64bits(want[m]) {
 				t.Fatalf("round %d mask %b: post-release probe %v, want %v", round, m, got, want[m])
 			}
 		}
 	}
+	// The race detector makes sync.Pool drop released items at random.
+	if recycled == 0 && !raceEnabled {
+		t.Fatalf("no build recycled the table the previous round released")
+	}
 }
 
-// TestConcurrentProbesAreRaceFree hammers one graph from many goroutines;
-// run under -race this validates the atomic cost memo.
+// TestConcurrentProbesAreRaceFree runs probes and Statistics calls side by
+// side on one graph: eight goroutines probe CostMask while two call
+// Statistics on two workers each. It does so on the hand-built join's
+// narrow graph and on the first generated graph of more than exactEnumBits
+// and at most memoMaxBits used indices, whose statistics read the cost
+// table over node contexts. Nothing writes a graph after Build, so every
+// result must equal the serial one bit for bit, and under -race no access
+// may race.
 func TestConcurrentProbesAreRaceFree(t *testing.T) {
+	const threshold = 1e-6
 	o, _, ids := testSetup(t)
-	q := joinQuery()
-	g := Build(o, q, index.NewSet(ids...))
-	want := make([]float64, 64)
-	for m := range want {
-		want[m] = g.find(uint32(m) & g.fullMask()).cost
+	graphs := []*Graph{Build(o, joinQuery(), index.NewSet(ids...))}
+	generatedGraphs("", func(_ *whatif.Optimizer, _ *stmt.Statement, _ index.Set, g *Graph) bool {
+		if n := len(g.usedIDs); n > exactEnumBits && n <= memoMaxBits {
+			graphs = append(graphs, g)
+			return false
+		}
+		g.Release()
+		return true
+	})
+	if len(graphs) != 2 {
+		t.Fatalf("no generated graph has %d to %d used indices", exactEnumBits+1, memoMaxBits)
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(seed int) {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				m := uint32((seed*31 + i)) % 64
-				if got := g.CostMask(m & g.fullMask()); got != want[m] {
-					panic("nondeterministic cost under concurrency")
+	for _, g := range graphs {
+		used := g.UsedUnion().IDs()
+		wantB, wantIn := g.Statistics(threshold, 1)
+		full := g.fullMask()
+		var wg sync.WaitGroup
+		for w := 0; w < 10; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				if w < 2 {
+					b, in := g.Statistics(threshold, 2)
+					if err := diffStatistics(used, wantB, wantIn, b, in); err != nil {
+						t.Errorf("%d used indices, concurrent Statistics: %v", len(used), err)
+					}
+					return
 				}
-			}
-		}(w)
+				rng := rand.New(rand.NewSource(int64(w)))
+				for i := 0; i < 2000; i++ {
+					m := rng.Uint32() & full
+					if got, want := g.CostMask(m), g.find(m).cost; math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("%d used indices, mask %b: concurrent probe %v, walk %v", len(used), m, got, want)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		g.Release()
 	}
-	wg.Wait()
 }
