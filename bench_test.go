@@ -431,10 +431,11 @@ func BenchmarkWFAAnalyze(b *testing.B) {
 }
 
 // BenchmarkChoosePartition measures the randomized stable-partition search
-// over 40 candidates, on sparse doi (most merges pair singletons) and on
-// dense doi (most merges grow larger parts). One Partitioner serves every
-// iteration, as WFIT's does every statement, so the timing is the
-// search's, not its scratch allocation's.
+// over 40 candidates, on sparse doi (most merges pair singletons), on
+// dense doi (most merges grow larger parts), and at phased-dba's measured
+// density: a median of 51 positive pairs out of 780. One Partitioner
+// serves every iteration, as WFIT's does every statement, so the timing
+// is the search's, not its scratch allocation's.
 func BenchmarkChoosePartition(b *testing.B) {
 	var ids []index.ID
 	for i := 1; i <= 40; i++ {
@@ -444,25 +445,32 @@ func BenchmarkChoosePartition(b *testing.B) {
 	for _, c := range []struct {
 		name    string
 		density float64
-	}{{"sparse", 0.15}, {"dense", 0.9}} {
+		count   int // exactly this many positive pairs, when set
+	}{{"sparse", 0.15, 0}, {"dense", 0.9, 0}, {"phased", 0, 51}} {
 		b.Run(c.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(5))
-			doi := make(map[interaction.Pair]float64)
-			for i := 0; i < len(ids); i++ {
-				for j := i + 1; j < len(ids); j++ {
-					if rng.Float64() < c.density {
-						doi[interaction.MakePair(ids[i], ids[j])] = rng.Float64() * 100
+			var picked map[int]bool
+			if c.count > 0 {
+				picked = make(map[int]bool)
+				for _, k := range rng.Perm(len(ids) * (len(ids) - 1) / 2)[:c.count] {
+					picked[k] = true
+				}
+			}
+			var pairs []interaction.PairDoi
+			for i, k := 0, 0; i < len(ids); i++ {
+				for j := i + 1; j < len(ids); j, k = j+1, k+1 {
+					if picked[k] || picked == nil && rng.Float64() < c.density {
+						pairs = append(pairs, interaction.PairDoi{A: ids[i], B: ids[j], Doi: rng.Float64() * 100})
 					}
 				}
 			}
-			doiFn := func(a, b index.ID) float64 { return doi[interaction.MakePair(a, b)] }
 			pt := &interaction.Partitioner{
 				StateCnt: 500, MaxPartSize: 14, RandCnt: 8,
 				Rand: rand.New(rand.NewSource(7)),
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = pt.Choose(d, nil, doiFn)
+				_ = pt.Choose(d, nil, pairs)
 			}
 		})
 	}

@@ -98,8 +98,6 @@ type Env struct {
 	// gap against Opt.PrefixTotal measures the stable-partition
 	// decomposition error in the OPT baseline.
 	OptReplay []float64
-	// AvgDoi exposes the offline interaction estimates (per pair totals).
-	AvgDoi interaction.DoiFunc
 }
 
 // NewEnv constructs the environment. Construction cost is dominated by
@@ -322,13 +320,15 @@ func (e *Env) buildPartitions() {
 	// magnitude is small next to the cost of rebuilding either index
 	// cannot meaningfully change materialization decisions, and merging
 	// on such noise produces oversized, sluggish parts.
-	e.AvgDoi = func(a, b index.ID) float64 {
-		total := doiTotal[interaction.MakePair(a, b)]
-		floor := 0.05 * math.Min(e.Reg.CreateCost(a), e.Reg.CreateCost(b))
-		if total < floor {
-			return 0
+	var pairs []interaction.PairDoi
+	for i := 0; i < e.FixedC.Len(); i++ {
+		for j := i + 1; j < e.FixedC.Len(); j++ {
+			a, b := e.FixedC.At(i), e.FixedC.At(j)
+			total := doiTotal[interaction.MakePair(a, b)]
+			if total > 0 && total >= 0.05*math.Min(e.Reg.CreateCost(a), e.Reg.CreateCost(b)) {
+				pairs = append(pairs, interaction.PairDoi{A: a, B: b, Doi: total})
+			}
 		}
-		return total
 	}
 	e.Partitions = make(map[int]interaction.Partition, len(e.Options.StateCnts))
 	for _, sc := range e.Options.StateCnts {
@@ -338,7 +338,7 @@ func (e *Env) buildPartitions() {
 			RandCnt:     16,
 			Rand:        rand.New(rand.NewSource(e.Options.Seed)),
 		}
-		e.Partitions[sc] = pt.Choose(e.FixedC, nil, e.AvgDoi)
+		e.Partitions[sc] = pt.Choose(e.FixedC, nil, pairs)
 	}
 }
 

@@ -188,12 +188,14 @@ func (t *WFIT) finishAnalysis(a *Analysis) {
 	}
 	// Lines 4–5: D = M ∪ topIndices(U − M, idxCnt − |M|).
 	d := t.chooseTop()
-	// Line 6: choose the stable partition of D. Both sides are normalized
-	// — the WFA+ partition always is (see repartition) and Choose returns
-	// Normalize output — so the comparison needs none of Equal's
-	// re-sorting copies.
+	// Line 6: choose the stable partition of D from D's pairs whose
+	// current doi is above the threshold, listed from the partner
+	// adjacency. Both sides are normalized — the WFA+ partition always is
+	// (see repartition) and Choose returns Normalize output — so the
+	// comparison needs none of Equal's re-sorting copies.
+	t.pairScratch = t.intStats.AppendPairs(t.pairScratch[:0], d, t.n, t.options.DoiThreshold)
 	current := t.Partition()
-	if newPartition := t.partn.Choose(d, current, t.doiFunc()); !newPartition.EqualNormalized(current) {
+	if newPartition := t.partn.Choose(d, current, t.pairScratch); !newPartition.EqualNormalized(current) {
 		t.repartition(newPartition)
 		t.repartitions++
 	}

@@ -98,10 +98,18 @@ func topDiffValue(rng *rand.Rand) float64 {
 // the statistics from their export, so every path that rebuilds the
 // statistics' per-window summaries is held to the reference, which reads
 // the windows themselves.
+//
+// Each seed calls chooseTop on one WFIT at consecutive positions, with a
+// few Adds in between, and takes each result as the next C, as WFIT does.
+// The exact scores chooseTop keeps as bounds are thus read at a later
+// position: some after an Add to their window, some not, and some
+// negative. The test counts the newcomers of each kind and fails if a
+// kind never occurs.
 func TestChooseTopMatchesReference(t *testing.T) {
 	tables := []string{"t1", "t2", "t3"}
 	cols := []string{"a", "b", "c", "d", "e"}
 	var tookNegative, sawTie bool
+	var laterAfterAdd, laterNegative, laterUnchanged int
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		expensive := seed%3 == 0
@@ -144,13 +152,21 @@ func TestChooseTopMatchesReference(t *testing.T) {
 		if expensive {
 			w.options.IdxCnt = 60
 		}
+		// scored holds the newcomers' exact scores at the previous call,
+		// and added the indices with an Add since.
+		scored := make(map[index.ID]float64)
+		added := make(map[index.ID]bool)
 		for step := 0; step < 50; step++ {
-			w.n += rng.Intn(3)
+			w.n++
+			clear(added)
 			for k := rng.Intn(12); k > 0; k-- {
 				id, v := ids[rng.Intn(len(ids))], topDiffValue(rng)
 				w.idxStats.Add(id, w.n, v)
+				added[id] = true
 				if rng.Intn(3) == 0 {
-					w.idxStats.Add(ids[rng.Intn(len(ids))], w.n, v)
+					id := ids[rng.Intn(len(ids))]
+					w.idxStats.Add(id, w.n, v)
+					added[id] = true
 				}
 			}
 			switch rng.Intn(8) {
@@ -186,6 +202,7 @@ func TestChooseTopMatchesReference(t *testing.T) {
 				}
 				w.pinned = pinned
 				w.idxStats.Remap(remap)
+				clear(scored)
 				kept := ids[:0]
 				for _, id := range ids {
 					if remap[id] != index.Invalid {
@@ -200,16 +217,38 @@ func TestChooseTopMatchesReference(t *testing.T) {
 				}
 				w.idxStats = restored
 			}
+			for id, score := range scored {
+				switch {
+				case added[id]:
+					laterAfterAdd++
+				case score < 0:
+					laterNegative++
+				default:
+					laterUnchanged++
+				}
+			}
 			want, neg, tie := refChooseTop(w)
 			got := w.chooseTop()
 			if !got.Equal(want) {
 				t.Fatalf("seed %d step %d (n=%d): chooseTop = %v, reference %v", seed, step, w.n, got, want)
 			}
 			tookNegative, sawTie = tookNegative || neg, sawTie || tie
+			clear(scored)
+			m := w.materialized.Intersect(w.universe).Union(w.activePins())
+			w.universe.Each(func(a index.ID) {
+				if !m.Contains(a) && !w.partsetC.Contains(a) && w.idxStats.Current(a, w.n) > 0 {
+					scored[a] = w.idxStats.CurrentPenalized(a, w.n, reg.CreateCost(a))
+				}
+			})
 			w.partsetC = got
 		}
 	}
 	if !tookNegative || !sawTie {
 		t.Fatalf("reference never took a negative score (%v) or met a tie (%v)", tookNegative, sawTie)
 	}
+	if laterAfterAdd == 0 || laterNegative == 0 || laterUnchanged == 0 {
+		t.Fatalf("newcomer scores read at a later position: %d after an Add, %d negative, %d unchanged; want each kind",
+			laterAfterAdd, laterNegative, laterUnchanged)
+	}
+	t.Logf("newcomer scores read at a later position: %d after an Add, %d negative, %d unchanged", laterAfterAdd, laterNegative, laterUnchanged)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/cost"
@@ -81,7 +82,8 @@ type WFIT struct {
 	partn    *interaction.Partitioner
 	rng      *interaction.Rand // the partitioner's random source (snapshot state)
 
-	scoreScratch []scoredCandidate // chooseTop scratch
+	scoreScratch []scoredCandidate     // chooseTop scratch
+	pairScratch  []interaction.PairDoi // choosePartition's pair list
 
 	plus     *WFAPlus  // per-part work functions over the stable partition
 	partsetC index.Set // cached plus.Partition().Union(), refreshed on repartition
@@ -280,19 +282,6 @@ func (t *WFIT) activePins() index.Set {
 	return index.NewSet(ids...)
 }
 
-// doiFunc returns the current degree-of-interaction estimator, honoring
-// the doi threshold. It is a pure function of (pair, t.n);
-// choosePartition evaluates it once per pair of the candidate set.
-func (t *WFIT) doiFunc() interaction.DoiFunc {
-	return func(a, b index.ID) float64 {
-		v := t.intStats.Current(a, b, t.n)
-		if v <= t.options.DoiThreshold {
-			return 0
-		}
-		return v
-	}
-}
-
 // scoredCandidate is one chooseTop entry: an index and its score. While
 // bound is set the score is only an upper bound on the index's penalized
 // score.
@@ -324,8 +313,9 @@ func (a scoredCandidate) before(b scoredCandidate) bool {
 //
 // Candidates are taken from a max-heap in score order. A newcomer enters
 // it with an exact upper bound on its score (BenefitStats.PenalizedBound,
-// read from a dense per-ID summary) and is scored exactly only when that
-// bound reaches the top, so the order taken is the full sort's, while
+// read from a dense per-ID summary: the window sum, or the last exact
+// score while the window is unchanged) and is scored exactly only when
+// that bound reaches the top, so the order taken is the full sort's, while
 // most of the universe costs O(1).
 func (t *WFIT) chooseTop() index.Set {
 	m := t.materialized.Intersect(t.universe).Union(t.activePins())
@@ -335,13 +325,16 @@ func (t *WFIT) chooseTop() index.Set {
 	}
 	currentC := t.partsetC
 
+	// U, m and C ascend, so one merge walk places each member of U.
 	h := t.scoreScratch[:0]
+	var inM, inC bool
+	mk, ck := 0, 0
 	for k := 0; k < t.universe.Len(); k++ {
 		a := t.universe.At(k)
-		if m.Contains(a) {
+		if mk, inM = seek(m, mk, a); inM {
 			continue
 		}
-		if currentC.Contains(a) {
+		if ck, inC = seek(currentC, ck, a); inC {
 			h = append(h, scoredCandidate{id: a, score: t.idxStats.Current(a, t.n)})
 			continue
 		}
@@ -360,12 +353,11 @@ func (t *WFIT) chooseTop() index.Set {
 	// near-redundant alternative; monitoring both wastes a slot and
 	// bloats parts with artificial interactions. Materialized indices
 	// are always kept (the partition must cover them).
-	d := m
-	taken := 0
-	for taken < budget && len(h) > 0 {
+	var taken []index.ID
+	for len(taken) < budget && len(h) > 0 {
 		top := h[0]
 		if top.bound {
-			h[0] = scoredCandidate{id: top.id, score: t.idxStats.CurrentPenalized(top.id, t.n, t.reg.CreateCost(top.id))}
+			h[0] = scoredCandidate{id: top.id, score: t.idxStats.PenalizedScore(top.id, t.n, t.reg.CreateCost(top.id))}
 			siftDown(h, 0)
 			continue
 		}
@@ -374,15 +366,27 @@ func (t *WFIT) chooseTop() index.Set {
 		siftDown(h, 0)
 		def := t.reg.Get(top.id)
 		redundant := false
-		for k := 0; k < d.Len() && !redundant; k++ {
-			redundant = index.Nested(def, t.reg.Get(d.At(k)))
+		for k := 0; k < m.Len() && !redundant; k++ {
+			redundant = index.Nested(def, t.reg.Get(m.At(k)))
+		}
+		for k := 0; k < len(taken) && !redundant; k++ {
+			redundant = index.Nested(def, t.reg.Get(taken[k]))
 		}
 		if !redundant {
-			d = d.Add(top.id)
-			taken++
+			taken = append(taken, top.id)
 		}
 	}
-	return d
+	slices.Sort(taken)
+	return m.Union(index.NewSet(taken...))
+}
+
+// seek advances k past the members of s below a and reports whether a is
+// the member at k.
+func seek(s index.Set, k int, a index.ID) (int, bool) {
+	for k < s.Len() && s.At(k) < a {
+		k++
+	}
+	return k, k < s.Len() && s.At(k) == a
 }
 
 // siftDown restores the max-heap order (by before) of h below slot k.

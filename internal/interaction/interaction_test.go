@@ -102,8 +102,8 @@ func TestInteractionStatsSymmetricKey(t *testing.T) {
 		t.Fatalf("pair order changed value")
 	}
 	s.Add(1, 1, 5, 3) // self pair ignored
-	if len(s.Pairs()) != 1 {
-		t.Fatalf("Pairs = %v", s.Pairs())
+	if got := s.Export().Entries; s.Len() != 1 || len(got) != 1 || got[0].A != 1 || got[0].B != 2 {
+		t.Fatalf("Len = %d, Export = %+v, want the one pair (1, 2)", s.Len(), got)
 	}
 }
 
@@ -182,6 +182,20 @@ func testDoi(pairs map[Pair]float64) DoiFunc {
 	return func(a, b index.ID) float64 { return pairs[MakePair(a, b)] }
 }
 
+// pairsOf lists d's pairs with a positive doi in ascending (A, B) order,
+// the input Choose takes.
+func pairsOf(d index.Set, doi DoiFunc) []PairDoi {
+	var out []PairDoi
+	for i := 0; i < d.Len(); i++ {
+		for j := i + 1; j < d.Len(); j++ {
+			if v := doi(d.At(i), d.At(j)); v > 0 {
+				out = append(out, PairDoi{A: d.At(i), B: d.At(j), Doi: v})
+			}
+		}
+	}
+	return out
+}
+
 func TestChoosePartitionMergesStrongInteractions(t *testing.T) {
 	pt := &Partitioner{StateCnt: 100, MaxPartSize: 10, RandCnt: 8,
 		Rand: rand.New(rand.NewSource(1))}
@@ -190,7 +204,7 @@ func TestChoosePartitionMergesStrongInteractions(t *testing.T) {
 		{1, 2}: 50,
 		{3, 4}: 40,
 	})
-	p := pt.Choose(d, nil, doi)
+	p := pt.Choose(d, nil, pairsOf(d, doi))
 	if !p.Equal(Partition{index.NewSet(1, 2), index.NewSet(3, 4)}) {
 		t.Fatalf("Choose = %v", p)
 	}
@@ -209,7 +223,7 @@ func TestChoosePartitionRespectsStateBound(t *testing.T) {
 		{1, 2}: 10, {1, 3}: 1, {1, 4}: 1,
 		{2, 3}: 1, {2, 4}: 1, {3, 4}: 9,
 	})
-	p := pt.Choose(d, nil, doi)
+	p := pt.Choose(d, nil, pairsOf(d, doi))
 	if p.States() > 12 {
 		t.Fatalf("state bound violated: %d states in %v", p.States(), p)
 	}
@@ -227,7 +241,7 @@ func TestChoosePartitionMaxPartSize(t *testing.T) {
 		Rand: rand.New(rand.NewSource(3))}
 	d := index.NewSet(1, 2, 3)
 	doi := testDoi(map[Pair]float64{{1, 2}: 5, {2, 3}: 5, {1, 3}: 5})
-	p := pt.Choose(d, nil, doi)
+	p := pt.Choose(d, nil, pairsOf(d, doi))
 	if p.MaxPartSize() > 2 {
 		t.Fatalf("part size bound violated: %v", p)
 	}
@@ -239,7 +253,7 @@ func TestChoosePartitionInfeasibleBoundFallsBack(t *testing.T) {
 	// Even singletons need 2·3 = 6 > 3 states; the fallback must still
 	// return a covering partition.
 	d := index.NewSet(1, 2, 3)
-	p := pt.Choose(d, nil, testDoi(nil))
+	p := pt.Choose(d, nil, nil)
 	if !p.Union().Equal(d) {
 		t.Fatalf("fallback does not cover: %v", p)
 	}
@@ -253,7 +267,7 @@ func TestChoosePartitionBaselineReuse(t *testing.T) {
 	// with zero random restarts the baseline (current minus dropped, plus
 	// singleton for new) must win.
 	d := index.NewSet(1, 2, 4)
-	p := pt.Choose(d, current, testDoi(map[Pair]float64{{1, 2}: 3}))
+	p := pt.Choose(d, current, pairsOf(d, testDoi(map[Pair]float64{{1, 2}: 3})))
 	want := Partition{index.NewSet(1, 2), index.NewSet(4)}
 	if !p.Equal(want) {
 		t.Fatalf("Choose = %v, want baseline %v", p, want)
@@ -267,7 +281,8 @@ func TestChoosePartitionDeterministic(t *testing.T) {
 	run := func() Partition {
 		pt := &Partitioner{StateCnt: 24, MaxPartSize: 4, RandCnt: 8,
 			Rand: rand.New(rand.NewSource(99))}
-		return pt.Choose(index.NewSet(1, 2, 3, 4, 5), nil, doi)
+		d := index.NewSet(1, 2, 3, 4, 5)
+		return pt.Choose(d, nil, pairsOf(d, doi))
 	}
 	if !run().Equal(run()) {
 		t.Fatalf("same seed produced different partitions")
@@ -299,7 +314,8 @@ func TestChoosePartitionLossNearOptimal(t *testing.T) {
 
 	pt := &Partitioner{StateCnt: stateCnt, MaxPartSize: 10, RandCnt: 64,
 		Rand: rand.New(rand.NewSource(7))}
-	got := pt.Choose(index.NewSet(ids...), nil, doi)
+	d := index.NewSet(ids...)
+	got := pt.Choose(d, nil, pairsOf(d, doi))
 	if got.States() > stateCnt {
 		t.Fatalf("bound violated")
 	}
@@ -367,7 +383,8 @@ func TestChooseReturnsNormalized(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		pt := &Partitioner{StateCnt: 200, MaxPartSize: 6, RandCnt: 8,
 			Rand: rand.New(rand.NewSource(int64(trial)))}
-		got := pt.Choose(index.NewSet(ids...), nil, doi)
+		d := index.NewSet(ids...)
+		got := pt.Choose(d, nil, pairsOf(d, doi))
 		if !got.EqualNormalized(got.Normalize()) {
 			t.Fatalf("trial %d: Choose output not normalized: %v", trial, got)
 		}

@@ -112,15 +112,15 @@ func (p Partition) Validate() bool {
 	return true
 }
 
-// DoiFunc reports the (current) degree of interaction of an index pair.
-// Choose expects a pure, symmetric function with finite, non-negative
-// values: it evaluates each pair of the candidate set once.
+// DoiFunc reports the (current) degree of interaction of an index pair,
+// zero for a pair that does not interact.
 type DoiFunc func(a, b index.ID) float64
 
 // Loss returns the total doi mass across part boundaries — the error the
 // partition introduces in the decomposed cost formula (2.1). Choose sums
 // the same terms in the same order from its pair matrix
-// (Partitioner.loss), so the two agree bit for bit.
+// (Partitioner.loss), so the two agree bit for bit when doi is zero
+// outside Choose's pair list.
 func (p Partition) Loss(doi DoiFunc) float64 {
 	total := 0.0
 	for i := 0; i < len(p); i++ {
@@ -203,12 +203,11 @@ type rngSource interface {
 // statement, on the serialized apply path.
 //
 // The search works on positions in the candidate set d (ascending ID
-// order). doi is evaluated once per pair, into the singleton cross-loss
-// matrix; every candidate partition is scored from that matrix, and a
-// merge round touches only parts with an interacting partner. A part is
-// named by its slot, the position of its smallest member, and its
-// members are only materialized as index sets for a partition that is
-// kept.
+// order). The interacting pairs fill the singleton cross-loss matrix;
+// every candidate partition is scored from that matrix, and a merge round
+// touches only parts with an interacting partner. A part is named by its
+// slot, the position of its smallest member, and its members are only
+// materialized as index sets for a partition that is kept.
 type Partitioner struct {
 	// StateCnt bounds Σ 2^|Pk|; non-positive means unbounded.
 	StateCnt int
@@ -238,19 +237,23 @@ type Partitioner struct {
 
 	// singles lists the position pairs with a positive loss, in (i, j)
 	// order and weighted by that loss: the singleton phase of every
-	// restart of one Choose draws from it.
-	singles []mergeEdge
+	// restart of one Choose draws from it. singlesTotal is the left fold
+	// of their weights.
+	singles      []mergeEdge
+	singlesTotal float64
 }
 
 // Choose computes a feasible partition of d, seeded by the current
-// partition, minimizing loss under doi. The result is always in
-// Normalize form, so callers may compare it with EqualNormalized.
-func (pt *Partitioner) Choose(d index.Set, current Partition, doi DoiFunc) Partition {
+// partition, minimizing the loss under pairs: d's pairs with a positive
+// doi, in ascending (A, B) order with A < B (InteractionStats.AppendPairs
+// lists them so). Every other pair of d has doi zero. The result is always
+// in Normalize form, so callers may compare it with EqualNormalized.
+func (pt *Partitioner) Choose(d index.Set, current Partition, pairs []PairDoi) Partition {
 	maxPart := pt.MaxPartSize
 	if maxPart <= 0 {
 		maxPart = 20
 	}
-	pt.load(d, doi)
+	pt.load(d, pairs)
 	n := len(pt.ids)
 
 	var best Partition
@@ -309,9 +312,9 @@ func (pt *Partitioner) Choose(d index.Set, current Partition, doi DoiFunc) Parti
 }
 
 // load sizes the scratch for d and fills the singleton cross-loss matrix,
-// the partner bitsets and the singleton merge list, evaluating doi once
-// per pair.
-func (pt *Partitioner) load(d index.Set, doi DoiFunc) {
+// the partner bitsets and the singleton merge list from d's interacting
+// pairs. It panics on a list Choose does not accept.
+func (pt *Partitioner) load(d index.Set, pairs []PairDoi) {
 	n := d.Len()
 	pt.ids = pt.ids[:0]
 	for k := 0; k < n; k++ {
@@ -326,21 +329,26 @@ func (pt *Partitioner) load(d index.Set, doi DoiFunc) {
 	pt.parent = resize(pt.parent, n)
 	pt.rank = resize(pt.rank, n)
 	pt.members = resize(pt.members, n)
+	clear(pt.base)
 	clear(pt.baseRows)
 	clear(pt.baseLive)
-	pt.singles = pt.singles[:0]
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			l := doi(pt.ids[i], pt.ids[j])
-			pt.base[i*n+j], pt.base[j*n+i] = l, l
-			if l > 0 {
-				pt.baseRows[i*words+j>>6] |= 1 << (j & 63)
-				pt.baseRows[j*words+i>>6] |= 1 << (i & 63)
-				pt.baseLive[i>>6] |= 1 << (i & 63)
-				pt.baseLive[j>>6] |= 1 << (j & 63)
-				pt.singles = append(pt.singles, mergeEdge{i: i, j: j, weight: l})
-			}
+	pt.singles, pt.singlesTotal = pt.singles[:0], 0
+	pi, pj := -1, -1
+	for _, p := range pairs {
+		i, iok := slices.BinarySearch(pt.ids, p.A)
+		j, jok := slices.BinarySearch(pt.ids, p.B)
+		if !iok || !jok || i >= j || i < pi || i == pi && j <= pj || !(p.Doi > 0) {
+			panic("interaction: Choose needs pairs of d with a positive doi, ascending by (A, B) with A < B")
 		}
+		pi, pj = i, j
+		l := p.Doi
+		pt.base[i*n+j], pt.base[j*n+i] = l, l
+		pt.baseRows[i*words+j>>6] |= 1 << (j & 63)
+		pt.baseRows[j*words+i>>6] |= 1 << (i & 63)
+		pt.baseLive[i>>6] |= 1 << (i & 63)
+		pt.baseLive[j>>6] |= 1 << (j & 63)
+		pt.singles = append(pt.singles, mergeEdge{i: i, j: j, weight: l})
+		pt.singlesTotal += l
 	}
 }
 
@@ -368,16 +376,24 @@ func (pt *Partitioner) randomMerge(maxPart int) int {
 	// all infeasible for the whole phase, and the loss between two
 	// singletons is still the base loss. Each round's list is therefore
 	// pt.singles without the pairs that touch a merged slot, in the same
-	// order and with the same weights. When the pairs are infeasible, the
-	// general loop below drops them all without a merge.
+	// order and with the same weights. One pass drops those pairs and sums
+	// the survivors' weights in list order, which is the left fold the
+	// next draw needs. When the pairs are infeasible, the general loop
+	// below drops them all without a merge.
 	if maxPart >= 2 && (pt.StateCnt <= 0 || states <= pt.StateCnt) {
-		edges := append(pt.edges[:0], pt.singles...)
+		edges, total := append(pt.edges[:0], pt.singles...), pt.singlesTotal
 		for len(edges) > 0 {
-			e := edges[weightedPick(edges, pt.Rand)]
+			e := edges[pick(edges, total, pt.Rand)]
 			pt.merge(e.i, e.j)
-			edges = slices.DeleteFunc(edges, func(f mergeEdge) bool {
-				return f.i == e.i || f.i == e.j || f.j == e.i || f.j == e.j
-			})
+			kept := edges[:0]
+			total = 0
+			for _, f := range edges {
+				if f.i != e.i && f.i != e.j && f.j != e.i && f.j != e.j {
+					kept = append(kept, f)
+					total += f.weight
+				}
+			}
+			edges = kept
 		}
 		pt.edges = edges
 	}
@@ -392,7 +408,7 @@ func (pt *Partitioner) randomMerge(maxPart int) int {
 		// infeasible leaves the bitsets, and with it every later pair of
 		// parts that contain it; the cross loss of such pairs is never
 		// read again.
-		edges := pt.edges[:0]
+		edges, total := pt.edges[:0], 0.0
 		for w, lw := range live {
 			for ; lw != 0; lw &= lw - 1 {
 				i := w<<6 | bits.TrailingZeros64(lw)
@@ -415,7 +431,9 @@ func (pt *Partitioner) randomMerge(maxPart int) int {
 							continue
 						}
 						denom := float64(int(1)<<(si+sj) - int(1)<<si - int(1)<<sj)
-						edges = append(edges, mergeEdge{i: i, j: j, weight: cross[i*n+j] / denom})
+						e := mergeEdge{i: i, j: j, weight: cross[i*n+j] / denom}
+						edges = append(edges, e)
+						total += e.weight
 					}
 				}
 			}
@@ -424,7 +442,7 @@ func (pt *Partitioner) randomMerge(maxPart int) int {
 		if len(edges) == 0 {
 			break
 		}
-		e := edges[weightedPick(edges, pt.Rand)]
+		e := edges[pick(edges, total, pt.Rand)]
 		si, sj := size[e.i], size[e.j]
 		states += (1 << (si + sj)) - (1 << si) - (1 << sj)
 		pt.merge(e.i, e.j)
@@ -562,13 +580,9 @@ type mergeEdge struct {
 	weight float64
 }
 
-// weightedPick selects an element index with probability proportional to
-// its weight.
-func weightedPick(edges []mergeEdge, rng rngSource) int {
-	total := 0.0
-	for _, e := range edges {
-		total += e.weight
-	}
+// pick selects an element index with probability proportional to its
+// weight, given total, the left fold of the weights in list order.
+func pick(edges []mergeEdge, total float64, rng rngSource) int {
 	if total <= 0 {
 		return 0
 	}

@@ -4,34 +4,67 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/index"
 )
 
-// diffDoi draws a symmetric doi over ids: each pair interacts with
-// probability density, with values mixing small integers (ties in merge
-// weights and losses), spread-out floats, and tiny magnitudes.
-func diffDoi(rng *rand.Rand, ids []index.ID, density float64) DoiFunc {
-	pairs := make(map[Pair]float64)
-	for i := range ids {
-		for j := i + 1; j < len(ids); j++ {
-			if rng.Float64() >= density {
-				continue
-			}
-			var v float64
-			switch rng.Intn(3) {
-			case 0:
-				v = float64(rng.Intn(4) + 1)
-			case 1:
-				v = rng.ExpFloat64() * 100
-			default:
-				v = rng.Float64() * 1e-9
-			}
-			pairs[MakePair(ids[i], ids[j])] = v
+// diffDoi draws interaction histories for a share density of d's pairs
+// and for pairs of d's members with outsiders (IDs below, between and
+// above them), then reads them at a random position and doi threshold in
+// the two forms WFIT has handed Choose: as the doi function refPartitioner
+// reads (Current, zero at or below the threshold) and as the pair list
+// Choose takes (AppendPairs). The recorded values mix small integers (ties
+// in merge weights and losses), spread-out floats, tiny magnitudes, and
+// values at the threshold, and some pairs carry an older entry or a
+// window capped below their entry count.
+func diffDoi(rng *rand.Rand, d index.Set, density float64) (DoiFunc, []PairDoi) {
+	s := NewInteractionStats([]int{0, 1, 3}[rng.Intn(3)])
+	n := 20 + rng.Intn(10)
+	threshold := []float64{0, 1e-6, 2}[rng.Intn(3)]
+	value := func() float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return float64(rng.Intn(4) + 1)
+		case 1:
+			return rng.ExpFloat64() * 100
+		case 2:
+			return rng.Float64() * 1e-9
+		default:
+			return threshold
 		}
 	}
-	return testDoi(pairs)
+	seen := make(map[Pair]bool)
+	record := func(a, b index.ID) {
+		if p := MakePair(a, b); !seen[p] {
+			seen[p] = true
+			if rng.Intn(4) == 0 {
+				s.Add(a, b, n-1-rng.Intn(15), value())
+			}
+		}
+		s.Add(a, b, n, value())
+	}
+	for i := 0; i < d.Len(); i++ {
+		for j := i + 1; j < d.Len(); j++ {
+			if rng.Float64() < density {
+				record(d.At(i), d.At(j))
+			}
+		}
+		for k := rng.Intn(3); k > 0; k-- {
+			if x := index.ID(1 + rng.Intn(3*d.Len()+10)); !d.Contains(x) {
+				record(d.At(i), x)
+			}
+		}
+	}
+	doi := func(a, b index.ID) float64 {
+		v := s.Current(a, b, n)
+		if v <= threshold {
+			return 0
+		}
+		return v
+	}
+	return doi, s.AppendPairs(nil, d, n, threshold)
 }
 
 // diffCurrent draws a previous partition: random groups over part of d
@@ -70,7 +103,9 @@ func diffCandidates(rng *rand.Rand, n int) index.Set {
 // implementation: on sparse and dense doi, candidate sets on both sides
 // of 64, tight and loose bounds, and empty and non-empty current
 // partitions, every call must return the same partition and leave the
-// random source in the same state. The bounds include both edges of the
+// random source in the same state. Choose takes its pair list from the
+// interaction histories that the reference reads as a doi function, and
+// the list must be exactly the reference's positive pairs. The bounds include both edges of the
 // singleton phase's guard: maxPart 1, where singleton merges fail on
 // size, and StateCnt 2n, the largest bound at which they fail on neither.
 // Each configuration runs a short sequence of calls on one Partitioner,
@@ -105,12 +140,15 @@ func TestChooseMatchesReference(t *testing.T) {
 					var current Partition
 					for call := 0; call < 4; call++ {
 						d := diffCandidates(rng, n)
-						doi := diffDoi(rng, d.IDs(), density)
+						doi, pairs := diffDoi(rng, d, density)
+						if want := pairsOf(d, doi); !slices.Equal(pairs, want) {
+							t.Fatalf("%s call %d: AppendPairs = %v, positive pairs of the doi %v", name, call, pairs, want)
+						}
 						if withCurrent && current == nil {
 							current = diffCurrent(rng, d)
 						}
 						want := ref.Choose(d, current, doi)
-						got := pt.Choose(d, current, doi)
+						got := pt.Choose(d, current, pairs)
 						if len(got) != len(want) || !got.EqualNormalized(want) {
 							t.Fatalf("%s call %d: Choose = %v, reference %v", name, call, got, want)
 						}
@@ -136,8 +174,8 @@ func TestMatrixLossMatchesLoss(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		n := rng.Intn(80)
 		d := diffCandidates(rng, n)
-		doi := diffDoi(rng, d.IDs(), rng.Float64())
-		pt.load(d, doi)
+		doi, pairs := diffDoi(rng, d, rng.Float64())
+		pt.load(d, pairs)
 		parts := 1 + rng.Intn(n+1)
 		order := rng.Perm(parts)
 		for x := range pt.rank {

@@ -137,23 +137,32 @@ type InteractionStatsState struct {
 
 // Export captures the statistics in deterministic (pair) order.
 func (s *InteractionStats) Export() InteractionStatsState {
-	st := InteractionStatsState{Hist: s.hist}
-	for _, p := range s.Pairs() {
-		st.Entries = append(st.Entries, PairWindow{A: p.A, B: p.B, Window: s.m[p].Export()})
+	st := InteractionStatsState{Hist: s.hist, Entries: make([]PairWindow, 0, s.pairs)}
+	for a, ps := range s.adj {
+		for _, p := range ps {
+			st.Entries = append(st.Entries, PairWindow{A: index.ID(a), B: p.id, Window: p.w.Export()})
+		}
 	}
 	return st
 }
 
 // RestoreInteractionStats rebuilds interaction statistics from an exported
-// state.
+// state. It rejects entries that Export cannot produce: a pair whose A is
+// not below its B, and pairs out of ascending (A, B) order, which include
+// duplicates.
 func RestoreInteractionStats(st InteractionStatsState) (*InteractionStats, error) {
 	s := NewInteractionStats(st.Hist)
-	for _, e := range st.Entries {
+	for i, e := range st.Entries {
+		if e.A >= e.B || i > 0 && (e.A < st.Entries[i-1].A || e.A == st.Entries[i-1].A && e.B <= st.Entries[i-1].B) {
+			return nil, fmt.Errorf("interaction: pair entry %d (%d, %d) is not an ascending pair with A < B", i, e.A, e.B)
+		}
 		w, err := RestoreWindow(e.Window)
 		if err != nil {
 			return nil, err
 		}
-		s.m[MakePair(e.A, e.B)] = w
+		p := Pair{A: e.A, B: e.B}
+		k, _ := s.find(p)
+		s.insert(p, k, w)
 	}
 	return s, nil
 }

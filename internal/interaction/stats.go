@@ -6,7 +6,7 @@ package interaction
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/index"
 )
@@ -132,18 +132,23 @@ type BenefitStats struct {
 // state, rebuilt wherever a window is installed or changed, and never
 // exported.
 //
-// sum caches CurrentPenalized's running sum over the whole window for
-// penalty sumPenalty: −penalty plus the values, newest first, in the same
-// float operations. Values are positive, so that running sum only grows,
-// and the full sum over the smallest denominator (the largest, if the sum
-// is negative) bounds every ratio CurrentPenalized takes the maximum of.
+// Both cached figures are for one penalty. sum is CurrentPenalized's
+// running sum over the whole window: −penalty plus the values, newest
+// first, in the same float operations. Values are positive, so that
+// running sum only grows, and the full sum over the smallest denominator
+// (the largest, if the sum is negative) bounds every ratio
+// CurrentPenalized takes the maximum of. score is the last exact
+// CurrentPenalized, taken at position scorePos (see PenalizedScore).
 type benefitEntry struct {
 	w              *Window
 	newest, oldest int     // positions of the newest and oldest entries
 	last           float64 // the newest entry's value
+	penalty        float64 // the penalty sum and score are for
 	sum            float64
-	sumPenalty     float64
+	score          float64
+	scorePos       int
 	sumValid       bool
+	scoreValid     bool
 }
 
 // NewBenefitStats creates benefit statistics with the given histSize.
@@ -210,6 +215,14 @@ func (s *BenefitStats) CurrentPenalized(a index.ID, n int, penalty float64) floa
 // benefitEntry). It reads only a's summary, except to recompute the cached
 // sum after an Add or for a new penalty, and to settle positivity when the
 // newest entry's ratio underflows.
+//
+// The bound is the lesser of the window sum's and, while no Add has
+// touched the window since, the last exact score when that score is
+// non-negative and was taken at a position at or before n. That score is
+// exact as a bound: each ratio's numerator stays the same float while its
+// denominator N − nℓ + 1 only grows, and IEEE division is monotone, so a
+// non-negative numerator's ratio can only fall and a negative one stays
+// below zero, and so at or below the cached score.
 func (s *BenefitStats) PenalizedBound(a index.ID, n int, penalty float64) (float64, bool) {
 	if int(a) >= len(s.entries) {
 		return 0, false
@@ -218,17 +231,42 @@ func (s *BenefitStats) PenalizedBound(a index.ID, n int, penalty float64) (float
 	if e.w == nil || e.last/denominator(n, e.newest) <= 0 && e.w.Current(n) <= 0 {
 		return 0, false
 	}
-	if !e.sumValid || e.sumPenalty != penalty {
+	e.forPenalty(penalty)
+	if !e.sumValid {
 		acc := -penalty
 		for i := len(e.w.vals) - 1; i >= 0; i-- {
 			acc += e.w.vals[i]
 		}
-		e.sum, e.sumPenalty, e.sumValid = acc, penalty, true
+		e.sum, e.sumValid = acc, true
 	}
+	bound := e.sum / denominator(n, e.oldest)
 	if e.sum >= 0 {
-		return e.sum / denominator(n, e.newest), true
+		bound = e.sum / denominator(n, e.newest)
 	}
-	return e.sum / denominator(n, e.oldest), true
+	if e.scoreValid && e.score >= 0 && e.scorePos <= n && e.score < bound {
+		bound = e.score
+	}
+	return bound, true
+}
+
+// PenalizedScore returns CurrentPenalized(a, n, penalty) and keeps it in
+// a's summary, where PenalizedBound reads it as a bound until the next
+// Add to a's window.
+func (s *BenefitStats) PenalizedScore(a index.ID, n int, penalty float64) float64 {
+	v := s.CurrentPenalized(a, n, penalty)
+	if s.window(a) != nil {
+		e := &s.entries[a]
+		e.forPenalty(penalty)
+		e.score, e.scorePos, e.scoreValid = v, n, true
+	}
+	return v
+}
+
+// forPenalty drops the cached figures when they are for another penalty.
+func (e *benefitEntry) forPenalty(penalty float64) {
+	if e.penalty != penalty {
+		e.penalty, e.sumValid, e.scoreValid = penalty, false, false
+	}
 }
 
 // Len reports the number of retained per-index histories.
@@ -284,16 +322,69 @@ func MakePair(a, b index.ID) Pair {
 	return Pair{A: a, B: b}
 }
 
-// InteractionStats is intStats: pairwise doi histories.
+// InteractionStats is intStats: pairwise doi histories, kept in an
+// ID-indexed partner adjacency. Each pair (A, B), A < B, is listed once,
+// under A, and each list ascends by partner, so the pairs inside one
+// candidate set are found by walking its members' lists, without visiting
+// any other history. Add, Evict, SweepAged and Remap update the lists in
+// place.
 type InteractionStats struct {
-	hist int
-	m    map[Pair]*Window
+	hist  int
+	adj   [][]partner // by ID A: the pairs (A, B) with a history, ascending by B
+	pairs int         // retained pair histories
+}
+
+// partner is one entry of a partner list: the pair's larger index and its
+// window.
+type partner struct {
+	id index.ID
+	w  *Window
+}
+
+// PairDoi is one interacting pair of a candidate set, A < B, with its
+// positive degree of interaction.
+type PairDoi struct {
+	A, B index.ID
+	Doi  float64
 }
 
 // NewInteractionStats creates interaction statistics with the given
 // histSize.
 func NewInteractionStats(histSize int) *InteractionStats {
-	return &InteractionStats{hist: histSize, m: make(map[Pair]*Window)}
+	return &InteractionStats{hist: histSize}
+}
+
+// find returns pair p's position in its partner list, or the position
+// where it would be inserted, and whether it is there.
+func (s *InteractionStats) find(p Pair) (int, bool) {
+	if int(p.A) >= len(s.adj) {
+		return 0, false
+	}
+	return search(s.adj[p.A], p.B)
+}
+
+// search returns the position of b in the partner list ps, or the
+// position where b would be inserted, and whether b is there.
+func search(ps []partner, b index.ID) (int, bool) {
+	lo, hi := 0, len(ps)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ps[m].id < b {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(ps) && ps[lo].id == b
+}
+
+// insert lists the new pair p with window w at position k of its list.
+func (s *InteractionStats) insert(p Pair, k int, w *Window) {
+	if int(p.A) >= len(s.adj) {
+		s.adj = append(s.adj, make([][]partner, int(p.A)+1-len(s.adj))...)
+	}
+	s.adj[p.A] = slices.Insert(s.adj[p.A], k, partner{id: p.B, w: w})
+	s.pairs++
 }
 
 // Add records doi_qn(a,b) = d at position n (ignored unless finite and
@@ -303,33 +394,68 @@ func (s *InteractionStats) Add(a, b index.ID, n int, d float64) {
 		return
 	}
 	p := MakePair(a, b)
-	w, ok := s.m[p]
+	k, ok := s.find(p)
 	if !ok {
-		w = NewWindow(s.hist)
-		s.m[p] = w
+		s.insert(p, k, NewWindow(s.hist))
 	}
-	w.Add(n, d)
+	s.adj[p.A][k].w.Add(n, d)
 }
 
 // Current returns doi*_N(a,b).
 func (s *InteractionStats) Current(a, b index.ID, n int) float64 {
-	if w, ok := s.m[MakePair(a, b)]; ok {
-		return w.Current(n)
+	p := MakePair(a, b)
+	if k, ok := s.find(p); ok {
+		return s.adj[p.A][k].w.Current(n)
 	}
 	return 0
 }
 
+// AppendPairs appends to dst every pair of members of d whose doi*_N is
+// positive and above threshold, in ascending (A, B) order — the input
+// Partitioner.Choose takes — and returns the extended slice. It walks each
+// member's partner list beside the members after it, so its cost is that
+// of d's partner lists, not of d's n(n−1)/2 pairs.
+func (s *InteractionStats) AppendPairs(dst []PairDoi, d index.Set, n int, threshold float64) []PairDoi {
+	for i := 0; i < d.Len(); i++ {
+		a := d.At(i)
+		if int(a) >= len(s.adj) {
+			break
+		}
+		ps := s.adj[a]
+		for k, j := 0, i+1; k < len(ps) && j < d.Len(); {
+			switch p, b := ps[k], d.At(j); {
+			case p.id < b:
+				k++
+			case p.id > b:
+				j++
+			default:
+				if v := p.w.Current(n); !(v <= threshold) && v > 0 {
+					dst = append(dst, PairDoi{A: a, B: b, Doi: v})
+				}
+				k++
+				j++
+			}
+		}
+	}
+	return dst
+}
+
 // Len reports the number of retained pair histories.
-func (s *InteractionStats) Len() int { return len(s.m) }
+func (s *InteractionStats) Len() int { return s.pairs }
 
 // Evict drops every pair history touching a. Candidate retirement calls
 // it when a leaves the monitored universe: an interaction with a retired
 // index can never influence a partition again.
 func (s *InteractionStats) Evict(a index.ID) {
-	for p := range s.m {
-		if p.A == a || p.B == a {
-			delete(s.m, p)
+	for x := range min(int(a), len(s.adj)) {
+		if k, ok := search(s.adj[x], a); ok {
+			s.adj[x] = slices.Delete(s.adj[x], k, k+1)
+			s.pairs--
 		}
+	}
+	if int(a) < len(s.adj) {
+		s.pairs -= len(s.adj[a])
+		s.adj[a] = nil
 	}
 }
 
@@ -340,41 +466,49 @@ func (s *InteractionStats) Evict(a index.ID) {
 // converging anyway as the window aged.
 func (s *InteractionStats) SweepAged(cutoff int) int {
 	removed := 0
-	for p, w := range s.m {
-		if w.LastPos() <= cutoff {
-			delete(s.m, p)
-			removed++
+	for a, ps := range s.adj {
+		kept := ps[:0]
+		for _, p := range ps {
+			if p.w.LastPos() > cutoff {
+				kept = append(kept, p)
+			}
 		}
+		if len(kept) == len(ps) {
+			continue
+		}
+		removed += len(ps) - len(kept)
+		clear(ps[len(kept):])
+		if len(kept) == 0 {
+			kept = nil
+		}
+		s.adj[a] = kept
 	}
+	s.pairs -= removed
 	return removed
 }
 
 // Remap rebuilds the statistics under a new ID space (see
-// BenefitStats.Remap). Compaction's remap is monotone, so the A < B
-// normalization of every retained pair is preserved.
+// BenefitStats.Remap). Compaction's remap is monotone and never raises an
+// ID, so every partner list keeps its order and moves down the adjacency.
 func (s *InteractionStats) Remap(remap []index.ID) {
-	m := make(map[Pair]*Window, len(s.m))
-	for p, w := range s.m {
-		a, b := remap[p.A], remap[p.B]
-		if a == index.Invalid || b == index.Invalid {
-			panic("interaction: InteractionStats.Remap dropping a live history")
+	adj := make([][]partner, len(s.adj))
+	top := 0
+	for a, ps := range s.adj {
+		if len(ps) == 0 {
+			continue
 		}
-		m[MakePair(a, b)] = w
-	}
-	s.m = m
-}
-
-// Pairs returns the recorded pairs in deterministic order.
-func (s *InteractionStats) Pairs() []Pair {
-	out := make([]Pair, 0, len(s.m))
-	for p := range s.m {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
+		na := remap[a]
+		for k := range ps {
+			ps[k].id = remap[ps[k].id]
+			if na == index.Invalid || ps[k].id == index.Invalid {
+				panic("interaction: InteractionStats.Remap dropping a live history")
+			}
+			if ps[k].id <= na || k > 0 && ps[k].id <= ps[k-1].id {
+				panic("interaction: InteractionStats.Remap needs a monotone remap")
+			}
 		}
-		return out[i].B < out[j].B
-	})
-	return out
+		adj[na] = ps
+		top = int(na) + 1
+	}
+	s.adj = adj[:top]
 }

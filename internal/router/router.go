@@ -585,7 +585,11 @@ func (b *cancelBody) Close() error {
 	return err
 }
 
-// relay copies a backend response to the client verbatim.
+// relay copies a backend response to the client verbatim. The body goes
+// through the response's buffered writer, whose ReadFrom the wrapper
+// hides: given a body with a Content-Length, as every backend JSON reply
+// has, ReadFrom would flush the head early and pass the rest to the
+// socket's generic ReadFrom, which allocates a 32 KB buffer per reply.
 func relay(w http.ResponseWriter, resp *http.Response) {
 	defer resp.Body.Close()
 	for k, vs := range resp.Header {
@@ -594,7 +598,7 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body) //nolint:errcheck // the client is gone if this fails
+	io.CopyBuffer(struct{ io.Writer }{w}, resp.Body, make([]byte, 4<<10)) //nolint:errcheck // the client is gone if this fails
 }
 
 func jitter(d time.Duration) time.Duration {

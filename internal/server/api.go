@@ -49,12 +49,21 @@ type errorJSON struct {
 	Error string `json:"error"`
 }
 
+// writeJSON sends v as one compact, newline-terminated JSON document with
+// its Content-Length, in a single write, so the reply is not chunked. A
+// value that does not encode is a 500 with the error.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(errorJSON{Error: err.Error()})
+	}
+	body = append(body, '\n')
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // the client is gone if this fails
+	w.Write(body) //nolint:errcheck // the client is gone if this fails
 }
 
 func writeErr(w http.ResponseWriter, code int, format string, args ...any) {

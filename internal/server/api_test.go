@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 )
 
@@ -37,6 +38,18 @@ func newAPIRig(t *testing.T) *apiRig {
 // non-nil), asserting the status code.
 func (r *apiRig) call(method, path string, body any, wantCode int, out any) {
 	r.t.Helper()
+	_, data := r.raw(method, path, body, wantCode)
+	if out != nil {
+		if err := json.Unmarshal(data, out); err != nil {
+			r.t.Fatalf("%s %s: decoding %q: %v", method, path, data, err)
+		}
+	}
+}
+
+// raw performs one request and returns the response with its body read,
+// asserting the status code.
+func (r *apiRig) raw(method, path string, body any, wantCode int) (*http.Response, []byte) {
+	r.t.Helper()
 	var rd io.Reader
 	if body != nil {
 		b, err := json.Marshal(body)
@@ -61,11 +74,85 @@ func (r *apiRig) call(method, path string, body any, wantCode int, out any) {
 	if resp.StatusCode != wantCode {
 		r.t.Fatalf("%s %s: status %d (want %d): %s", method, path, resp.StatusCode, wantCode, data)
 	}
-	if out != nil {
-		if err := json.Unmarshal(data, out); err != nil {
-			r.t.Fatalf("%s %s: decoding %q: %v", method, path, data, err)
+	return resp, data
+}
+
+// TestAPIReplyFraming checks the replies that carry the recommendation —
+// the SQL ack, the recommendation read and the vote reply. Each must carry
+// a Content-Length equal to its body length, so it is not chunked, and its
+// body must be the compact form of the document the indenting encoder
+// wrote for the same value, newline-terminated. The batch makes the
+// recommendation large enough that its indented form exceeds the 2 KB
+// net/http sends unchunked when a handler sets no length.
+func TestAPIReplyFraming(t *testing.T) {
+	rig := newAPIRig(t)
+	rig.call("POST", "/sessions", map[string]any{"name": "prod"}, http.StatusCreated, nil)
+	sess, ok := rig.sv.Session("prod")
+	if !ok {
+		t.Fatal("session prod not found")
+	}
+	reg := sess.Registry()
+	check := func(what string, resp *http.Response, body []byte, want any) {
+		t.Helper()
+		if resp.ContentLength != int64(len(body)) || resp.Header.Get("Content-Length") != strconv.Itoa(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("%s: Content-Length %d (header %q, transfer encoding %v) for a %d-byte body",
+				what, resp.ContentLength, resp.Header.Get("Content-Length"), resp.TransferEncoding, len(body))
+		}
+		var indented bytes.Buffer
+		enc := json.NewEncoder(&indented)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(want); err != nil {
+			t.Fatal(err)
+		}
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, indented.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		compact.WriteByte('\n')
+		if !bytes.Equal(body, compact.Bytes()) {
+			t.Fatalf("%s: body\n%s\nwant the compact form of\n%s", what, body, indented.Bytes())
+		}
+		if indented.Len() <= 2048 {
+			t.Fatalf("%s: the indented reply has only %d bytes", what, indented.Len())
 		}
 	}
+
+	var batch []string
+	for _, c := range []struct{ table, col string }{
+		{"lineitem", "l_shipdate"}, {"lineitem", "l_commitdate"}, {"lineitem", "l_receiptdate"},
+		{"orders", "o_orderdate"}, {"orders", "o_totalprice"}, {"part", "p_retailprice"},
+		{"partsupp", "ps_supplycost"}, {"partsupp", "ps_availqty"}, {"customer", "c_acctbal"},
+		{"supplier", "s_acctbal"}, {"lineitem", "l_extendedprice"}, {"orders", "o_custkey"},
+		{"lineitem", "l_partkey"}, {"lineitem", "l_suppkey"}, {"partsupp", "ps_partkey"},
+		{"customer", "c_custkey"}, {"part", "p_partkey"},
+	} {
+		for k := 0; k < 3; k++ {
+			batch = append(batch, fmt.Sprintf("SELECT count(*) FROM tpch.%s WHERE %s BETWEEN %d AND %d", c.table, c.col, 100+k, 101+k))
+		}
+	}
+	resp, body := rig.raw("POST", "/sessions/prod/sql", map[string]any{"sql": batch}, http.StatusOK)
+	var ack sqlResponse
+	if err := json.Unmarshal(body, &ack); err != nil || len(ack.Results) != len(batch) {
+		t.Fatalf("SQL ack %s: %v", body, err)
+	}
+	rec, create, drop := sess.Recommendation()
+	if rec.Empty() {
+		t.Fatal("no recommendation after selective scans")
+	}
+	check("SQL ack", resp, body, sqlResponse{Results: ack.Results, Recommendation: setJSON(reg, rec)})
+
+	resp, body = rig.raw("GET", "/sessions/prod/recommendation", nil, http.StatusOK)
+	check("recommendation read", resp, body, map[string]any{
+		"recommendation": setJSON(reg, rec),
+		"would_create":   setJSON(reg, create),
+		"would_drop":     setJSON(reg, drop),
+	})
+
+	resp, body = rig.raw("POST", "/sessions/prod/votes", map[string]any{
+		"plus": []indexJSON{{Table: "tpch.part", Columns: []string{"p_size"}}},
+	}, http.StatusOK)
+	rec, _, _ = sess.Recommendation()
+	check("vote reply", resp, body, map[string]any{"recommendation": setJSON(reg, rec)})
 }
 
 func TestAPIEndToEnd(t *testing.T) {
