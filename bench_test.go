@@ -373,7 +373,7 @@ func benchStatistics(b *testing.B, optm *whatif.Optimizer, stmts []*stmt.Stateme
 		g := ibg.Build(optm, stmts[k], cands[k])
 		used += g.UsedUnion().Len()
 		b.StartTimer()
-		g.Statistics(1e-6, 1)
+		g.Statistics(1e-6)
 		b.StopTimer()
 		g.Release()
 		b.StartTimer()

@@ -9,8 +9,8 @@
 //	          [-seed S] [-workers W] [-benchout FILE]
 //
 // Without -fig, every experiment runs in order, followed by the §6.2
-// overhead numbers, a serial-vs-parallel measurement of the
-// per-statement analysis loop and the group-commit ingest comparison
+// overhead numbers, a measurement of the per-statement analysis loop
+// and the group-commit ingest comparison
 // (the same run -throughput makes), written as a JSON trajectory file
 // (-benchout, default BENCH_wfit.json). Output is an ASCII chart per
 // figure (OPT-normalized total work over the workload), optionally
@@ -42,7 +42,7 @@ func main() {
 func realMain() int {
 	fig := flag.Int("fig", 0, "run a single figure (8..12); 0 runs everything")
 	overhead := flag.Bool("overhead", false, "run only the overhead measurement")
-	perf := flag.Bool("perf", false, "run only the serial-vs-parallel analysis benchmark and the ingest-throughput bench")
+	perf := flag.Bool("perf", false, "run only the analysis-loop benchmark and the ingest-throughput bench")
 	small := flag.Bool("small", false, "use the scaled-down environment (fast sanity run)")
 	csv := flag.Bool("csv", false, "print CSV series after each chart")
 	seed := flag.Int64("seed", 0, "override the workload seed")
@@ -344,32 +344,23 @@ func writeReport(r *bench.PerfReport, outPath string) int {
 	return 0
 }
 
-// runPerf measures the per-statement analysis loop serially and with the
-// worker pool, then the group-commit ingest comparison, prints both, and
-// writes the JSON trajectory. Serial and parallel trajectories that
-// differ fail the run before anything is written. It returns a process
-// exit code instead of exiting so deferred profile writers still run.
+// runPerf measures the per-statement analysis loop, then the
+// group-commit ingest comparison, prints both, and writes the JSON
+// trajectory. It returns a process exit code instead of exiting so
+// deferred profile writers still run.
 func runPerf(env *bench.Env, outPath string, soak *bench.SoakReport, gauntlet *bench.GauntletReport) int {
-	fmt.Println("\nAnalysis-loop perf: full WFIT, serial (workers=1) vs parallel (one worker per core)")
-	r := env.RunPerfComparison()
+	fmt.Println("\nAnalysis-loop perf: full WFIT, one goroutine per statement analysis")
+	r := env.RunPerf()
 	r.Soak = soak
 	r.Gauntlet = gauntlet
-	show := func(label string, s *bench.PerfSide) {
-		fmt.Printf("  %-8s %8.1f µs/stmt (p50 %.1f, p90 %.1f, p99 %.1f, max %.1f), %d what-if calls\n",
-			label, s.USPerStmtMean, s.USPerStmtP50, s.USPerStmtP90, s.USPerStmtP99, s.USPerStmtMax,
-			s.WhatIfCalls)
-		fmt.Printf("  %-8s %8.0f allocs/stmt, %.0f bytes/stmt mean (p50 %.0f, p90 %.0f, max %.0f)\n",
-			"", s.AllocsPerStmtMean, s.BytesPerStmtMean,
-			s.BytesPerStmtP50, s.BytesPerStmtP90, s.BytesPerStmtMax)
-	}
-	show("serial", r.Serial)
-	show("parallel", r.Parallel)
-	fmt.Printf("  speedup %.2fx on %d core(s); OPT-normalized final ratio %.3f; identical results: %v\n",
-		r.Speedup, r.Cores, r.Parallel.FinalRatio, r.RatiosMatch)
-	if !r.RatiosMatch {
-		fmt.Fprintln(os.Stderr, "perf bench: SERIAL AND PARALLEL TRAJECTORIES DIFFER")
-		return 1
-	}
+	s := r.Analysis
+	fmt.Printf("  %8.1f µs/stmt (p50 %.1f, p90 %.1f, p99 %.1f, max %.1f), %d what-if calls\n",
+		s.USPerStmtMean, s.USPerStmtP50, s.USPerStmtP90, s.USPerStmtP99, s.USPerStmtMax,
+		s.WhatIfCalls)
+	fmt.Printf("  %8.0f allocs/stmt, %.0f bytes/stmt mean (p50 %.0f, p90 %.0f, max %.0f)\n",
+		s.AllocsPerStmtMean, s.BytesPerStmtMean,
+		s.BytesPerStmtP50, s.BytesPerStmtP90, s.BytesPerStmtMax)
+	fmt.Printf("  OPT-normalized final ratio %.3f on %d core(s)\n", s.FinalRatio, r.Cores)
 
 	fmt.Println()
 	p, code := runThroughput()

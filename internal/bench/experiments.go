@@ -102,7 +102,6 @@ func (e *Env) RunFig12() *Fig12Result {
 	options := core.DefaultOptions()
 	options.IdxCnt = e.Options.IdxCnt
 	options.StateCnt = e.middle()
-	options.Workers = 1 // run-level concurrency already covers the CPUs
 	auto := e.NewWFITAutoAlgo("AUTO", options)
 	fixed := e.NewWFITFixedAlgo("FIXED", e.Partitions[e.middle()])
 	runs := e.RunAll(RunSpec{Algo: auto}, RunSpec{Algo: fixed})
@@ -158,7 +157,6 @@ func (e *Env) RunOverhead() *OverheadReport {
 	options := core.DefaultOptions()
 	options.IdxCnt = e.Options.IdxCnt
 	options.StateCnt = e.middle()
-	options.Workers = e.Options.Workers
 	auto := e.NewWFITAutoAlgo("AUTO", options)
 	run := e.Run(RunSpec{Algo: auto})
 	n := len(e.Workload.Statements)

@@ -90,7 +90,6 @@ func RunGauntlet(base Options) *GauntletReport {
 			options := core.DefaultOptions()
 			options.IdxCnt = env.Options.IdxCnt
 			options.StateCnt = env.middle()
-			options.Workers = env.Options.Workers
 			algo, err := env.NewEngineAlgo(kind, kind, options)
 			if err != nil {
 				panic("bench: gauntlet engine vanished mid-run: " + err.Error())

@@ -7,12 +7,10 @@ import (
 	"repro/internal/core"
 )
 
-// PerfSide measures one configuration of the per-statement analysis loop:
-// the full WFIT in deployment configuration (online candidate maintenance,
-// private what-if optimizer), driven over the environment's workload.
+// PerfSide measures the per-statement analysis loop: the full WFIT in
+// deployment configuration (online candidate maintenance, private what-if
+// optimizer), driven over the environment's workload.
 type PerfSide struct {
-	// Workers is the analysis pipeline's worker bound (1 = serial path).
-	Workers int `json:"workers"`
 	// WallMSTotal is the total wall time spent inside the tuner.
 	WallMSTotal float64 `json:"analysis_wall_ms_total"`
 	// USPerStmtMean is the mean per-statement analysis wall time (µs).
@@ -45,15 +43,10 @@ type PerfSide struct {
 	FinalRatio         float64   `json:"opt_normalized_final_ratio"`
 	TotalWork          float64   `json:"total_work"`
 	OptNormalizedRatio []float64 `json:"opt_normalized_ratio"`
-
-	// totWork keeps the raw per-statement trajectory for the exact
-	// serial-vs-parallel comparison (not marshaled; the normalized form
-	// above carries the same information for readers).
-	totWork []float64
 }
 
-// PerfReport compares the serial and parallel per-statement analysis
-// paths; it is the payload of cmd/wfitbench's BENCH_wfit.json. Schema
+// PerfReport measures the per-statement analysis loop; it is the payload
+// of cmd/wfitbench's BENCH_wfit.json. Schema
 // wfit-perf/v3 added the Service section (the wfit-serve loadgen); v4
 // added the Soak section (the long-horizon bounded-memory run); v5 added
 // the Pipeline section (the group-commit ingest-throughput comparison);
@@ -65,21 +58,16 @@ type PerfSide struct {
 // dropped the perf sides' cache_hits and cache_hit_rate (the what-if
 // optimizer no longer memoizes, so whatif_calls counts every probe);
 // v10 dropped the Service and Obs sections (e2ebench measures the
-// service end to end).
+// service end to end); v11 replaced the serial and parallel sides, their
+// speedup and their identical-results flag with the one analysis side (a
+// statement's analysis runs on one goroutine).
 type PerfReport struct {
 	Schema     string `json:"schema"`
 	GoVersion  string `json:"go_version"`
 	Cores      int    `json:"cores"`
 	Statements int    `json:"statements"`
-	// Serial forces Workers=1 through the whole pipeline; Parallel uses
-	// one worker per core. Speedup is serial mean / parallel mean
-	// per-statement time; it approaches 1.0 on a single-core host.
-	Serial   *PerfSide `json:"serial"`
-	Parallel *PerfSide `json:"parallel"`
-	Speedup  float64   `json:"speedup"`
-	// RatiosMatch records the determinism guarantee as measured: the two
-	// paths produced bit-identical total-work trajectories.
-	RatiosMatch bool `json:"serial_parallel_results_identical"`
+	// Analysis is the measured analysis loop.
+	Analysis *PerfSide `json:"analysis,omitempty"`
 	// Soak is the long-horizon bounded-memory run (rotating schemas with
 	// candidate retirement and registry compaction); nil when skipped.
 	Soak *SoakReport `json:"soak,omitempty"`
@@ -99,24 +87,21 @@ type PerfReport struct {
 
 // PerfSchema is the schema version stamped on every PerfReport (see
 // PerfReport for the history).
-const PerfSchema = "wfit-perf/v10"
+const PerfSchema = "wfit-perf/v11"
 
-// RunPerf evaluates the full WFIT once with the given worker bound and
-// returns the measured side. It runs alone (no concurrent runs) and
-// starts from a collected heap, so back-to-back measurements don't bias
-// the later one with the earlier one's garbage.
-func (e *Env) RunPerf(workers int) *PerfSide {
+// RunPerf evaluates the full WFIT once and returns a report holding the
+// measured analysis side. It runs alone (no concurrent runs) and starts
+// from a collected heap, so earlier runs' garbage does not bias it.
+func (e *Env) RunPerf() *PerfReport {
 	runtime.GC()
 	options := core.DefaultOptions()
 	options.IdxCnt = e.Options.IdxCnt
 	options.StateCnt = e.middle()
-	options.Workers = workers
 	algo := e.NewWFITAutoAlgo("PERF", options)
 	run := e.Run(RunSpec{Algo: algo, TrackAllocs: true})
 
 	n := len(run.StmtAnalyze)
 	side := &PerfSide{
-		Workers:            workers,
 		WallMSTotal:        float64(run.AnalyzeTime.Microseconds()) / 1e3,
 		PerStmtWallUS:      make([]float64, n),
 		WhatIfCalls:        algo.WhatIfCalls(),
@@ -124,7 +109,6 @@ func (e *Env) RunPerf(workers int) *PerfSide {
 		FinalRatio:         run.Ratio[len(run.Ratio)-1],
 		TotalWork:          run.TotWork[len(run.TotWork)-1],
 		OptNormalizedRatio: run.Ratio,
-		totWork:            run.TotWork,
 	}
 	sorted := make([]float64, n)
 	for i, d := range run.StmtAnalyze {
@@ -148,7 +132,13 @@ func (e *Env) RunPerf(workers int) *PerfSide {
 		distribution(run.StmtAllocs, sorted)
 	side.BytesPerStmtMean, side.BytesPerStmtP50, side.BytesPerStmtP90, side.BytesPerStmtMax =
 		distribution(run.StmtAllocBytes, sorted)
-	return side
+	return &PerfReport{
+		Schema:     PerfSchema,
+		GoVersion:  runtime.Version(),
+		Cores:      runtime.NumCPU(),
+		Statements: len(e.Workload.Statements),
+		Analysis:   side,
+	}
 }
 
 // distribution summarizes a per-statement counter series, reusing the
@@ -166,39 +156,4 @@ func distribution(series []uint64, scratch []float64) (mean, p50, p90, max float
 	}
 	sort.Float64s(scratch)
 	return total / float64(n), scratch[n/2], scratch[n*9/10], scratch[n-1]
-}
-
-// RunPerfComparison measures the serial and parallel analysis paths back
-// to back (never concurrently — timings stay uncontended) and verifies
-// they produced identical tuning trajectories.
-func (e *Env) RunPerfComparison() *PerfReport {
-	serial := e.RunPerf(1)
-	parallel := e.RunPerf(0)
-	r := &PerfReport{
-		Schema:      PerfSchema,
-		GoVersion:   runtime.Version(),
-		Cores:       runtime.NumCPU(),
-		Statements:  len(e.Workload.Statements),
-		Serial:      serial,
-		Parallel:    parallel,
-		RatiosMatch: trajectoriesEqual(serial.totWork, parallel.totWork),
-	}
-	if parallel.USPerStmtMean > 0 {
-		r.Speedup = serial.USPerStmtMean / parallel.USPerStmtMean
-	}
-	return r
-}
-
-// trajectoriesEqual reports bit-exact equality of two total-work
-// trajectories, element by element.
-func trajectoriesEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -24,12 +24,15 @@ import (
 // on the speculation winning; a hit only removes the what-if probing from
 // the apply path's critical section.
 //
-// Run touches nothing but the captured sets, the concurrency-safe index
-// registry, and the concurrency-safe what-if optimizer, so it may execute
-// concurrently with other Runs and with the serialized apply of earlier
-// events. It must not run concurrently with CompactRegistry (which
-// renumbers the ID space under readers); the service joins every
-// in-flight Run before checkpointing.
+// Run executes on its calling goroutine from start to finish: the
+// statement's analysis is one sequential step (WFIT's analyzeQuery), and
+// concurrency comes only from running several Runs at once. Run touches
+// nothing but the captured sets, the concurrency-safe index registry, and
+// the concurrency-safe what-if optimizer, so it may execute concurrently
+// with other Runs and with the serialized apply of earlier events. It
+// must not run concurrently with CompactRegistry (which renumbers the ID
+// space under readers); the service joins every in-flight Run before
+// checkpointing.
 type Analysis struct {
 	stmt      *stmt.Statement
 	opt       *whatif.Optimizer
@@ -39,7 +42,6 @@ type Analysis struct {
 	// C ∪ M, the monitored and materialized indices.
 	base index.Set
 
-	workers      int
 	doiThreshold float64
 
 	// epoch and regLen pin the tuner state the capture is valid against.
@@ -63,17 +65,14 @@ type Analysis struct {
 // BeginAnalysis captures the context a speculative analysis of s will be
 // validated against. It is cheap (a few set unions) and must be called
 // under the same serialization as ApplyAnalysis — the capture has to see
-// a consistent tuner. workers bounds the goroutines this one analysis
-// fans across inside its IBG (see package ibg); speculative callers
-// typically pass 1 and get their parallelism from running several
-// analyses at once (any value produces byte-identical results).
-func (t *WFIT) BeginAnalysis(s *stmt.Statement, workers int) *Analysis {
+// a consistent tuner. Speculative callers get their parallelism from
+// running several analyses at once.
+func (t *WFIT) BeginAnalysis(s *stmt.Statement) *Analysis {
 	return &Analysis{
 		stmt:         s,
 		opt:          t.opt,
 		extractor:    t.extractor,
 		base:         t.partsetC.Union(t.materialized),
-		workers:      workers,
 		doiThreshold: t.options.DoiThreshold,
 		epoch:        t.epoch,
 		regLen:       t.reg.Len(),
@@ -116,9 +115,9 @@ func (a *Analysis) run(intern bool) {
 	// while the universe grows into the hundreds. Statistics for universe
 	// members untouched by recent statements simply age out through the
 	// history window.
-	g := ibg.BuildWorkers(a.opt, a.stmt, a.extracted.Union(a.base), a.workers)
+	g := ibg.Build(a.opt, a.stmt, a.extracted.Union(a.base))
 	a.g = g
-	a.benefits, a.interactions = g.Statistics(a.doiThreshold, a.workers)
+	a.benefits, a.interactions = g.Statistics(a.doiThreshold)
 	a.ok = true
 }
 
@@ -155,7 +154,7 @@ func (t *WFIT) ApplyAnalysis(a *Analysis) bool {
 		return true
 	}
 	a.Discard()
-	fresh := t.BeginAnalysis(a.stmt, t.options.Workers)
+	fresh := t.BeginAnalysis(a.stmt)
 	fresh.run(true)
 	t.finishAnalysis(fresh)
 	return false

@@ -62,7 +62,7 @@ func TestSpeculativeAnalysisBitIdentical(t *testing.T) {
 
 		as := make([]*Analysis, end-at)
 		for i, s := range stmts[at:end] {
-			as[i] = spec.BeginAnalysis(s, 1)
+			as[i] = spec.BeginAnalysis(s)
 		}
 		var wg sync.WaitGroup
 		for _, a := range as {
@@ -117,7 +117,7 @@ func TestAnalysisValidity(t *testing.T) {
 	tuner := NewWFIT(whatif.New(model), DefaultOptions())
 
 	mkStmt := func() *Analysis {
-		return tuner.BeginAnalysis(nil, 1)
+		return tuner.BeginAnalysis(nil)
 	}
 
 	a := mkStmt()

@@ -68,7 +68,6 @@ func TestVotedIndexSurvivesChooseTop(t *testing.T) {
 	e := newWFITEnv(t)
 	options := DefaultOptions()
 	options.IdxCnt = 4
-	options.Workers = 1
 	w := NewWFIT(e.opt, options)
 	n := 0
 	fillCandidates(t, e, w, &n)
@@ -110,7 +109,6 @@ func TestNegativeVoteUnpins(t *testing.T) {
 	e := newWFITEnv(t)
 	options := DefaultOptions()
 	options.IdxCnt = 4
-	options.Workers = 1
 	w := NewWFIT(e.opt, options)
 	n := 0
 	fillCandidates(t, e, w, &n)
@@ -135,7 +133,6 @@ func TestRetirementDropsIdleIndex(t *testing.T) {
 	options.IdxCnt = 4
 	options.HistSize = 10
 	options.RetireAfter = 30
-	options.Workers = 1
 	w := NewWFIT(e.opt, options)
 
 	// Phase 1: lineitem queries mine and monitor lineitem indices.
@@ -223,7 +220,6 @@ func TestCompactRegistryPreservesDecisions(t *testing.T) {
 		options.IdxCnt = 4
 		options.HistSize = 10
 		options.RetireAfter = 20
-		options.Workers = 1
 		return e, NewWFIT(e.opt, options)
 	}
 	eA, a := mk()

@@ -26,12 +26,6 @@ type Options struct {
 	MaxPartSize int
 	// DoiThreshold discards interactions with doi at or below it.
 	DoiThreshold float64
-	// Workers bounds the goroutines one statement's analysis may fan out
-	// across, only inside its IBG: wide construction waves and wide-graph
-	// statistics (see package ibg). 1 forces the fully serial path;
-	// values <= 0 mean one worker per CPU. Any setting produces
-	// byte-identical results.
-	Workers int
 	// Seed drives the deterministic randomness of choosePartition.
 	Seed int64
 	// RetireAfter bounds the tuner's memory of the mined universe: a
@@ -218,7 +212,7 @@ func (t *WFIT) Recommend() index.Set { return t.plus.Recommend() }
 // Analysis): the heavy read-only phase runs inline on the interning path,
 // immediately followed by the serialized fold-in.
 func (t *WFIT) AnalyzeQuery(s *stmt.Statement) {
-	a := t.BeginAnalysis(s, t.options.Workers)
+	a := t.BeginAnalysis(s)
 	a.run(true)
 	t.finishAnalysis(a)
 }

@@ -35,12 +35,10 @@
 // a pooled buffer that Release returns for the next statement — so the
 // analysis path performs no O(2^bits) allocation per statement.
 //
-// A statement's analysis fans out only here, where the work is big:
-// BuildWorkers prices frontier waves of at least parallelWave nodes on a
-// worker pool, and Statistics does so for graphs wider than exactEnumBits.
-// Either way the result is byte-identical to the serial form. Nothing
+// Construction and statistics run on the calling goroutine. Nothing
 // writes a graph after construction until Release, so probes and
-// Statistics calls may run on it concurrently in any mix.
+// Statistics calls may run on it concurrently in any mix: the benchmark
+// harness's concurrent runs share its evaluation graphs.
 package ibg
 
 import (
@@ -51,7 +49,6 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/index"
-	"repro/internal/par"
 	"repro/internal/stmt"
 	"repro/internal/whatif"
 )
@@ -70,9 +67,6 @@ const memoMaxBits = 20
 
 // maxUsedBits bounds the used union: probe masks are uint32 (see capUsed).
 const maxUsedBits = 32
-
-// parallelWave is the smallest frontier wave BuildWorkers fans out.
-const parallelWave = 64
 
 // node is one IBG vertex. Configurations and used sets are bitmasks over
 // the graph's used-union (only used indices influence walks and costs).
@@ -174,15 +168,6 @@ func (b *builder) reset() {
 // one what-if optimization through opt, so a build adds NodeCount to
 // opt.Calls.
 func Build(opt *whatif.Optimizer, s *stmt.Statement, candidates index.Set) *Graph {
-	return BuildWorkers(opt, s, candidates, 1)
-}
-
-// BuildWorkers is Build with the what-if optimizations of each wave of at
-// least parallelWave nodes fanned out across up to workers goroutines
-// (<= 0 means one per CPU). The frontier is expanded level-synchronously
-// in the serial algorithm's FIFO order, so the produced graph — node set,
-// links, truncation point — is identical to Build's for any worker count.
-func BuildWorkers(opt *whatif.Optimizer, s *stmt.Statement, candidates index.Set, workers int) *Graph {
 	top := opt.Model().RestrictConfig(s, candidates)
 	g := &Graph{top: top}
 
@@ -216,21 +201,17 @@ func BuildWorkers(opt *whatif.Optimizer, s *stmt.Statement, candidates index.Set
 		b.byKey[key] = 0
 	}
 
-	// costWave prices every node of a frontier wave: one independent
-	// what-if optimization each.
+	// costWave prices every node of a frontier wave: one what-if
+	// optimization each.
 	costWave := func(wave []int32) {
-		w := workers
-		if len(wave) < parallelWave {
-			w = 1
-		}
-		par.Do(w, len(wave), func(i int) {
-			n := &b.nodes[wave[i]]
+		for _, ni := range wave {
+			n := &b.nodes[ni]
 			if prep != nil {
 				n.cost, n.usedTop = opt.CostMask(prep, n.mask)
 			} else {
 				n.cost, n.used = opt.CostUsed(s, n.cfg)
 			}
-		})
+		}
 	}
 	b.wave = append(b.wave, 0)
 	costWave(b.wave)
@@ -258,6 +239,11 @@ func BuildWorkers(opt *whatif.Optimizer, s *stmt.Statement, candidates index.Set
 
 	g.freeze(b, topIDs, prep != nil)
 	return g
+}
+
+// Deprecated: BuildWorkers is Build; workers is ignored.
+func BuildWorkers(opt *whatif.Optimizer, s *stmt.Statement, candidates index.Set, workers int) *Graph {
+	return Build(opt, s, candidates)
 }
 
 // expandMask links node ni to one child per used index, in ascending ID
@@ -648,110 +634,71 @@ type Interaction struct {
 }
 
 // Interactions returns every pair of used indices with doi above the
-// threshold, ordered deterministically (ascending A, then B): Statistics'
-// serial form.
+// threshold, ordered deterministically (ascending A, then B).
 func (g *Graph) Interactions(threshold float64) []Interaction {
-	_, out := g.Statistics(threshold, 1)
+	_, out := g.Statistics(threshold)
 	return out
 }
 
 // Statistics returns MaxBenefit of every used index, in UsedUnion order,
 // and the Interactions above threshold, each bit for bit what the
-// per-index and per-pair calls return. On a graph wider than
-// exactEnumBits, whose maximizations run over node contexts and are the
-// analysis tail, the work fans out on up to workers goroutines (<= 0 means
-// one per CPU); results are collected by index, so any worker count gives
-// the same output. Statistics only reads the graph.
-func (g *Graph) Statistics(threshold float64, workers int) (benefits []float64, interactions []Interaction) {
+// per-index and per-pair calls return. Statistics only reads the graph.
+func (g *Graph) Statistics(threshold float64) (benefits []float64, interactions []Interaction) {
 	n := len(g.usedIDs)
-	pairs := make([][2]index.ID, 0, n*(n-1)/2)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			pairs = append(pairs, [2]index.ID{g.usedIDs[i], g.usedIDs[j]})
-		}
-	}
 	benefits = make([]float64, n)
-	dois := make([]float64, len(pairs))
+	dois := make([]float64, n*(n-1)/2) // pairs in ascending bit order
 	if n > exactEnumBits && g.memo != nil {
-		g.contextStatistics(benefits, dois, workers)
+		g.contextStatistics(benefits, dois)
 	} else {
-		if n <= exactEnumBits {
-			workers = 1
-		}
-		par.Do(workers, n+len(pairs), func(k int) {
-			if k < n {
-				benefits[k] = g.MaxBenefit(g.usedIDs[k])
-				return
+		k := 0
+		for i, a := range g.usedIDs {
+			benefits[i] = g.MaxBenefit(a)
+			for _, b := range g.usedIDs[i+1:] {
+				dois[k] = g.DOI(a, b)
+				k++
 			}
-			p := pairs[k-n]
-			dois[k-n] = g.DOI(p[0], p[1])
-		})
+		}
 	}
-	for k, p := range pairs {
-		if dois[k] > threshold {
-			interactions = append(interactions, Interaction{A: p[0], B: p[1], Doi: dois[k]})
+	k := 0
+	for i, a := range g.usedIDs {
+		for _, b := range g.usedIDs[i+1:] {
+			if dois[k] > threshold {
+				interactions = append(interactions, Interaction{A: a, B: b, Doi: dois[k]})
+			}
+			k++
 		}
 	}
 	return benefits, interactions
 }
 
-// statsChunk is how many node contexts make one unit of
-// contextStatistics' fan-out.
-const statsChunk = 256
-
-// contextStatistics computes Statistics' benefits and dois (pairs in
-// ascending bit order) over node contexts, for a graph wider than
-// exactEnumBits with a cost table. Each term is MaxBenefit's and DOI's own
-// expression over plain loads from the table. The node slab is split into
-// contiguous chunks maximized in parallel, and the chunk maxima are merged
-// in chunk order by the same strict >, which keeps the value the scans in
-// node order keep, bit for bit.
-func (g *Graph) contextStatistics(benefits, dois []float64, workers int) {
+// contextStatistics computes Statistics' benefits and dois over node
+// contexts, for a graph wider than exactEnumBits with a cost table. It is
+// the maximization MaxBenefit and DOI run over visitNodeContexts, in the
+// same node order and by the same strict >, with each term read straight
+// from the table, so every result is theirs bit for bit.
+func (g *Graph) contextStatistics(benefits, dois []float64) {
 	vals := g.memo.vals
 	n := len(benefits)
-	width := n + len(dois)
-	chunks := (len(g.nodes) + statsChunk - 1) / statsChunk
-	maxima := make([]float64, chunks*width)
-	par.Do(workers, chunks, func(c int) {
-		best := maxima[c*width : (c+1)*width]
-		bens, ds := best[:n], best[n:]
-		for i := range bens {
-			bens[i] = math.Inf(-1)
-		}
-		for _, nd := range g.nodes[c*statsChunk : min((c+1)*statsChunk, len(g.nodes))] {
-			k := 0
-			for i := 0; i < n; i++ {
-				bitA := uint32(1) << i
-				ctx := nd.cfgMask &^ bitA
-				if v := vals[ctx] - vals[ctx|bitA]; v > bens[i] {
-					bens[i] = v
-				}
-				for j := i + 1; j < n; j++ {
-					bitB := uint32(1) << j
-					x := nd.cfgMask &^ (bitA | bitB)
-					v := math.Abs(vals[x] - vals[x|bitA] -
-						vals[x|bitB] + vals[x|bitA|bitB])
-					if v > ds[k] {
-						ds[k] = v
-					}
-					k++
-				}
-			}
-		}
-	})
 	for i := range benefits {
 		benefits[i] = math.Inf(-1)
 	}
-	for c := 0; c < chunks; c++ {
-		best := maxima[c*width : (c+1)*width]
-		for i, v := range best[:n] {
-			if v > benefits[i] {
+	for _, nd := range g.nodes {
+		k := 0
+		for i := 0; i < n; i++ {
+			bitA := uint32(1) << i
+			ctx := nd.cfgMask &^ bitA
+			if v := vals[ctx] - vals[ctx|bitA]; v > benefits[i] {
 				benefits[i] = v
 			}
-		}
-		for k, v := range best[n:] {
-			if v > dois[k] {
-				dois[k] = v
+			for j := i + 1; j < n; j++ {
+				bitB := uint32(1) << j
+				x := nd.cfgMask &^ (bitA | bitB)
+				v := math.Abs(vals[x] - vals[x|bitA] -
+					vals[x|bitB] + vals[x|bitA|bitB])
+				if v > dois[k] {
+					dois[k] = v
+				}
+				k++
 			}
 		}
 	}

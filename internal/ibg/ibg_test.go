@@ -137,9 +137,7 @@ func generatedGraphs(profile string, keep func(o *whatif.Optimizer, s *stmt.Stat
 // The same walk holds the build over more than 64 relevant candidates,
 // which takes the set path instead of a cost.Prepared and prices every
 // node with CostUsed, to the same contract: the first three such graphs
-// that are not truncated price every configuration bit for bit. Builds
-// run on two workers, so under -race the wide waves also check that
-// concurrent CostUsed calls share no state.
+// that are not truncated price every configuration bit for bit.
 func TestUsedUnionCappedAt32(t *testing.T) {
 	cat, joins := datagen.Build()
 	m := cost.NewModel(cat, index.NewRegistry(), cost.DefaultParams())
@@ -178,7 +176,7 @@ func TestUsedUnionCappedAt32(t *testing.T) {
 		if relevant <= maxUsedBits || capped && relevant <= 64 {
 			continue // too few relevant candidates to need the cap, or no graph left to find
 		}
-		g := BuildWorkers(o, s, mined, 2)
+		g := Build(o, s, mined)
 		if n := g.UsedUnion().Len(); n > maxUsedBits {
 			t.Fatalf("stmt %d: %d used indices, more than a probe mask holds", s.ID, n)
 		}
@@ -409,117 +407,18 @@ func TestEmptyCandidates(t *testing.T) {
 	}
 }
 
-// fanOutCase is one statement of a generated workload with the candidates
-// mined up to and including it.
-type fanOutCase struct {
-	s     *stmt.Statement
-	cands index.Set
-}
-
-var (
-	fanOutOnce  sync.Once
-	fanOutOpt   *whatif.Optimizer
-	fanOutCases []fanOutCase
-)
-
-// fanOutSetup walks the first two phases of the default workload, mining
-// candidates as it goes, and keeps the first three statements whose IBG's
-// used union exceeds exactEnumBits and the first three within it. The wide
-// graphs reach both fan-out gates; the narrow ones stay serial.
-func fanOutSetup(t *testing.T) (*whatif.Optimizer, []fanOutCase) {
-	t.Helper()
-	fanOutOnce.Do(func() {
-		wide, narrow := 0, 0
-		generatedGraphs("", func(o *whatif.Optimizer, s *stmt.Statement, cands index.Set, g *Graph) bool {
-			fanOutOpt = o
-			isWide := g.UsedUnion().Len() > exactEnumBits
-			if isWide && wide < 3 || !isWide && narrow < 3 {
-				fanOutCases = append(fanOutCases, fanOutCase{s, cands})
-				if isWide {
-					wide++
-				} else {
-					narrow++
-				}
-			}
-			return wide < 3 || narrow < 3
-		})
-	})
-	return fanOutOpt, fanOutCases
-}
-
-// maxWave returns the widest construction wave of g: wave k holds the
-// nodes k used indices below the root.
-func maxWave(g *Graph) int {
-	full := g.fullMask()
-	waves := make(map[int]int)
-	widest := 0
-	for i := range g.nodes {
-		k := bits.OnesCount32(full &^ g.nodes[i].cfgMask)
-		waves[k]++
-		widest = max(widest, waves[k])
-	}
-	return widest
-}
-
-// TestParallelBuildIdenticalToSerial checks BuildWorkers' contract on
-// generated statements: a build whose waves reach parallelWave, priced on
-// a worker pool, is node for node the serial build.
-func TestParallelBuildIdenticalToSerial(t *testing.T) {
-	o, cases := fanOutSetup(t)
-	gated := false
-	for _, c := range cases {
-		serial := Build(o, c.s, c.cands)
-		parallel := BuildWorkers(o, c.s, c.cands, 8)
-		gated = gated || maxWave(serial) >= parallelWave
-		if serial.NodeCount() != parallel.NodeCount() || serial.Truncated() != parallel.Truncated() {
-			t.Fatalf("stmt %d: %d nodes (truncated %v) vs %d (truncated %v)", c.s.ID,
-				serial.NodeCount(), serial.Truncated(), parallel.NodeCount(), parallel.Truncated())
-		}
-		if !serial.UsedUnion().Equal(parallel.UsedUnion()) {
-			t.Fatalf("stmt %d: used unions differ: %v vs %v", c.s.ID, serial.UsedUnion(), parallel.UsedUnion())
-		}
-		si, pi := nodeIndex(serial), nodeIndex(parallel)
-		for i := range serial.nodes {
-			sn, pn := &serial.nodes[i], &parallel.nodes[i]
-			if sn.cost != pn.cost || sn.cfgMask != pn.cfgMask || sn.usedMask != pn.usedMask || len(sn.children) != len(pn.children) {
-				t.Fatalf("stmt %d node %d: %+v vs %+v", c.s.ID, i, *sn, *pn)
-			}
-			for k, sc := range sn.children {
-				pc := pn.children[k]
-				if (sc == nil) != (pc == nil) || sc != nil && si[sc] != pi[pc] {
-					t.Fatalf("stmt %d node %d: child %d differs", c.s.ID, i, k)
-				}
-			}
-		}
-	}
-	if !gated {
-		t.Fatalf("no generated graph has a wave of %d nodes: the pooled path went untested", parallelWave)
-	}
-}
-
-// nodeIndex maps each node of g to its position in the node slab.
-func nodeIndex(g *Graph) map[*node]int {
-	idx := make(map[*node]int, len(g.nodes))
-	for i := range g.nodes {
-		idx[&g.nodes[i]] = i
-	}
-	return idx
-}
-
 // TestStatisticsMatchesDefinitions checks Statistics bit for bit against
-// the per-index MaxBenefit and pairwise DOI, with eight workers and with
-// one, on every wide generated graph of both profiles (every twentieth under
-// the race detector) and on the first three narrow ones. The reference is
-// computed after Release: the graph then has no cost table, and every term
-// of MaxBenefit and DOI is a find walk, independent of the table Statistics
-// read. Statistics on the released wide graph, on two workers, must give
-// the same results.
+// the per-index MaxBenefit and pairwise DOI on every wide generated graph
+// of both profiles (every twentieth under the race detector) and on the
+// first three narrow ones. The reference is computed after Release: the
+// graph then has no cost table, and every term of MaxBenefit and DOI is a
+// find walk, independent of the table Statistics read. Statistics on the
+// released wide graph must give the same results.
 func TestStatisticsMatchesDefinitions(t *testing.T) {
 	const threshold = 1e-6
 	check := func(s *stmt.Statement, g *Graph) {
 		t.Helper()
-		b8, in8 := g.Statistics(threshold, 8)
-		b1, in1 := g.Statistics(threshold, 1)
+		benefits, interactions := g.Statistics(threshold)
 		g.Release()
 		used := g.UsedUnion().IDs()
 		wantB := make([]float64, len(used))
@@ -538,10 +437,9 @@ func TestStatisticsMatchesDefinitions(t *testing.T) {
 				t.Fatalf("stmt %d, %s: %v", s.ID, pass, err)
 			}
 		}
-		compare("8 workers", b8, in8)
-		compare("1 worker", b1, in1)
+		compare("cost table", benefits, interactions)
 		if len(used) > exactEnumBits {
-			bR, inR := g.Statistics(threshold, 2)
+			bR, inR := g.Statistics(threshold)
 			compare("released", bR, inR)
 		}
 	}
@@ -819,13 +717,14 @@ func TestReleaseRecyclesMemo(t *testing.T) {
 }
 
 // TestConcurrentProbesAreRaceFree runs probes and Statistics calls side by
-// side on one graph: eight goroutines probe CostMask while two call
-// Statistics on two workers each. It does so on the hand-built join's
-// narrow graph and on the first generated graph of more than exactEnumBits
-// and at most memoMaxBits used indices, whose statistics read the cost
-// table over node contexts. Nothing writes a graph after Build, so every
-// result must equal the serial one bit for bit, and under -race no access
-// may race.
+// side on one graph, as the benchmark harness's concurrent runs (RunAll)
+// do on the environment's shared graphs: eight goroutines probe CostMask
+// while two call Statistics. It does so on the hand-built join's narrow
+// graph and on the first generated graph of more than exactEnumBits and at
+// most memoMaxBits used indices, whose statistics read the cost table over
+// node contexts. Nothing writes a graph after Build, so every result must
+// equal the one computed alone bit for bit, and under -race no access may
+// race.
 func TestConcurrentProbesAreRaceFree(t *testing.T) {
 	const threshold = 1e-6
 	o, _, ids := testSetup(t)
@@ -843,7 +742,7 @@ func TestConcurrentProbesAreRaceFree(t *testing.T) {
 	}
 	for _, g := range graphs {
 		used := g.UsedUnion().IDs()
-		wantB, wantIn := g.Statistics(threshold, 1)
+		wantB, wantIn := g.Statistics(threshold)
 		full := g.fullMask()
 		var wg sync.WaitGroup
 		for w := 0; w < 10; w++ {
@@ -851,7 +750,7 @@ func TestConcurrentProbesAreRaceFree(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				if w < 2 {
-					b, in := g.Statistics(threshold, 2)
+					b, in := g.Statistics(threshold)
 					if err := diffStatistics(used, wantB, wantIn, b, in); err != nil {
 						t.Errorf("%d used indices, concurrent Statistics: %v", len(used), err)
 					}

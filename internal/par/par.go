@@ -1,7 +1,8 @@
-// Package par provides the tiny data-parallel primitive behind the IBG's
-// fan-out and the experiment harness: run n independent units of work
-// across a bounded set of goroutines, with results written by index so
-// callers stay deterministic regardless of scheduling.
+// Package par provides the tiny data-parallel primitive behind the
+// experiment harness's environment construction and concurrent runs: run
+// n independent units of work across a bounded set of goroutines, with
+// results written by index so callers stay deterministic regardless of
+// scheduling.
 package par
 
 import (

@@ -10,8 +10,9 @@
 // This is a deliberate deviation from a single shared optimizer — registry
 // ID assignment must be deterministic per session for recovery to be
 // bit-identical (IDs order work-function bits and break score ties). The
-// optimizer is safe for concurrent use, so the analysis pipeline can fan
-// a session's IBG construction across workers.
+// optimizer is safe for concurrent use, so the analysis pipeline can run
+// several of a session's statement analyses at once, each on one
+// goroutine.
 package server
 
 import (

@@ -63,7 +63,7 @@ func writeV1(s *Snapshot) []byte {
 	e.intv(o.MaxPartSize)
 	e.f64(o.DoiThreshold)
 	e.boolv(false)
-	e.intv(o.Workers)
+	e.intv(0)
 	e.i64(o.Seed)
 	e.intv(t.N)
 	e.intv(t.Repartitions)

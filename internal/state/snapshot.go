@@ -230,7 +230,9 @@ func readDefs(d *reader) []index.Index {
 // serialized here: it travels as the payload's S0 set, and restore paths
 // reinject it (see core.RestoreWFIT). The byte after DoiThreshold held
 // the retired AssumeIndependent option: it is written as 0, and a 1 fails
-// the decode (see readRetired).
+// the decode (see readRetired). The int after it held the retired Workers
+// option, which bounded a goroutine fan-out inside one analysis and never
+// moved a trajectory: it is written as 0, and any value read is dropped.
 //
 //lint:allow parity(InitialMaterialized travels as the payload S0 set, not in the options block)
 func writeOptions(e *writer, o core.Options) {
@@ -241,7 +243,7 @@ func writeOptions(e *writer, o core.Options) {
 	e.intv(o.MaxPartSize)
 	e.f64(o.DoiThreshold)
 	e.boolv(false) // retired AssumeIndependent
-	e.intv(o.Workers)
+	e.intv(0)      // retired Workers
 	e.i64(o.Seed)
 	e.intv(o.RetireAfter)
 }
@@ -256,7 +258,7 @@ func readOptions(d *reader, version int) core.Options {
 	o.MaxPartSize = d.intv()
 	o.DoiThreshold = d.f64()
 	readRetired(d, "AssumeIndependent (interaction-blind WFIT)")
-	o.Workers = d.intv()
+	d.intv() // retired Workers
 	o.Seed = d.i64()
 	if version >= 2 {
 		o.RetireAfter = d.intv()

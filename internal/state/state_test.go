@@ -206,21 +206,12 @@ func TestSnapshotRetiredModesRejected(t *testing.T) {
 	stream := buf.Bytes()
 
 	// Locate the two bytes by re-encoding the v3 fields before each one.
-	var pre bytes.Buffer
-	pre.WriteString(snapMagicPrefix + "3")
-	e := newWriter(&pre)
-	writeDefs(e, s.Defs)
-	e.str(st.TunerKind())
-	o := st.Options
-	for _, v := range []int{o.IdxCnt, o.StateCnt, o.HistSize, o.RandCnt, o.MaxPartSize} {
-		e.intv(v)
-	}
-	e.f64(o.DoiThreshold)
+	pre, e := v3OptionsHead(s)
 	assumeIndependentAt := pre.Len()
 	e.boolv(false)
-	e.intv(o.Workers)
-	e.i64(o.Seed)
-	e.intv(o.RetireAfter)
+	e.intv(0) // retired Workers
+	e.i64(st.Options.Seed)
+	e.intv(st.Options.RetireAfter)
 	e.intv(st.N)
 	e.intv(st.Repartitions)
 	e.intv(st.Retired)
@@ -234,8 +225,7 @@ func TestSnapshotRetiredModesRejected(t *testing.T) {
 	set := func(at int, v byte) []byte {
 		b := append([]byte(nil), stream...)
 		b[at] = v
-		binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.Checksum(b[len(snapMagicPrefix)+1:len(b)-4], crcTable))
-		return b
+		return resum(b)
 	}
 	if !bytes.Equal(set(statsDisabledAt, 0), stream) {
 		t.Fatalf("reference CRC does not match the written stream")
@@ -252,6 +242,93 @@ func TestSnapshotRetiredModesRejected(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.mode) {
 			t.Errorf("%s set to 1: Read error = %v, want one naming the mode", c.mode, err)
 		}
+	}
+}
+
+// v3OptionsHead re-encodes s's v3 stream up to the options' DoiThreshold:
+// the header, the defs block, the kind tag and the options before it. The
+// caller goes on writing with the returned writer.
+func v3OptionsHead(s *Snapshot) (*bytes.Buffer, *writer) {
+	pre := new(bytes.Buffer)
+	pre.WriteString(snapMagicPrefix + "3")
+	e := newWriter(pre)
+	writeDefs(e, s.Defs)
+	st := s.Tuner.(*core.TunerState)
+	e.str(st.TunerKind())
+	o := st.Options
+	for _, v := range []int{o.IdxCnt, o.StateCnt, o.HistSize, o.RandCnt, o.MaxPartSize} {
+		e.intv(v)
+	}
+	e.f64(o.DoiThreshold)
+	return pre, e
+}
+
+// resum redoes the trailing CRC of a snapshot stream in place.
+func resum(b []byte) []byte {
+	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.Checksum(b[len(snapMagicPrefix)+1:len(b)-4], crcTable))
+	return b
+}
+
+// TestSnapshotRetiredWorkersSlotIgnored puts 1 into the options slot of
+// the retired Workers setting, the value harness-made snapshots may hold,
+// in the stream of a tuner snapshotted mid-workload. Unlike a retired
+// mode's byte, the slot never moved a trajectory: the stream must decode,
+// re-encode with 0 in the slot and every other byte unchanged, and the
+// restored tuner must continue bit-identically to the uninterrupted one.
+func TestSnapshotRetiredWorkersSlotIgnored(t *testing.T) {
+	sqls := testWorkloadSQL(90)
+	cut := 60
+	full := newTunerRig(t)
+	for _, sql := range sqls[:cut] {
+		full.analyze(t, sql)
+	}
+	snap := &Snapshot{
+		Defs:    CaptureRegistry(full.reg),
+		Tuner:   full.tuner.ExportState(),
+		Session: SessionState{Name: "t", Statements: cut},
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, snap); err != nil {
+		t.Fatal(err)
+	}
+	stream := buf.Bytes()
+
+	// The test's own writer: the v3 stream with 1 in the slot.
+	pre, e := v3OptionsHead(snap)
+	e.boolv(false) // retired AssumeIndependent
+	workersAt := pre.Len()
+	e.intv(0)
+	if !bytes.HasPrefix(stream, pre.Bytes()) {
+		t.Fatalf("reference prefix does not match the written stream")
+	}
+	legacy := append([]byte(nil), stream...)
+	binary.LittleEndian.PutUint64(legacy[workersAt:], 1)
+	resum(legacy)
+
+	decoded, err := Read(bytes.NewReader(legacy))
+	if err != nil {
+		t.Fatalf("reading a snapshot with 1 in the Workers slot: %v", err)
+	}
+	// legacy is stream with 1 in the slot and its CRC redone, so a
+	// re-encoding equal to stream has 0 there and every other byte as read.
+	var again bytes.Buffer
+	if err := Write(&again, decoded); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), stream) {
+		t.Fatalf("re-encoding differs from the stream written with 0 in the Workers slot")
+	}
+
+	restored := restoreRig(t, decoded)
+	for i, sql := range sqls[cut:] {
+		full.analyze(t, sql)
+		restored.analyze(t, sql)
+		if !restored.tuner.Recommend().Equal(full.tuner.Recommend()) {
+			t.Fatalf("recommendation diverged at continuation statement %d", i+1)
+		}
+	}
+	if !reflect.DeepEqual(full.tuner.ExportState(), restored.tuner.ExportState()) {
+		t.Fatalf("final tuner states differ after identical continuation")
 	}
 }
 

@@ -134,11 +134,10 @@ func (t *Bandit) Kind() string { return Kind }
 // and per-arm benefit maximization, all side-effect-free against the
 // captured (epoch, registry length) state.
 type analysis struct {
-	t       *Bandit
-	st      *stmt.Statement
-	workers int
-	epoch   uint64
-	regLen  int
+	t      *Bandit
+	st     *stmt.Statement
+	epoch  uint64
+	regLen int
 	// evalBase is the captured super-arm ∪ materialized set the IBG is
 	// built over alongside the statement's own candidates.
 	evalBase index.Set
@@ -153,15 +152,17 @@ type analysis struct {
 	nodes     int
 }
 
-// BeginAnalysis captures the evaluation context for s.
-func (t *Bandit) BeginAnalysis(s *stmt.Statement, workers int) tuner.Analysis {
-	if workers <= 0 {
-		workers = 1
-	}
+// BeginAnalysis captures the evaluation context for s. Run analyzes on
+// its calling goroutine; workers is ignored.
+func (t *Bandit) BeginAnalysis(s *stmt.Statement, _ int) tuner.Analysis {
+	return t.begin(s)
+}
+
+// begin is BeginAnalysis without the interface's unused argument.
+func (t *Bandit) begin(s *stmt.Statement) *analysis {
 	return &analysis{
 		t:        t,
 		st:       s,
-		workers:  workers,
 		epoch:    t.epoch,
 		regLen:   t.reg.Len(),
 		evalBase: t.selection.Union(t.materialized),
@@ -192,7 +193,7 @@ func (a *analysis) run(intern bool) {
 		}
 	}
 	eval := a.extracted.Union(a.evalBase)
-	g := ibg.BuildWorkers(a.t.opt, a.st, eval, a.workers)
+	g := ibg.Build(a.t.opt, a.st, eval)
 	a.nodes = g.NodeCount()
 	used := g.UsedUnion()
 	a.used = used.IDs()
@@ -225,7 +226,7 @@ func (t *Bandit) ApplyAnalysis(a tuner.Analysis) bool {
 		t.finishAnalysis(ba)
 		return true
 	}
-	fresh := t.BeginAnalysis(ba.st, ba.workers).(*analysis)
+	fresh := t.begin(ba.st)
 	fresh.run(true)
 	t.finishAnalysis(fresh)
 	return false
@@ -233,7 +234,7 @@ func (t *Bandit) ApplyAnalysis(a tuner.Analysis) bool {
 
 // AnalyzeQuery is the serial path: capture, analyze, fold.
 func (t *Bandit) AnalyzeQuery(s *stmt.Statement) {
-	a := t.BeginAnalysis(s, t.options.Workers).(*analysis)
+	a := t.begin(s)
 	a.run(true)
 	t.finishAnalysis(a)
 }

@@ -65,7 +65,6 @@ func TestCompactRegistryPreservesDecisions(t *testing.T) {
 		options.IdxCnt = 4
 		options.HistSize = 10
 		options.RetireAfter = 20
-		options.Workers = 1
 		return reg, New(whatif.New(cost.NewModel(cat, reg, cost.DefaultParams())), options)
 	}
 	regA, a := mk()
@@ -99,7 +98,6 @@ func TestRestoreRejectsHistoryBeyondRegistry(t *testing.T) {
 	cat, _ := datagen.Build()
 	reg := index.NewRegistry()
 	options := core.DefaultOptions()
-	options.Workers = 1
 	opt := whatif.New(cost.NewModel(cat, reg, cost.DefaultParams()))
 	b := New(opt, options)
 	for n := 1; n <= 10; n++ {

@@ -90,7 +90,8 @@ type Engine interface {
 	AnalyzeQuery(s *stmt.Statement)
 
 	// BeginAnalysis captures everything the speculative stage needs and
-	// returns a handle whose Run may execute concurrently.
+	// returns a handle whose Run may execute concurrently. Run analyzes
+	// on its calling goroutine; workers is ignored.
 	BeginAnalysis(s *stmt.Statement, workers int) Analysis
 
 	// AnalysisValid reports whether a still reflects the engine's

@@ -49,8 +49,8 @@ var _ Engine = WFIT{}
 func (WFIT) Kind() string { return KindWFIT }
 
 // BeginAnalysis starts a speculative analysis (see core.WFIT.BeginAnalysis).
-func (e WFIT) BeginAnalysis(s *stmt.Statement, workers int) Analysis {
-	return e.WFIT.BeginAnalysis(s, workers)
+func (e WFIT) BeginAnalysis(s *stmt.Statement, _ int) Analysis {
+	return e.WFIT.BeginAnalysis(s)
 }
 
 // AnalysisValid reports whether a's capture is still current.
