@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -28,7 +27,9 @@ const maxShipBytes = 256 << 20
 // on: {"need_snapshot":true,"last_seq":N} when the incremental stream
 // cannot continue (unknown session or sequence gap), and
 // {"promoted":true} once this node has been promoted — the fence that
-// stops a zombie primary from overwriting the new timeline.
+// stops a zombie primary from overwriting the new timeline. The WAL
+// endpoint acks a batch once it is durable in the follower's WAL and
+// applies it after the reply (see server.Session.ApplyReplicated).
 func NewHandler(sv *server.Server) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /replication/sessions/{id}/wal", handleWAL(sv))
@@ -38,21 +39,20 @@ func NewHandler(sv *server.Server) http.Handler {
 	return mux
 }
 
-func replyJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck // the peer is gone if this fails
-}
-
 // fenceIfPromoted answers the zombie-primary 409 when this node no
 // longer follows, reporting whether the request was terminated.
 func fenceIfPromoted(w http.ResponseWriter, r *http.Request, sv *server.Server) bool {
 	if sv.Follower() {
 		return false
 	}
-	obs.Event("replica", "fence", "session", r.PathValue("id"), "path", r.URL.Path)
-	replyJSON(w, http.StatusConflict, walReply{Promoted: true, Error: "node is primary; replication stream rejected"})
+	fence(w, r)
 	return true
+}
+
+// fence answers the zombie-primary 409.
+func fence(w http.ResponseWriter, r *http.Request) {
+	obs.Event("replica", "fence", "session", r.PathValue("id"), "path", r.URL.Path)
+	server.WriteJSON(w, http.StatusConflict, walReply{Promoted: true, Error: "node is primary; replication stream rejected"})
 }
 
 func readShipBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
@@ -66,14 +66,14 @@ func handleWAL(sv *server.Server) http.HandlerFunc {
 		}
 		body, err := readShipBody(w, r)
 		if err != nil {
-			replyJSON(w, http.StatusBadRequest, walReply{Error: fmt.Sprintf("reading ship body: %v", err)})
+			server.WriteJSON(w, http.StatusBadRequest, walReply{Error: fmt.Sprintf("reading ship body: %v", err)})
 			return
 		}
 		recs, err := state.DecodeRecords(body)
 		if err != nil {
 			// A torn or corrupt ship payload is rejected whole; the
 			// primary re-ships the chunk intact.
-			replyJSON(w, http.StatusBadRequest, walReply{Error: err.Error()})
+			server.WriteJSON(w, http.StatusBadRequest, walReply{Error: err.Error()})
 			return
 		}
 		name := r.PathValue("id")
@@ -81,20 +81,31 @@ func handleWAL(sv *server.Server) http.HandlerFunc {
 		if !ok {
 			// The session predates this standby (or the standby lost it):
 			// ask for a snapshot bootstrap.
-			replyJSON(w, http.StatusConflict, walReply{NeedSnapshot: true, Error: fmt.Sprintf("unknown session %q", name)})
+			server.WriteJSON(w, http.StatusConflict, walReply{NeedSnapshot: true, Error: fmt.Sprintf("unknown session %q", name)})
 			return
 		}
-		last, err := sess.ApplyReplicated(recs)
-		if err != nil {
-			var gap *server.GapError
-			if errors.As(err, &gap) {
-				replyJSON(w, http.StatusConflict, walReply{LastSeq: gap.Have, NeedSnapshot: true, Error: err.Error()})
-				return
-			}
-			replyJSON(w, http.StatusInternalServerError, walReply{LastSeq: last, Error: err.Error()})
-			return
+		// The ack goes out once the batch is durable here, before it
+		// applies. An apply that fails after it poisons the session, and
+		// the next ship is answered with the error.
+		acked := false
+		last, err := sess.ApplyReplicated(recs, func(seq uint64) {
+			server.WriteJSON(w, http.StatusOK, walReply{LastSeq: seq})
+			http.NewResponseController(w).Flush() //nolint:errcheck // the peer is gone if this fails
+			acked = true
+		})
+		var gap *server.GapError
+		switch {
+		case acked:
+			// Already answered.
+		case errors.Is(err, server.ErrPromoted):
+			fence(w, r)
+		case errors.As(err, &gap):
+			server.WriteJSON(w, http.StatusConflict, walReply{LastSeq: gap.Have, NeedSnapshot: true, Error: err.Error()})
+		case err != nil:
+			server.WriteJSON(w, http.StatusInternalServerError, walReply{LastSeq: last, Error: err.Error()})
+		default:
+			server.WriteJSON(w, http.StatusOK, walReply{LastSeq: last})
 		}
-		replyJSON(w, http.StatusOK, walReply{LastSeq: last})
 	}
 }
 
@@ -105,25 +116,29 @@ func handleSnapshot(sv *server.Server) http.HandlerFunc {
 		}
 		body, err := readShipBody(w, r)
 		if err != nil {
-			replyJSON(w, http.StatusBadRequest, walReply{Error: fmt.Sprintf("reading snapshot body: %v", err)})
+			server.WriteJSON(w, http.StatusBadRequest, walReply{Error: fmt.Sprintf("reading snapshot body: %v", err)})
 			return
 		}
 		sess, err := sv.InstallSnapshot(body)
+		if errors.Is(err, server.ErrPromoted) {
+			fence(w, r)
+			return
+		}
 		if err != nil {
-			replyJSON(w, http.StatusBadRequest, walReply{Error: err.Error()})
+			server.WriteJSON(w, http.StatusBadRequest, walReply{Error: err.Error()})
 			return
 		}
 		if name := r.PathValue("id"); sess.Name() != name {
 			// The snapshot named a different session than the URL: the
 			// install stands (the bytes were valid), but the mismatch is a
 			// shipper bug worth failing loudly.
-			replyJSON(w, http.StatusBadRequest, walReply{
+			server.WriteJSON(w, http.StatusBadRequest, walReply{
 				LastSeq: sess.LastSeq(),
 				Error:   fmt.Sprintf("snapshot is for session %q, shipped as %q", sess.Name(), name),
 			})
 			return
 		}
-		replyJSON(w, http.StatusOK, walReply{LastSeq: sess.LastSeq()})
+		server.WriteJSON(w, http.StatusOK, walReply{LastSeq: sess.LastSeq()})
 	}
 }
 
@@ -149,7 +164,7 @@ func handleStatus(sv *server.Server) http.HandlerFunc {
 				LagRecords: s.ReplicationLag(),
 			})
 		}
-		replyJSON(w, http.StatusOK, map[string]any{
+		server.WriteJSON(w, http.StatusOK, map[string]any{
 			"role":     sv.Role(),
 			"sessions": cursors,
 		})
@@ -159,6 +174,6 @@ func handleStatus(sv *server.Server) http.HandlerFunc {
 func handlePromote(sv *server.Server) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		sv.Promote()
-		replyJSON(w, http.StatusOK, map[string]string{"role": sv.Role()})
+		server.WriteJSON(w, http.StatusOK, map[string]string{"role": sv.Role()})
 	}
 }

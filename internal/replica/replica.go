@@ -3,7 +3,10 @@
 // incremental stream cannot continue, whole snapshots) to a warm standby
 // over HTTP, and a follower-side handler that applies the stream through
 // the session's one apply path — the one live ingest and crash recovery
-// use, speculating when the standby runs with -pipeline.
+// use, speculating when the standby runs with -pipeline. The handler acks
+// a batch once it is durable in the follower's WAL and applies it after
+// the reply, before it releases the session lock, so no read, promotion
+// or later batch on the standby sees the batch unapplied.
 //
 // The wire unit is the WAL's own frame format (state.EncodeRecords), so
 // the standby's log is byte-identical to the stretch of the primary's it
@@ -15,10 +18,13 @@
 //
 // Two ship modes:
 //
-//   - sync: Commit returns only after the standby confirmed the group —
-//     an acked client write is on both nodes. A ship failure does NOT
-//     fail the local write: the service degrades to async semantics and
-//     surfaces the condition through ShipperStats.Errors (semi-sync).
+//   - sync: Commit returns only after the standby made the group durable
+//     in its WAL — an acked client write is durable on both nodes. The
+//     primary runs Commit beside its own apply of the group and joins it
+//     before replying, so neither node's apply sits on the round trip. A
+//     ship failure does NOT fail the local write: the service degrades to
+//     async semantics and surfaces the condition through
+//     ShipperStats.Errors (semi-sync).
 //   - async: Commit buffers and returns; a background loop ships with
 //     jittered backoff. The loss window on primary death is the unshipped
 //     pending buffer.

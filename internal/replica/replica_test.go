@@ -459,6 +459,13 @@ func TestStandbyTornTailRepairAndReshipDedup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Round 0 is acked before its record applies, round 1 after the
+		// call returns; both must carry a Content-Length, or the early
+		// ack would go out chunked and the shipper would wait for the
+		// handler to finish.
+		if resp.ContentLength <= 0 {
+			t.Fatalf("re-ship round %d: reply has Content-Length %d", round, resp.ContentLength)
+		}
 		var rep struct {
 			LastSeq uint64 `json:"last_seq"`
 		}

@@ -49,10 +49,12 @@ type errorJSON struct {
 	Error string `json:"error"`
 }
 
-// writeJSON sends v as one compact, newline-terminated JSON document with
-// its Content-Length, in a single write, so the reply is not chunked. A
-// value that does not encode is a 500 with the error.
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON sends v as one compact, newline-terminated JSON document with
+// its Content-Length, in a single write, so the reply is not chunked: a
+// client reads it whole even while the handler keeps running, as the
+// replication handler does after its early ack. A value that does not
+// encode is a 500 with the error.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	body, err := json.Marshal(v)
 	if err != nil {
 		code = http.StatusInternalServerError
@@ -67,7 +69,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, errorJSON{Error: fmt.Sprintf(format, args...)})
+	WriteJSON(w, code, errorJSON{Error: fmt.Sprintf(format, args...)})
 }
 
 // decodeBody strictly decodes a JSON request body into v.
@@ -113,7 +115,7 @@ func (sv *Server) Handler() http.Handler {
 			// standby from a stale one before promoting it.
 			resp["lag_records"] = sv.MaxReplicationLag()
 		}
-		writeJSON(w, http.StatusOK, resp)
+		WriteJSON(w, http.StatusOK, resp)
 	})
 	return mux
 }
@@ -156,7 +158,7 @@ func (sv *Server) handleTrace(w http.ResponseWriter, r *http.Request, sess *Sess
 	if slowest == nil {
 		slowest = []obs.StatementTrace{}
 	}
-	writeJSON(w, http.StatusOK, traceResponse{Enabled: enabled, Recent: recent, Slowest: slowest})
+	WriteJSON(w, http.StatusOK, traceResponse{Enabled: enabled, Recent: recent, Slowest: slowest})
 }
 
 // gateWrites rejects mutating requests while the server is a standby:
@@ -241,7 +243,7 @@ func (sv *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, code, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, sess.Status())
+	WriteJSON(w, http.StatusCreated, sess.Status())
 }
 
 func (sv *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
@@ -250,7 +252,7 @@ func (sv *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
 	for _, s := range sessions {
 		statuses = append(statuses, s.Status())
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"sessions": statuses})
+	WriteJSON(w, http.StatusOK, map[string]any{"sessions": statuses})
 }
 
 type sqlRequest struct {
@@ -282,7 +284,7 @@ func (sv *Server) handleSQL(w http.ResponseWriter, r *http.Request, sess *Sessio
 		}
 		return
 	}
-	writeJSON(w, http.StatusOK, sqlResponse{
+	WriteJSON(w, http.StatusOK, sqlResponse{
 		Results:        results,
 		Recommendation: setJSON(sess.Registry(), rec),
 	})
@@ -301,7 +303,7 @@ func writeApplyErr(w http.ResponseWriter, err error) {
 func (sv *Server) handleRecommendation(w http.ResponseWriter, r *http.Request, sess *Session) {
 	rec, create, drop := sess.Recommendation()
 	reg := sess.Registry()
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"recommendation": setJSON(reg, rec),
 		"would_create":   setJSON(reg, create),
 		"would_drop":     setJSON(reg, drop),
@@ -336,7 +338,7 @@ func (sv *Server) handleVotes(w http.ResponseWriter, r *http.Request, sess *Sess
 		writeApplyErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"recommendation": setJSON(sess.Registry(), rec),
 	})
 }
@@ -348,7 +350,7 @@ func (sv *Server) handleAccept(w http.ResponseWriter, r *http.Request, sess *Ses
 		return
 	}
 	reg := sess.Registry()
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"materialized":    setJSON(reg, res.Materialized),
 		"created":         setJSON(reg, res.Created),
 		"dropped":         setJSON(reg, res.Dropped),
@@ -357,7 +359,7 @@ func (sv *Server) handleAccept(w http.ResponseWriter, r *http.Request, sess *Ses
 }
 
 func (sv *Server) handleStatus(w http.ResponseWriter, r *http.Request, sess *Session) {
-	writeJSON(w, http.StatusOK, sess.Status())
+	WriteJSON(w, http.StatusOK, sess.Status())
 }
 
 func (sv *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request, sess *Session) {
@@ -366,5 +368,5 @@ func (sv *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request, sess 
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"wal_seq": seq})
+	WriteJSON(w, http.StatusOK, map[string]any{"wal_seq": seq})
 }

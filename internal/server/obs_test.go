@@ -394,12 +394,12 @@ func TestFollowerLagInHealthz(t *testing.T) {
 	}
 
 	cut := len(stream) / 2
-	if _, err := sess.ApplyReplicated(stream[:cut]); err != nil {
+	if _, err := sess.ApplyReplicated(stream[:cut], nil); err != nil {
 		t.Fatal(err)
 	}
 	// A gapped ship is rejected, but the offered high-water mark — and
 	// therefore the reported lag — must reflect how far behind we are.
-	if _, err := sess.ApplyReplicated(stream[cut+1:]); err == nil {
+	if _, err := sess.ApplyReplicated(stream[cut+1:], nil); err == nil {
 		t.Fatal("gapped batch accepted")
 	}
 	wantLag := stream[len(stream)-1].Seq - stream[cut-1].Seq
@@ -407,7 +407,7 @@ func TestFollowerLagInHealthz(t *testing.T) {
 		t.Fatalf("stale follower lag = %v (present %v), want %v", lag, ok, wantLag)
 	}
 
-	if _, err := sess.ApplyReplicated(stream); err != nil {
+	if _, err := sess.ApplyReplicated(stream, nil); err != nil {
 		t.Fatal(err)
 	}
 	if lag, ok := healthLag(); !ok || lag != 0 {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -40,12 +41,31 @@ func (s *Session) ExportTunerState() state.TunerState {
 	return s.tuner.ExportState()
 }
 
+// ErrPromoted is returned by ApplyReplicated and InstallSnapshot once the
+// server has been promoted: the node that shipped the records or the
+// snapshot is a zombie primary, and nothing of it may reach the new
+// timeline.
+var ErrPromoted = errors.New("server: node is primary; replication stream rejected")
+
 // ApplyReplicated applies a batch of shipped primary records on a
 // follower: append them to the local WAL, then apply them through
 // applyChunk, the path live ingest and recovery use — speculating when
 // Pipeline is set. The follower's WAL is byte-identical to the stretch of
 // the primary's it mirrors, and its tuner trajectory is the one replaying
 // that WAL yields.
+//
+// durable, when set, is called once the batch is in the WAL (flushed, and
+// synced under Fsync) and before any of it applies: the point at which the
+// standby acks it. It runs under the session lock and must not call back
+// into the session. The lock is held until the batch has applied and any
+// due snapshot is written, so every read of the session, a promoted
+// node's first write and the next shipped batch see the batch applied.
+// durable is not called for a batch that writes nothing.
+//
+// A session of a promoted server refuses every batch with ErrPromoted.
+// The role is read under the session lock because a ship can pass the
+// replication handler's fence just before Promote and reach the session
+// after the promoted node's first write.
 //
 // Records the follower has already applied (seq ≤ local cursor) are
 // dropped first: re-ships after a lost ack are idempotent, never
@@ -63,9 +83,12 @@ func (s *Session) ExportTunerState() state.TunerState {
 // compaction prelude a primary checkpoint logs — the primary's RecCompact
 // arrives in-stream and is applied at its shipped position, which is what
 // keeps the two registries' ID spaces in lockstep.
-func (s *Session) ApplyReplicated(recs []state.Record) (uint64, error) {
+func (s *Session) ApplyReplicated(recs []state.Record, durable func(last uint64)) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.rt.follower != nil && !s.rt.follower.Load() {
+		return s.wal.LastSeq(), ErrPromoted
+	}
 	if s.broken != nil {
 		return s.wal.LastSeq(), s.broken
 	}
@@ -94,6 +117,9 @@ func (s *Session) ApplyReplicated(recs []state.Record) (uint64, error) {
 	if _, err := s.wal.AppendBatch(recs); err != nil {
 		s.broken = fmt.Errorf("server: replica WAL append: %w", err)
 		return last, s.broken
+	}
+	if durable != nil {
+		durable(s.wal.LastSeq())
 	}
 	if k, err := s.applyChunk(events, nil, false); err != nil {
 		s.broken = fmt.Errorf("server: applying replicated record (seq %d): %w", recs[k].Seq, err)
@@ -168,7 +194,11 @@ func (sv *Server) Promote() {
 // primary's sequence numbering from the snapshot's LastSeq. An existing
 // session of the same name is discarded first (the primary only ships a
 // snapshot when the incremental stream cannot continue, so whatever the
-// follower had is stale by construction).
+// follower had is stale by construction). A promoted server refuses the
+// snapshot with ErrPromoted. The role is read under the server lock,
+// which every session lookup takes, so a snapshot that passed the
+// handler's fence just before Promote never replaces a session the
+// promoted node has written to.
 func (sv *Server) InstallSnapshot(data []byte) (*Session, error) {
 	snap, err := state.Read(bytes.NewReader(data))
 	if err != nil {
@@ -183,6 +213,9 @@ func (sv *Server) InstallSnapshot(data []byte) (*Session, error) {
 	defer sv.mu.Unlock()
 	if sv.closed {
 		return nil, ErrSessionClosed
+	}
+	if !sv.Follower() {
+		return nil, ErrPromoted
 	}
 	dir := filepath.Join(sv.sessionsRoot(), name)
 	if old, ok := sv.sessions[name]; ok {

@@ -163,6 +163,7 @@ func (sv *Server) runtime(name, dir string) SessionRuntime {
 		Pipeline: sv.cfg.Pipeline,
 		Hooks:    sv.cfg.WALHooks,
 		Metrics:  sv.cfg.Metrics,
+		follower: &sv.follower,
 	}
 	if sv.cfg.NewShipper != nil {
 		rt.NewShipper = func(base uint64, tail []state.Record) Shipper {

@@ -25,6 +25,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/catalog"
@@ -291,6 +292,7 @@ type Session struct {
 	tuner          tuner.Engine
 	wal            *state.WAL
 	shipper        Shipper
+	shipping       chan struct{} // closed when the in-flight Commit returns; nil when none is
 	statements     int
 	totalWork      float64
 	transitionCost float64
@@ -461,7 +463,8 @@ type SessionRuntime struct {
 	// already covers and the WAL tail replayed past it — the backlog a
 	// recovered primary must re-offer its standby without forcing a
 	// snapshot re-ship. Every subsequent group commit is offered to the
-	// returned Shipper before the client is replied to.
+	// returned Shipper, and its ship returns before the client is replied
+	// to.
 	NewShipper func(base uint64, tail []state.Record) Shipper
 	// Hooks threads fault-injection hooks under the session's WAL writer
 	// (see state.WALHooks); nil is the production path.
@@ -471,6 +474,10 @@ type SessionRuntime struct {
 	// ring behind GET /sessions/{id}/trace. Nil keeps every clock and
 	// ring off the ingest path.
 	Metrics *obs.Registry
+
+	// follower is the serving Server's role, which ApplyReplicated reads
+	// under the session lock; nil outside a Server.
+	follower *atomic.Bool
 }
 
 // Check resolves and validates the runtime knobs without creating
@@ -494,13 +501,15 @@ func (rt *SessionRuntime) applyDefaults() error {
 }
 
 // Shipper is the replication stream a primary session feeds. Commit is
-// called from the single-writer apply path after a group of records is
-// durably in the local WAL and BEFORE the clients are replied to: a
-// synchronous shipper that returns nil only after the standby
-// acknowledged gives ship-before-ack semantics, an asynchronous one
-// buffers and returns immediately. A Commit error never fails the local
-// write — the session degrades to asynchronous semantics and the shipper
-// reports the condition through Stats (semi-synchronous replication).
+// called after a group of records is durably in the local WAL, on a
+// goroutine of its own while the apply loop applies the group; the loop
+// joins it before any client is replied to, before the next Commit and
+// before any Checkpointed, so calls never overlap. A synchronous shipper
+// that returns nil only after the standby made the records durable gives
+// ship-before-ack semantics, an asynchronous one buffers and returns
+// immediately. A Commit error never fails the local write — the session
+// degrades to asynchronous semantics and the shipper reports the
+// condition through Stats (semi-synchronous replication).
 //
 // Checkpointed(base) is called after a snapshot covering every record up
 // to base has landed on disk: records ≤ base can be dropped from any
@@ -732,9 +741,12 @@ type event struct {
 func (s *Session) applyBatch(jobs []*job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// No ship outlives the batch: Close and Kill close the shipper
+	// without joining.
+	defer s.joinShip()
 	if s.broken != nil {
 		for _, j := range jobs {
-			j.reply <- jobReply{err: s.broken}
+			s.reply(j, jobReply{err: s.broken})
 		}
 		return
 	}
@@ -755,11 +767,11 @@ func (s *Session) applyBatch(jobs []*job) {
 		if len(j.recs) == 0 {
 			// Defense in depth (Ingest filters these): a job with no
 			// events would otherwise never be replied to.
-			j.reply <- jobReply{rec: s.tuner.Recommend()}
+			s.reply(j, jobReply{rec: s.tuner.Recommend()})
 			continue
 		}
 		if err := s.validateVote(j.recs[0]); err != nil {
-			j.reply <- jobReply{err: err}
+			s.reply(j, jobReply{err: err})
 			continue
 		}
 		j.results = make([]StatementResult, 0, len(j.sts))
@@ -780,7 +792,7 @@ func (s *Session) applyBatch(jobs []*job) {
 		var prev *job
 		for k := from; k < len(events); k++ {
 			if j := events[k].j; j != prev {
-				j.reply <- jobReply{err: err, results: j.results}
+				s.reply(j, jobReply{err: err, results: j.results})
 				prev = j
 			}
 		}
@@ -828,7 +840,7 @@ func (s *Session) applyBatch(jobs []*job) {
 			// way; the error says the snapshot after it failed).
 			if last := &chunk[n-1]; last.last {
 				if err != nil {
-					last.j.reply <- jobReply{err: err, results: last.j.results}
+					s.reply(last.j, jobReply{err: err, results: last.j.results})
 				} else {
 					s.replyDone(last.j)
 				}
@@ -844,18 +856,43 @@ func (s *Session) applyBatch(jobs []*job) {
 
 // logRecords group-commits recs to the WAL — one flush, plus one fsync
 // under Fsync — assigning their sequence numbers, then offers them to the
-// standby before any client is replied to. A synchronous shipper returns
-// only after the standby confirmed; a ship failure never fails the local
-// write — the shipper records it and the session degrades to async
-// semantics until the stream recovers (semi-sync).
+// standby on a goroutine of their own, so the chunk applies while its
+// ship is in flight. A synchronous shipper returns only after the standby
+// made the records durable. Every reply, the next logRecords and every
+// snapshot join the ship first (joinShip): no client hears an ack the
+// standby has not made durable, and no two shipper calls overlap. A ship
+// failure never fails the local write — the shipper records it and the
+// session degrades to async semantics until the stream recovers
+// (semi-sync).
 func (s *Session) logRecords(recs []state.Record) error {
+	s.joinShip()
 	if _, err := s.wal.AppendBatch(recs); err != nil {
 		return err
 	}
-	if s.shipper != nil {
-		s.shipper.Commit(recs) //nolint:errcheck // counted in ShipperStats.Errors
+	if sh := s.shipper; sh != nil {
+		done := make(chan struct{})
+		s.shipping = done
+		go func() {
+			defer close(done)
+			sh.Commit(recs) //nolint:errcheck // counted in ShipperStats.Errors
+		}()
 	}
 	return nil
+}
+
+// joinShip waits for the ship logRecords started, if one is in flight.
+func (s *Session) joinShip() {
+	if s.shipping != nil {
+		<-s.shipping
+		s.shipping = nil
+	}
+}
+
+// reply sends a job its reply once the last group commit's ship has
+// returned.
+func (s *Session) reply(j *job, rep jobReply) {
+	s.joinShip()
+	j.reply <- rep
 }
 
 // applyChunk applies a chunk of WAL records to the tuner in log order. It
@@ -921,10 +958,10 @@ func (s *Session) applyChunk(chunk []event, shares *stageShares, hold bool) (int
 // recommendation as of the job's last applied event.
 func (s *Session) replyDone(j *job) {
 	if j.recs[0].Type == state.RecAccept {
-		j.reply <- jobReply{accept: j.accept}
+		s.reply(j, jobReply{accept: j.accept})
 		return
 	}
-	j.reply <- jobReply{results: j.results, rec: s.tuner.Recommend()}
+	s.reply(j, jobReply{results: j.results, rec: s.tuner.Recommend()})
 }
 
 // cutChunk returns how many of the pending events the next group commit
@@ -1439,6 +1476,7 @@ func (s *Session) checkpointLocked() error {
 // not inject records into a stream it mirrors; compactions arrive
 // shipped), and the tail half of the primary's checkpointLocked.
 func (s *Session) snapshotLocked() error {
+	s.joinShip()
 	snap := &state.Snapshot{
 		Defs:  state.CaptureRegistry(s.reg),
 		Tuner: s.tuner.ExportState(),
