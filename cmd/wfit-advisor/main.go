@@ -35,6 +35,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/datagen"
 	"repro/internal/index"
+	"repro/internal/server"
 	"repro/internal/sqlmini"
 	"repro/internal/state"
 	"repro/internal/whatif"
@@ -286,29 +287,20 @@ func (s *session) command(line string) bool {
 	return false
 }
 
-// parseIndexSpec parses "schema.table(col1,col2)" into an interned index.
+// parseIndexSpec parses "schema.table(col1,col2)" into an interned index,
+// checked by the rule the service applies to votes (server.ValidateSpec).
 func (s *session) parseIndexSpec(spec string) (index.ID, error) {
 	open := strings.IndexByte(spec, '(')
 	if open < 0 || !strings.HasSuffix(spec, ")") {
 		return 0, fmt.Errorf("index spec %q must look like table(col1,col2)", spec)
 	}
-	table := spec[:open]
-	colPart := spec[open+1 : len(spec)-1]
-	cols := strings.Split(colPart, ",")
-	for i := range cols {
-		cols[i] = strings.TrimSpace(cols[i])
+	is := state.IndexSpec{Table: spec[:open], Columns: strings.Split(spec[open+1:len(spec)-1], ",")}
+	for i := range is.Columns {
+		is.Columns[i] = strings.TrimSpace(is.Columns[i])
 	}
-	t, okT := s.model.Catalog().Table(table)
-	if !okT {
-		return 0, fmt.Errorf("unknown table %q", table)
+	cat := s.model.Catalog()
+	if err := server.ValidateSpec(cat, is); err != nil {
+		return 0, err
 	}
-	for _, c := range cols {
-		if !t.HasColumn(c) {
-			return 0, fmt.Errorf("table %s has no column %q", table, c)
-		}
-	}
-	if id, ok := s.reg.Lookup(table, cols); ok {
-		return id, nil
-	}
-	return s.reg.Intern(cost.BuildIndexProto(s.model.Catalog(), s.model.Params(), table, cols)), nil
+	return s.reg.Intern(cost.BuildIndexProto(cat, s.model.Params(), is.Table, is.Columns)), nil
 }

@@ -154,21 +154,6 @@ func TestPartitionEqualIgnoresOrder(t *testing.T) {
 	}
 }
 
-func TestConnectedComponents(t *testing.T) {
-	ids := index.NewSet(1, 2, 3, 4, 5)
-	// Edges: 1-2, 2-3; 4-5; 5 isolated? no: 4-5 edge, nothing for... all
-	// but 1,2,3 and 4,5.
-	interacts := func(a, b index.ID) bool {
-		p := MakePair(a, b)
-		return p == Pair{1, 2} || p == Pair{2, 3} || p == Pair{4, 5}
-	}
-	got := ConnectedComponents(ids, interacts)
-	want := Partition{index.NewSet(1, 2, 3), index.NewSet(4, 5)}
-	if !got.Equal(want) {
-		t.Fatalf("components = %v, want %v", got, want)
-	}
-}
-
 func TestSingletons(t *testing.T) {
 	p := Singletons(index.NewSet(3, 1))
 	if len(p) != 2 || p.MaxPartSize() != 1 {

@@ -138,47 +138,6 @@ func (p Partition) Loss(doi DoiFunc) float64 {
 	return total
 }
 
-// ConnectedComponents computes the minimum stable partition: the connected
-// components of the interaction relation over the given indices.
-func ConnectedComponents(ids index.Set, interacts func(a, b index.ID) bool) Partition {
-	members := ids.IDs()
-	parent := make(map[index.ID]index.ID, len(members))
-	for _, id := range members {
-		parent[id] = id
-	}
-	var find func(index.ID) index.ID
-	find = func(x index.ID) index.ID {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b index.ID) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	for i := 0; i < len(members); i++ {
-		for j := i + 1; j < len(members); j++ {
-			if interacts(members[i], members[j]) {
-				union(members[i], members[j])
-			}
-		}
-	}
-	groups := make(map[index.ID][]index.ID)
-	for _, id := range members {
-		r := find(id)
-		groups[r] = append(groups[r], id)
-	}
-	var out Partition
-	for _, g := range groups {
-		out = append(out, index.NewSet(g...))
-	}
-	return out.Normalize()
-}
-
 // Singletons returns the full-independence partition of ids, already in
 // Normalize form (ids iterate in ascending order).
 func Singletons(ids index.Set) Partition {

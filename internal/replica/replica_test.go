@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -95,10 +96,15 @@ func newStandby(t *testing.T, cat *catalog.Catalog, dir string) *node {
 	if err != nil {
 		t.Fatalf("starting standby: %v", err)
 	}
+	return &node{sv: sv, ts: httptest.NewServer(standbyHandler(sv))}
+}
+
+// standbyHandler is a standby's combined service and replication API.
+func standbyHandler(sv *server.Server) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/replication/", replica.NewHandler(sv))
 	mux.Handle("/", sv.Handler())
-	return &node{sv: sv, ts: httptest.NewServer(mux)}
+	return mux
 }
 
 // newPrimary starts a primary whose every session ships to standbyURL.
@@ -480,4 +486,62 @@ func TestStandbyTornTailRepairAndReshipDedup(t *testing.T) {
 	if got := follower.Status().Statements; got != total {
 		t.Fatalf("after re-ship standby has %d statements, want %d (duplicates applied?)", got, total)
 	}
+}
+
+// TestStandbyRestartKeepsPrimaryStream is the regression test for a
+// standby whose graceful shutdown checkpoint, with retirement on, logged
+// a compaction record of its own at the primary's next sequence number:
+// once restarted, it dropped the primary's record at that number as
+// already applied, silently losing an acked write. A sync standby closed
+// and reopened on the same directory mid-stream must end bit-identical to
+// its primary.
+func TestStandbyRestartKeepsPrimaryStream(t *testing.T) {
+	const half, total = 40, 80
+	sqls := workloadSQL(t, total)
+	cat, _ := datagen.Build()
+	standbyDir := t.TempDir()
+	open := func() *server.Server {
+		sv, err := server.NewWithCatalog(server.Config{DataDir: standbyDir, Follower: true}, cat)
+		if err != nil {
+			t.Fatalf("starting standby: %v", err)
+		}
+		return sv
+	}
+	// The primary ships to one URL across the restart; it reaches
+	// whichever standby process is current.
+	var current atomic.Pointer[http.Handler]
+	serve := func(sv *server.Server) {
+		h := standbyHandler(sv)
+		current.Store(&h)
+	}
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		(*current.Load()).ServeHTTP(w, r)
+	}))
+	defer front.Close()
+	standby := open()
+	serve(standby)
+
+	primary := newPrimary(t, cat, t.TempDir(), front.URL, true, nil, nil)
+	defer primary.close()
+	sess, err := primary.sv.CreateSession(replCfg("t", 1000, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive(t, sess, sqls, 0, half)
+
+	// The daemon's SIGTERM path: a graceful close, then a restart on the
+	// same data directory.
+	if err := standby.Close(); err != nil {
+		t.Fatal(err)
+	}
+	standby = open()
+	defer standby.Close()
+	serve(standby)
+
+	drive(t, sess, sqls, half, total)
+	follower, ok := standby.Session("t")
+	if !ok {
+		t.Fatal("restarted standby has no session t")
+	}
+	assertSameState(t, "restarted standby", follower, sess)
 }

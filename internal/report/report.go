@@ -135,21 +135,6 @@ func CSV(series []Series) string {
 	return b.String()
 }
 
-// Downsample reduces a series to at most points values by striding,
-// always keeping the final value.
-func Downsample(y []float64, points int) []float64 {
-	if points <= 0 || len(y) <= points {
-		return append([]float64(nil), y...)
-	}
-	out := make([]float64, 0, points)
-	stride := float64(len(y)-1) / float64(points-1)
-	for i := 0; i < points; i++ {
-		out = append(out, y[int(float64(i)*stride)])
-	}
-	out[len(out)-1] = y[len(y)-1]
-	return out
-}
-
 // Table renders rows of labeled values with aligned columns.
 func Table(headers []string, rows [][]string) string {
 	widths := make([]int, len(headers))

@@ -68,28 +68,6 @@ func TestCSV(t *testing.T) {
 	}
 }
 
-func TestDownsample(t *testing.T) {
-	y := make([]float64, 100)
-	for i := range y {
-		y[i] = float64(i)
-	}
-	d := Downsample(y, 10)
-	if len(d) != 10 {
-		t.Fatalf("len = %d", len(d))
-	}
-	if d[0] != 0 || d[9] != 99 {
-		t.Fatalf("endpoints not kept: %v", d)
-	}
-	// Short series pass through.
-	if got := Downsample([]float64{1, 2}, 10); len(got) != 2 {
-		t.Fatalf("short series resampled")
-	}
-	// Non-positive point count passes through.
-	if got := Downsample(y, 0); len(got) != 100 {
-		t.Fatalf("points=0 should pass through")
-	}
-}
-
 func TestTable(t *testing.T) {
 	out := Table(
 		[]string{"name", "value"},

@@ -275,13 +275,7 @@ func (sv *Server) handleSQL(w http.ResponseWriter, r *http.Request, sess *Sessio
 	}
 	results, rec, err := sess.Ingest(r.Context(), req.SQL)
 	if err != nil {
-		var pe *ParseError
-		switch {
-		case errors.As(err, &pe):
-			writeErr(w, http.StatusBadRequest, "%v", err)
-		default:
-			writeApplyErr(w, err)
-		}
+		writeApplyErr(w, err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, sqlResponse{
@@ -290,14 +284,19 @@ func (sv *Server) handleSQL(w http.ResponseWriter, r *http.Request, sess *Sessio
 	})
 }
 
-// writeApplyErr maps apply-path failures: a closed session (shutdown
-// race) and a cancelled request are unavailability, not server bugs.
+// writeApplyErr maps a session write's failure: a malformed statement or
+// vote (ParseError) is the client's, and a closed session (shutdown race)
+// and a cancelled request are unavailability, not server bugs.
 func writeApplyErr(w http.ResponseWriter, err error) {
-	if errors.Is(err, ErrSessionClosed) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	var pe *ParseError
+	switch {
+	case errors.As(err, &pe):
+		writeErr(w, http.StatusBadRequest, "%v", err)
+	case errors.Is(err, ErrSessionClosed) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		writeErr(w, http.StatusServiceUnavailable, "%v", err)
-		return
+	default:
+		writeErr(w, http.StatusInternalServerError, "%v", err)
 	}
-	writeErr(w, http.StatusInternalServerError, "%v", err)
 }
 
 func (sv *Server) handleRecommendation(w http.ResponseWriter, r *http.Request, sess *Session) {
@@ -324,16 +323,7 @@ func (sv *Server) handleVotes(w http.ResponseWriter, r *http.Request, sess *Sess
 		writeErr(w, http.StatusBadRequest, "vote with no plus or minus indices")
 		return
 	}
-	plus, minus := specsOf(req.Plus), specsOf(req.Minus)
-	// Validate before enqueueing so malformed votes 400 without consuming
-	// queue capacity; the apply loop re-resolves (and interns) in order.
-	for _, spec := range append(append([]state.IndexSpec{}, plus...), minus...) {
-		if err := ValidateSpec(sv.cat, spec); err != nil {
-			writeErr(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
-	rec, err := sess.Vote(r.Context(), plus, minus)
+	rec, err := sess.Vote(r.Context(), specsOf(req.Plus), specsOf(req.Minus))
 	if err != nil {
 		writeApplyErr(w, err)
 		return

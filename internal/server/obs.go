@@ -27,8 +27,8 @@ const (
 )
 
 // sessionObs carries one session's resolved instruments. A nil
-// *sessionObs disables instrumentation entirely (no clocks, no trace
-// ring) — the A/B knob the overhead bench flips.
+// *sessionObs, a session whose serving process wired no metrics registry,
+// disables instrumentation entirely: no clocks, no trace ring.
 type sessionObs struct {
 	hQueue    *obs.Histogram
 	hWAL      *obs.Histogram

@@ -227,3 +227,91 @@ func TestCloseReopenIsCheckpointed(t *testing.T) {
 		t.Fatalf("tuner state diverged across graceful restart")
 	}
 }
+
+// TestRecoveryKeepsCheckpointSchedule is the regression test for a
+// recovered session that counted every replayed record (votes, accepts
+// and compactions as well as statements) toward its next checkpoint,
+// where a live session counts statements only. A session killed after
+// five statements and three votes, recovered and driven on, must
+// checkpoint after the same statements, log the same WAL sequence
+// numbers and end in the same tuner state as a twin that never stopped.
+func TestRecoveryKeepsCheckpointSchedule(t *testing.T) {
+	const total, cut = 30, 5
+	sqls := recoveryWorkloadSQL(t, total)
+	cat, _ := datagen.Build()
+	cfg := testSessionConfig("ckpt")
+	cfg.CheckpointEvery = 10
+	cfg.Options.RetireAfter = 4
+	votes := map[int][]state.IndexSpec{ // cast after the statement they are keyed by
+		1: {{Table: "tpch.lineitem", Columns: []string{"l_shipdate"}}},
+		3: {{Table: "tpch.orders", Columns: []string{"o_orderdate"}}},
+		4: {{Table: "tpch.lineitem", Columns: []string{"l_partkey"}}},
+	}
+	// step is what a statement left behind: whether a checkpoint followed
+	// it, and the WAL sequence number after it.
+	type step struct {
+		checkpointed bool
+		seq          uint64
+	}
+	drive := func(sess *Session, from, to int) []step {
+		ctx := context.Background()
+		var steps []step
+		prev := sess.Status().Checkpoints
+		for i := from; i < to; i++ {
+			if _, _, err := sess.Ingest(ctx, sqls[i:i+1]); err != nil {
+				t.Fatalf("ingest statement %d: %v", i+1, err)
+			}
+			if v, ok := votes[i+1]; ok {
+				if _, err := sess.Vote(ctx, v, nil); err != nil {
+					t.Fatalf("vote after statement %d: %v", i+1, err)
+				}
+			}
+			st := sess.Status()
+			steps = append(steps, step{checkpointed: st.Checkpoints > prev, seq: st.WALSeq})
+			prev = st.Checkpoints
+		}
+		return steps
+	}
+
+	twin, err := CreateSession(filepath.Join(t.TempDir(), "twin"), cat, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Close()
+	want := drive(twin, 0, total)[cut:]
+
+	dir := filepath.Join(t.TempDir(), "crash")
+	sess, err := CreateSession(dir, cat, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive(sess, 0, cut)
+	sess.Kill()
+	recovered, err := OpenSession(dir, cat, SessionRuntime{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	got := drive(recovered, cut, total)
+
+	var wantAt, gotAt []int
+	for k := range want {
+		if want[k].checkpointed {
+			wantAt = append(wantAt, cut+k+1)
+		}
+		if got[k].checkpointed {
+			gotAt = append(gotAt, cut+k+1)
+		}
+	}
+	if !reflect.DeepEqual(gotAt, wantAt) {
+		t.Fatalf("the recovered session checkpointed after statements %v, the uninterrupted twin after %v", gotAt, wantAt)
+	}
+	for k := range want {
+		if got[k].seq != want[k].seq {
+			t.Fatalf("after statement %d the recovered session is at WAL seq %d, the twin at %d", cut+k+1, got[k].seq, want[k].seq)
+		}
+	}
+	if !reflect.DeepEqual(exportTuner(recovered), exportTuner(twin)) {
+		t.Fatal("the recovered session's tuner state diverged from the uninterrupted twin's")
+	}
+}

@@ -12,6 +12,45 @@ import (
 	"repro/internal/state"
 )
 
+// Shipper is the replication stream a primary session feeds. Commit is
+// called after a group of records is durably in the local WAL, on a
+// goroutine of its own while the apply loop applies the group; the loop
+// joins it before any client is replied to, before the next Commit and
+// before any Checkpointed, so calls never overlap. A synchronous shipper
+// that returns nil only after the standby made the records durable gives
+// ship-before-ack semantics, an asynchronous one buffers and returns
+// immediately. A Commit error never fails the local write — the session
+// degrades to asynchronous semantics and the shipper reports the
+// condition through Stats (semi-synchronous replication).
+//
+// Checkpointed(base) is called after a snapshot covering every record up
+// to base has landed on disk: records ≤ base can be dropped from any
+// retry buffer, because a standby that still needs them can be
+// bootstrapped from the snapshot instead. This bounds shipper memory by
+// one checkpoint interval.
+type Shipper interface {
+	Commit(recs []state.Record) error
+	Checkpointed(base uint64)
+	Stats() ShipperStats
+	Close() error
+}
+
+// ShipperStats is a point-in-time view of a replication stream.
+type ShipperStats struct {
+	// Sync reports ship-before-ack mode.
+	Sync bool
+	// AckedSeq is the highest sequence number the standby has confirmed.
+	AckedSeq uint64
+	// Pending is the number of committed records not yet confirmed.
+	Pending int
+	// Errors counts failed ship attempts (the semi-sync degradation
+	// gauge: nonzero with Sync set means some acks were returned without
+	// standby confirmation).
+	Errors int64
+	// SnapshotShips counts full-snapshot bootstraps of the standby.
+	SnapshotShips int64
+}
+
 // GapError reports a shipped batch that does not continue the follower's
 // log: the primary must rewind to Have+1 or bootstrap the follower from a
 // snapshot.
@@ -58,7 +97,7 @@ var ErrPromoted = errors.New("server: node is primary; replication stream reject
 // synced under Fsync) and before any of it applies: the point at which the
 // standby acks it. It runs under the session lock and must not call back
 // into the session. The lock is held until the batch has applied and any
-// due snapshot is written, so every read of the session, a promoted
+// due checkpoint is written, so every read of the session, a promoted
 // node's first write and the next shipped batch see the batch applied.
 // durable is not called for a batch that writes nothing.
 //
@@ -78,11 +117,8 @@ var ErrPromoted = errors.New("server: node is primary; replication stream reject
 // handler), and the queue's group-commit machinery would only re-batch
 // what the primary already batched.
 //
-// Follower checkpoints ride here: when the replicated statements cross
-// the session's checkpoint thresholds, a snapshot is written WITHOUT the
-// compaction prelude a primary checkpoint logs — the primary's RecCompact
-// arrives in-stream and is applied at its shipped position, which is what
-// keeps the two registries' ID spaces in lockstep.
+// Follower checkpoints ride here, once the applied statements make one
+// due; a standby's checkpoint logs nothing (see checkpointLocked).
 func (s *Session) ApplyReplicated(recs []state.Record, durable func(last uint64)) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -110,7 +146,7 @@ func (s *Session) ApplyReplicated(recs []state.Record, durable func(last uint64)
 			return last, &GapError{Have: last, Want: rec.Seq}
 		}
 	}
-	events, err := s.recordEvents(recs)
+	events, _, err := s.appendEvents(nil, nil, recs, nil, s.statements)
 	if err != nil {
 		return last, fmt.Errorf("server: replicated %w", err)
 	}
@@ -125,9 +161,8 @@ func (s *Session) ApplyReplicated(recs []state.Record, durable func(last uint64)
 		s.broken = fmt.Errorf("server: applying replicated record (seq %d): %w", recs[k].Seq, err)
 		return s.wal.LastSeq(), s.broken
 	}
-	if (s.cfg.CheckpointEvery > 0 && s.sinceCkpt >= s.cfg.CheckpointEvery) ||
-		(s.cfg.CheckpointBytes > 0 && s.wal.Size() >= s.cfg.CheckpointBytes) {
-		if err := s.snapshotLocked(); err != nil {
+	if s.checkpointDue(s.sinceCkpt, s.wal.Size()) {
+		if err := s.checkpointLocked(); err != nil {
 			s.broken = err
 			return s.wal.LastSeq(), err
 		}

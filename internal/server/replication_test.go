@@ -194,7 +194,9 @@ func (r *recordingShipper) Close() error        { return nil }
 // compactions — to a speculating standby in ONE ApplyReplicated call. The
 // capture window must stop at each compaction and reap the in-flight
 // analyses before the IDs are renumbered; the standby must end
-// bit-identical to the primary.
+// bit-identical to the primary. The standby runs in a standby Server:
+// a session outside one counts as a primary, whose checkpoints log
+// compactions of their own.
 func TestStandbySpeculatesAcrossCompactions(t *testing.T) {
 	const total = 400
 	sqls := recoveryWorkloadSQL(t, total)
@@ -211,11 +213,15 @@ func TestStandbySpeculatesAcrossCompactions(t *testing.T) {
 	defer primary.Close()
 	drivePipeline(t, primary, sqls, 0, total, 64)
 
-	standby, err := CreateSessionWith(filepath.Join(t.TempDir(), "s"), cat, pipelineSessionConfig("sc"), SessionRuntime{Pipeline: 2})
+	sv, err := NewWithCatalog(Config{DataDir: t.TempDir(), Follower: true, Pipeline: 2}, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer standby.Close()
+	defer sv.Close()
+	standby, err := sv.CreateSession(pipelineSessionConfig("sc"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	compactions := 0
 	for _, rec := range ship.recs {
 		if rec.Type == state.RecCompact && rec.Seq > standby.LastSeq() {

@@ -262,21 +262,17 @@ func (sv *Server) Sessions() []*Session {
 // returned; all sessions are closed regardless.
 func (sv *Server) Close() error {
 	sv.mu.Lock()
-	if sv.closed {
-		sv.mu.Unlock()
+	closed := sv.closed
+	sv.closed = true
+	sv.mu.Unlock()
+	if closed {
 		return nil
 	}
-	sv.closed = true
-	sessions := make([]*Session, 0, len(sv.sessions))
-	for _, s := range sv.sessions {
-		sessions = append(sessions, s)
-	}
-	sv.mu.Unlock()
-	// Close in name order so shutdown checkpointing (and any error
-	// surfaced from it) is deterministic rather than map-ordered.
-	sort.Slice(sessions, func(i, j int) bool { return sessions[i].Name() < sessions[j].Name() })
+	// Close in name order (Sessions' order; no session joins a closed
+	// server) so shutdown checkpointing, and any error surfaced from it,
+	// is deterministic rather than map-ordered.
 	var first error
-	for _, s := range sessions {
+	for _, s := range sv.Sessions() {
 		if err := s.Close(); err != nil && first == nil {
 			first = err
 		}
