@@ -46,8 +46,9 @@ func main() {
 }
 
 func realMain() int {
-	stateCnt := flag.Int("statecnt", 500, "stateCnt knob (bound on tracked configurations)")
-	idxCnt := flag.Int("idxcnt", 40, "idxCnt knob (bound on monitored candidates)")
+	options := core.DefaultOptions()
+	flag.IntVar(&options.StateCnt, "statecnt", options.StateCnt, "stateCnt knob (bound on tracked configurations)")
+	flag.IntVar(&options.IdxCnt, "idxcnt", options.IdxCnt, "idxCnt knob (bound on monitored candidates)")
 	load := flag.String("load", "", "restore tuner state from this snapshot before reading input")
 	flag.Parse()
 
@@ -57,9 +58,6 @@ func realMain() int {
 	opt := whatif.New(model)
 	parser := sqlmini.NewParser(cat)
 
-	options := core.DefaultOptions()
-	options.StateCnt = *stateCnt
-	options.IdxCnt = *idxCnt
 	tuner := core.NewWFIT(opt, options)
 
 	fmt.Println("wfit-advisor: semi-automatic index tuning (\\help for commands)")

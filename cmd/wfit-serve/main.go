@@ -85,10 +85,11 @@ func realMain() int {
 	queueDepth := flag.Int("queue", 256, "per-session ingest queue depth (backpressure bound)")
 	batch := flag.Int("batch", 64, "max WAL records per group commit: the ingest loop drains queued work up to this bound and persists it with one flush+fsync (1 = commit per record)")
 	pipeline := flag.Int("pipeline", 0, "speculative-analysis workers per session: statements queued behind the apply cursor are analyzed concurrently and validated at apply time (0 disables, negative = one per CPU); any value keeps trajectories bit-identical")
-	idxCnt := flag.Int("idxcnt", 40, "default idxCnt knob for new sessions")
-	stateCnt := flag.Int("statecnt", 500, "default stateCnt knob for new sessions")
-	histSize := flag.Int("histsize", 100, "default histSize knob for new sessions")
-	retireAfter := flag.Int("retire-after", 0, "retire candidates with no recorded benefit in this many statements, bounding memory on long-horizon sessions (0 disables)")
+	options := core.DefaultOptions()
+	flag.IntVar(&options.IdxCnt, "idxcnt", options.IdxCnt, "default idxCnt knob for new sessions")
+	flag.IntVar(&options.StateCnt, "statecnt", options.StateCnt, "default stateCnt knob for new sessions")
+	flag.IntVar(&options.HistSize, "histsize", options.HistSize, "default histSize knob for new sessions")
+	flag.IntVar(&options.RetireAfter, "retire-after", options.RetireAfter, "retire candidates with no recorded benefit in this many statements, bounding memory on long-horizon sessions (0 disables)")
 	tunerKind := flag.String("tuner", "", "default tuner engine for new sessions (empty: wfit); recovered sessions keep the engine persisted in their snapshot")
 	fsync := flag.Bool("fsync", false, "fsync the WAL on every append (power-loss durability)")
 	standby := flag.String("standby", "", "warm-standby base URL to ship every session's WAL to (empty: unreplicated)")
@@ -105,12 +106,6 @@ func realMain() int {
 		fmt.Fprintln(os.Stderr, "wfit-serve: -follower and -standby are mutually exclusive (chained replication is not supported)")
 		return 2
 	}
-
-	options := core.DefaultOptions()
-	options.IdxCnt = *idxCnt
-	options.StateCnt = *stateCnt
-	options.HistSize = *histSize
-	options.RetireAfter = *retireAfter
 
 	// Fail fast on knob values that would silently create unbounded
 	// tuner state (the same rule the API applies to per-session knobs),

@@ -15,7 +15,7 @@ import (
 // fill took a negative score and whether it met a score tie, so the test
 // can check it covered both.
 func refChooseTop(t *WFIT) (d index.Set, tookNegative, sawTie bool) {
-	m := t.materialized.Intersect(t.universe).Union(t.activePins())
+	m := t.materialized.Intersect(t.universe).Union(t.pinned.Active(t.n, t.options.HistSize))
 	budget := t.options.IdxCnt - m.Len()
 	if budget < 0 {
 		budget = 0
@@ -211,7 +211,7 @@ func TestChooseTopMatchesReference(t *testing.T) {
 				}
 				ids = kept
 			case 5:
-				restored, err := interaction.RestoreBenefitStats(w.idxStats.Export())
+				restored, err := interaction.RestoreBenefitStats(w.idxStats.Export(), reg, w.n)
 				if err != nil {
 					t.Fatalf("seed %d step %d: restoring benefit statistics: %v", seed, step, err)
 				}
@@ -234,7 +234,7 @@ func TestChooseTopMatchesReference(t *testing.T) {
 			}
 			tookNegative, sawTie = tookNegative || neg, sawTie || tie
 			clear(scored)
-			m := w.materialized.Intersect(w.universe).Union(w.activePins())
+			m := w.materialized.Intersect(w.universe).Union(w.pinned.Active(w.n, w.options.HistSize))
 			w.universe.Each(func(a index.ID) {
 				if !m.Contains(a) && !w.partsetC.Contains(a) && w.idxStats.Current(a, w.n) > 0 {
 					scored[a] = w.idxStats.CurrentPenalized(a, w.n, reg.CreateCost(a))

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/index"
 	"repro/internal/interaction"
@@ -19,13 +18,6 @@ type WFAState struct {
 	W       []float64
 	Base    float64
 	CurrRec uint32
-}
-
-// PinnedVote records one active F+ pin: the index and the statement
-// position of the vote that created it (see WFIT.pinned).
-type PinnedVote struct {
-	ID  index.ID
-	Pos int
 }
 
 // TunerState is the full exportable state of a WFIT instance. Together
@@ -62,9 +54,13 @@ type TunerState struct {
 	RandState uint64
 }
 
+// Kind is WFIT's engine kind: its key in the tuner registry and the kind
+// tag of its snapshot payload.
+const Kind = "wfit"
+
 // TunerKind tags the state with its engine kind for the snapshot
 // codec's kind-dispatched payload (state.TunerState).
-func (t *TunerState) TunerKind() string { return "wfit" }
+func (t *TunerState) TunerKind() string { return Kind }
 
 // TunerOptions returns the options the exporting tuner ran with, so a
 // recovering session can rebuild its configuration from the snapshot.
@@ -80,6 +76,7 @@ func (t *WFIT) ExportState() *TunerState {
 		N:            t.n,
 		Repartitions: t.repartitions,
 		Retired:      t.retired,
+		Pinned:       t.pinned.Export(),
 		S0:           t.s0,
 		Materialized: t.materialized,
 		Universe:     t.universe,
@@ -88,10 +85,6 @@ func (t *WFIT) ExportState() *TunerState {
 		IntStats:     t.intStats.Export(),
 		RandState:    t.rng.State(),
 	}
-	for id, pos := range t.pinned {
-		st.Pinned = append(st.Pinned, PinnedVote{ID: id, Pos: pos})
-	}
-	sort.Slice(st.Pinned, func(i, j int) bool { return st.Pinned[i].ID < st.Pinned[j].ID })
 	for _, a := range t.plus.Parts() {
 		st.Parts = append(st.Parts, WFAState{
 			Cand:    a.cand,
@@ -117,21 +110,20 @@ func RestoreWFIT(opt *whatif.Optimizer, st *TunerState) (*WFIT, error) {
 	t.n = st.N
 	t.repartitions = st.Repartitions
 	t.retired = st.Retired
-	pins := make([]index.ID, 0, len(st.Pinned))
-	for _, p := range st.Pinned {
-		t.pinned[p.ID] = p.Pos
-		pins = append(pins, p.ID)
-	}
 	t.materialized = st.Materialized
 	t.universe = st.Universe
 	t.partsetC = st.Partition.Union()
 	t.rng.SetState(st.RandState)
 
 	reg := opt.Model().Registry()
-	for _, ids := range [][]index.ID{t.s0.IDs(), t.materialized.IDs(), t.universe.IDs(), t.partsetC.IDs(), pins} {
+	for _, ids := range [][]index.ID{t.s0.IDs(), t.materialized.IDs(), t.universe.IDs(), t.partsetC.IDs()} {
 		if err := reg.CheckIDs(ids...); err != nil {
 			return nil, fmt.Errorf("core: tuner state references %w", err)
 		}
+	}
+	var err error
+	if t.pinned, err = RestoreVotes(reg, st.Pinned); err != nil {
+		return nil, err
 	}
 
 	// The partition must be in Normalize form, as finishAnalysis compares
@@ -170,36 +162,10 @@ func RestoreWFIT(opt *whatif.Optimizer, st *TunerState) (*WFIT, error) {
 		return nil, fmt.Errorf("core: part work functions do not match the partition's parts")
 	}
 
-	// The histories must name registry indices and end at or before the
-	// restored statement count: the next statement appends at N+1.
-	checkHistory := func(what string, w interaction.WindowState, ids ...index.ID) error {
-		if err := reg.CheckIDs(ids...); err != nil {
-			return fmt.Errorf("core: %s history for %w", what, err)
-		}
-		if k := len(w.Pos); k > 0 && w.Pos[k-1] > st.N {
-			return fmt.Errorf("core: %s history position %d beyond statement count %d", what, w.Pos[k-1], st.N)
-		}
-		return nil
-	}
-	for _, e := range st.IdxStats.Entries {
-		if err := checkHistory("benefit", e.Window, e.ID); err != nil {
-			return nil, err
-		}
-	}
-	for _, e := range st.IntStats.Entries {
-		if e.A >= e.B {
-			return nil, fmt.Errorf("core: interaction history for unordered pair (%d, %d)", e.A, e.B)
-		}
-		if err := checkHistory("interaction", e.Window, e.A, e.B); err != nil {
-			return nil, err
-		}
-	}
-
-	var err error
-	if t.idxStats, err = interaction.RestoreBenefitStats(st.IdxStats); err != nil {
+	if t.idxStats, err = interaction.RestoreBenefitStats(st.IdxStats, reg, st.N); err != nil {
 		return nil, err
 	}
-	if t.intStats, err = interaction.RestoreInteractionStats(st.IntStats); err != nil {
+	if t.intStats, err = interaction.RestoreInteractionStats(st.IntStats, reg, st.N); err != nil {
 		return nil, err
 	}
 	return t, nil

@@ -42,6 +42,14 @@ type Options struct {
 	InitialMaterialized index.Set
 }
 
+// RetireCutoff returns the position at or before which a history counts
+// as idle after n statements, and false while retirement is off or no
+// history can be RetireAfter statements old yet.
+func (o Options) RetireCutoff(n int) (int, bool) {
+	cutoff := n - o.RetireAfter
+	return cutoff, o.RetireAfter > 0 && cutoff >= 0
+}
+
 // DefaultOptions returns the paper's experimental defaults (§6):
 // idxCnt = 40, stateCnt = 500, histSize = 100.
 func DefaultOptions() Options {
@@ -82,15 +90,10 @@ type WFIT struct {
 	plus     *WFAPlus  // per-part work functions over the stable partition
 	partsetC index.Set // cached plus.Partition().Union(), refreshed on repartition
 
-	// pinned maps a positively-voted index to the statement position of
-	// the vote. A fresh F+ index enters the candidate set with an empty
-	// benefit window, so without protection the very next chooseTop would
-	// score it 0 and evict it — the vote would last one statement. Pinned
-	// indices are force-kept in C for a grace window of HistSize
-	// statements (the statistics horizon of §5.2.2), long enough for the
-	// workload to supply the evidence the vote predicted; a later F−
-	// vote unpins immediately.
-	pinned map[index.ID]int
+	// pinned holds the F+ votes: chooseTop force-keeps a pinned index in C
+	// for its grace window (see Votes), and a later F− vote unpins it
+	// immediately.
+	pinned Votes
 
 	n            int // statements analyzed
 	repartitions int
@@ -138,7 +141,7 @@ func newWFITBase(opt *whatif.Optimizer, options Options) *WFIT {
 		materialized: options.InitialMaterialized,
 		idxStats:     interaction.NewBenefitStats(options.HistSize),
 		intStats:     interaction.NewInteractionStats(options.HistSize),
-		pinned:       make(map[index.ID]int),
+		pinned:       make(Votes),
 		rng:          rng,
 		partn: &interaction.Partitioner{
 			StateCnt:    options.StateCnt,
@@ -226,54 +229,18 @@ func (t *WFIT) AnalyzeQuery(s *stmt.Statement) {
 // recovery guarantee. The sweep touches only retained state — O(|U| +
 // pair histories), both of which retirement itself keeps bounded.
 func (t *WFIT) retire() {
-	ra := t.options.RetireAfter
-	if ra <= 0 {
+	cutoff, ok := t.options.RetireCutoff(t.n)
+	if !ok {
 		return
 	}
-	cutoff := t.n - ra
-	if cutoff < 0 {
-		return
-	}
-	keep := t.partsetC.Union(t.materialized).Union(t.s0).Union(t.activePins())
+	keep := t.partsetC.Union(t.materialized).Union(t.s0).Union(t.pinned.Active(t.n, t.options.HistSize))
 	var dead []index.ID
-	t.universe.Each(func(id index.ID) {
-		if keep.Contains(id) {
-			return
-		}
-		// LastPos is 0 for an empty history, so an index mined but never
-		// observed beneficial ages out on the same schedule.
-		if t.idxStats.LastPos(id) <= cutoff {
-			dead = append(dead, id)
-		}
-	})
+	t.universe, dead = t.idxStats.RetireIdle(t.universe, keep, cutoff)
 	for _, id := range dead {
-		t.idxStats.Evict(id)
 		t.intStats.Evict(id)
 	}
-	if len(dead) > 0 {
-		t.universe = t.universe.Minus(index.NewSet(dead...))
-		t.retired += len(dead)
-	}
+	t.retired += len(dead)
 	t.intStats.SweepAged(cutoff)
-}
-
-// activePins expires pins older than the grace window and returns the
-// indices still pinned by positive votes. A non-positive HistSize means
-// unbounded histories, and consistently, unbounded pins.
-func (t *WFIT) activePins() index.Set {
-	if len(t.pinned) == 0 {
-		return index.EmptySet
-	}
-	grace := t.options.HistSize
-	ids := make([]index.ID, 0, len(t.pinned))
-	for id, pos := range t.pinned {
-		if grace > 0 && t.n-pos >= grace {
-			delete(t.pinned, id)
-			continue
-		}
-		ids = append(ids, id)
-	}
-	return index.NewSet(ids...)
 }
 
 // scoredCandidate is one chooseTop entry: an index and its score. While
@@ -312,7 +279,7 @@ func (a scoredCandidate) before(b scoredCandidate) bool {
 // that bound reaches the top, so the order taken is the full sort's, while
 // most of the universe costs O(1).
 func (t *WFIT) chooseTop() index.Set {
-	m := t.materialized.Intersect(t.universe).Union(t.activePins())
+	m := t.materialized.Intersect(t.universe).Union(t.pinned.Active(t.n, t.options.HistSize))
 	budget := t.options.IdxCnt - m.Len()
 	if budget < 0 {
 		budget = 0
@@ -498,10 +465,7 @@ func (t *WFIT) repartition(newPartition interaction.Partition) {
 // renumbered monotonically, so every ID-order tie-break ranks candidates
 // exactly as before.
 func (t *WFIT) CompactRegistry() int {
-	live := t.universe.Union(t.materialized).Union(t.s0).Union(t.partsetC)
-	for id := range t.pinned {
-		live = live.Add(id)
-	}
+	live := t.universe.Union(t.materialized).Union(t.s0).Union(t.partsetC).Union(t.pinned.Voted())
 	dropped := t.reg.Len() - live.Len()
 	if dropped <= 0 {
 		return 0
@@ -515,13 +479,7 @@ func (t *WFIT) CompactRegistry() int {
 	t.plus.remapIDs(remap)
 	t.idxStats.Remap(remap)
 	t.intStats.Remap(remap)
-	if len(t.pinned) > 0 {
-		pinned := make(map[index.ID]int, len(t.pinned))
-		for id, pos := range t.pinned {
-			pinned[remap[id]] = pos
-		}
-		t.pinned = pinned
-	}
+	t.pinned = t.pinned.Remap(remap)
 	return dropped
 }
 
@@ -532,8 +490,8 @@ func (t *WFIT) CompactRegistry() int {
 func (t *WFIT) Feedback(plus, minus index.Set) {
 	// Pin F+ votes for the grace window (see the pinned field); an F−
 	// vote withdraws any earlier pin immediately.
-	plus.Each(func(id index.ID) { t.pinned[id] = t.n })
-	minus.Each(func(id index.ID) { delete(t.pinned, id) })
+	t.pinned.Cast(plus, t.n)
+	t.pinned.Withdraw(minus)
 	if unknown := plus.Minus(t.partsetC); !unknown.Empty() {
 		t.universe = t.universe.Union(unknown)
 		extended := append(interaction.Partition{}, t.Partition()...)

@@ -108,13 +108,28 @@ func (s *BenefitStats) Export() BenefitStatsState {
 	return st
 }
 
+// restoreHistory rebuilds one exported history of statistics restored
+// after n statements. It refuses a history for an index outside reg, which
+// would size the ID-indexed statistics by the ID instead of the registry,
+// and one that ends after n, which the next statement, appending at n+1,
+// would panic on.
+func restoreHistory(reg *index.Registry, n int, what string, st WindowState, ids ...index.ID) (*Window, error) {
+	if err := reg.CheckIDs(ids...); err != nil {
+		return nil, fmt.Errorf("interaction: %s history for %w", what, err)
+	}
+	if k := len(st.Pos); k > 0 && st.Pos[k-1] > n {
+		return nil, fmt.Errorf("interaction: %s history position %d beyond statement count %d", what, st.Pos[k-1], n)
+	}
+	return RestoreWindow(st)
+}
+
 // RestoreBenefitStats rebuilds benefit statistics, and the summary of
-// each window, from an exported state. The statistics are indexed by ID,
-// so callers check the IDs against the registry first.
-func RestoreBenefitStats(st BenefitStatsState) (*BenefitStats, error) {
+// each window, from a state exported after n statements against reg (see
+// restoreHistory).
+func RestoreBenefitStats(st BenefitStatsState, reg *index.Registry, n int) (*BenefitStats, error) {
 	s := NewBenefitStats(st.Hist)
 	for _, e := range st.Entries {
-		w, err := RestoreWindow(e.Window)
+		w, err := restoreHistory(reg, n, "benefit", e.Window, e.ID)
 		if err != nil {
 			return nil, err
 		}
@@ -146,17 +161,18 @@ func (s *InteractionStats) Export() InteractionStatsState {
 	return st
 }
 
-// RestoreInteractionStats rebuilds interaction statistics from an exported
-// state. It rejects entries that Export cannot produce: a pair whose A is
-// not below its B, and pairs out of ascending (A, B) order, which include
+// RestoreInteractionStats rebuilds interaction statistics from a state
+// exported after n statements against reg (see restoreHistory). It also
+// rejects entries that Export cannot produce: a pair whose A is not below
+// its B, and pairs out of ascending (A, B) order, which include
 // duplicates.
-func RestoreInteractionStats(st InteractionStatsState) (*InteractionStats, error) {
+func RestoreInteractionStats(st InteractionStatsState, reg *index.Registry, n int) (*InteractionStats, error) {
 	s := NewInteractionStats(st.Hist)
 	for i, e := range st.Entries {
 		if e.A >= e.B || i > 0 && (e.A < st.Entries[i-1].A || e.A == st.Entries[i-1].A && e.B <= st.Entries[i-1].B) {
-			return nil, fmt.Errorf("interaction: pair entry %d (%d, %d) is not an ascending pair with A < B", i, e.A, e.B)
+			return nil, fmt.Errorf("interaction: pair entry %d (%d, %d) is an unordered pair or out of ascending order", i, e.A, e.B)
 		}
-		w, err := RestoreWindow(e.Window)
+		w, err := restoreHistory(reg, n, "interaction", e.Window, e.A, e.B)
 		if err != nil {
 			return nil, err
 		}

@@ -119,7 +119,7 @@ func (w *Window) LastPos() int {
 
 // BenefitStats is idxStats: per-index benefit histories, kept in an
 // array indexed by ID. Registry IDs are dense, so the array is O(registry
-// size); every restore path checks IDs against the registry first.
+// size); RestoreBenefitStats checks IDs against the registry first.
 type BenefitStats struct {
 	hist    int
 	entries []benefitEntry // by ID; w is nil where no history is retained
@@ -289,6 +289,27 @@ func (s *BenefitStats) Evict(a index.ID) {
 		s.entries[a] = benefitEntry{}
 		s.live--
 	}
+}
+
+// RetireIdle is idle retirement's sweep: it evicts the history of every
+// member of u outside keep whose newest observation is at or before
+// cutoff, and returns u without those members and them in ascending
+// order. LastPos is 0 for an empty history, so a candidate mined but never
+// observed beneficial ages out on the same schedule.
+func (s *BenefitStats) RetireIdle(u, keep index.Set, cutoff int) (index.Set, []index.ID) {
+	var dead []index.ID
+	u.Each(func(id index.ID) {
+		if !keep.Contains(id) && s.LastPos(id) <= cutoff {
+			dead = append(dead, id)
+		}
+	})
+	if len(dead) == 0 {
+		return u, nil
+	}
+	for _, id := range dead {
+		s.Evict(id)
+	}
+	return u.Minus(index.NewSet(dead...)), dead
 }
 
 // Remap rebuilds the statistics under a new ID space: every retained

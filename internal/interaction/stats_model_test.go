@@ -1,6 +1,7 @@
 package interaction
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -82,6 +83,16 @@ func (s *mapStats) export() InteractionStatsState {
 	return st
 }
 
+// testRegistry returns a registry holding the IDs 1..n, which restores
+// check history IDs against.
+func testRegistry(n int) *index.Registry {
+	reg := index.NewRegistry()
+	for i := 0; i < n; i++ {
+		reg.Intern(index.Index{Table: "t", Columns: []string{fmt.Sprint("c", i)}})
+	}
+	return reg
+}
+
 // TestInteractionStatsMatchesMapModel runs random sequences of Add,
 // Evict, SweepAged, Remap and Export→Restore on InteractionStats and on
 // the map it replaced. After every operation both must agree on Len, on
@@ -89,6 +100,7 @@ func (s *mapStats) export() InteractionStatsState {
 // AppendPairs against the model's pairs of a random candidate set above a
 // random threshold; SweepAged must report the same count.
 func TestInteractionStatsMatchesMapModel(t *testing.T) {
+	reg := testRegistry(48)
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		hist := []int{0, 1, 4}[rng.Intn(3)]
@@ -141,7 +153,7 @@ func TestInteractionStatsMatchesMapModel(t *testing.T) {
 				}
 			default:
 				what = "Export→Restore"
-				restored, err := RestoreInteractionStats(s.Export())
+				restored, err := RestoreInteractionStats(s.Export(), reg, n)
 				if err != nil {
 					t.Fatalf("seed %d op %d: %v", seed, op, err)
 				}
@@ -193,6 +205,7 @@ func TestInteractionStatsMatchesMapModel(t *testing.T) {
 // what Export never writes: a pair with A ≥ B, and pairs out of ascending
 // (A, B) order, duplicates included.
 func TestRestoreInteractionStatsRejectsDisorder(t *testing.T) {
+	reg := testRegistry(4)
 	w := WindowState{Pos: []int{1}, Vals: []float64{2}}
 	for _, entries := range [][]PairWindow{
 		{{A: 2, B: 2, Window: w}},
@@ -201,13 +214,13 @@ func TestRestoreInteractionStatsRejectsDisorder(t *testing.T) {
 		{{A: 2, B: 3, Window: w}, {A: 1, B: 4, Window: w}},
 		{{A: 1, B: 2, Window: w}, {A: 1, B: 2, Window: w}},
 	} {
-		if _, err := RestoreInteractionStats(InteractionStatsState{Entries: entries}); err == nil {
+		if _, err := RestoreInteractionStats(InteractionStatsState{Entries: entries}, reg, 1); err == nil {
 			t.Fatalf("restore accepted %+v", entries)
 		}
 	}
 	s, err := RestoreInteractionStats(InteractionStatsState{Entries: []PairWindow{
 		{A: 1, B: 2, Window: w}, {A: 1, B: 3, Window: w}, {A: 2, B: 3, Window: w},
-	}})
+	}}, reg, 1)
 	if err != nil || s.Len() != 3 || s.Current(3, 1, 1) != 2 {
 		t.Fatalf("restore of ascending pairs: %v, Len %d", err, s.Len())
 	}

@@ -73,7 +73,7 @@ func collectKeysSorted(m map[string]int) []string {
 }
 
 // collectIDs is exempt: index.NewSet canonicalizes its arguments, so
-// the append order never escapes (mirrors WFIT.activePins).
+// the append order never escapes (mirrors core.Votes.Active).
 func collectIDs(m map[index.ID]bool) index.Set {
 	var ids []index.ID
 	for id := range m {

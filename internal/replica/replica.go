@@ -60,10 +60,6 @@ const (
 	metricSnapshotShips = "wfit_replication_snapshot_ships_total"
 )
 
-// snapshotFile mirrors the server package's session-directory layout (the
-// shipper reads the snapshot the session just wrote).
-const snapshotFile = "state.snap"
-
 const (
 	// shipChunk bounds how many records one POST carries.
 	shipChunk = 512
@@ -396,7 +392,7 @@ func (s *Shipper) postWAL(recs []state.Record) (*walReply, error) {
 // snapshot, returning the sequence number the standby confirmed. Pending
 // records past the snapshot stay pending and ship next.
 func (s *Shipper) shipSnapshot() (uint64, error) {
-	data, err := os.ReadFile(filepath.Join(s.cfg.Dir, snapshotFile))
+	data, err := os.ReadFile(filepath.Join(s.cfg.Dir, server.SnapshotFile))
 	if err != nil {
 		return 0, fmt.Errorf("replica: reading snapshot for bootstrap: %w", err)
 	}

@@ -545,3 +545,33 @@ func TestStandbyRestartKeepsPrimaryStream(t *testing.T) {
 	}
 	assertSameState(t, "restarted standby", follower, sess)
 }
+
+// TestRetireSessionCreationShipsCleanly is the regression test for a
+// retire-enabled session created on a replicated primary: its creation
+// checkpoint logged and shipped a compaction record before the snapshot a
+// standby without the session bootstraps from existed, so the first ship
+// always failed and ship_errors read 1 before any write. Creation must
+// ship nothing that fails, and the pair must then stay bit-identical.
+func TestRetireSessionCreationShipsCleanly(t *testing.T) {
+	const total = 60
+	sqls := workloadSQL(t, total)
+	cat, _ := datagen.Build()
+	standby := newStandby(t, cat, t.TempDir())
+	defer standby.close()
+	primary := newPrimary(t, cat, t.TempDir(), standby.ts.URL, true, nil, nil)
+	defer primary.close()
+
+	sess, err := primary.sv.CreateSession(replCfg("t", 20, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if errs := sess.Status().Replication.ShipErrors; errs != 0 {
+		t.Fatalf("session creation failed %d ships", errs)
+	}
+	drive(t, sess, sqls, 0, total)
+	follower, ok := standby.sv.Session("t")
+	if !ok {
+		t.Fatal("standby has no session t")
+	}
+	assertSameState(t, "standby", follower, sess)
+}

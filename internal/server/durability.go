@@ -18,7 +18,7 @@ import (
 // session is bit-identical to one that never stopped. rt selects the
 // reopened session's runtime knobs.
 func OpenSession(dir string, cat *catalog.Catalog, rt SessionRuntime) (*Session, error) {
-	snap, err := state.ReadFile(filepath.Join(dir, snapshotFile))
+	snap, err := state.ReadFile(filepath.Join(dir, SnapshotFile))
 	if err != nil {
 		return nil, fmt.Errorf("server: reading session snapshot: %w", err)
 	}
@@ -163,10 +163,13 @@ func (s *Session) checkpointDue(since int, walBytes int64) bool {
 // live session did. A standby logs nothing: it must not inject records
 // into the stream it mirrors, whose numbers are the primary's, and the
 // primary's compaction records reach it in-stream, at their positions.
+// Nor does a primary whose registry is empty, as at creation: there is
+// nothing to compact, and the creation checkpoint would otherwise ship a
+// record before the snapshot a standby bootstraps the session from.
 func (s *Session) checkpointLocked() error {
 	start := time.Now()
 	standby := s.rt.follower != nil && s.rt.follower.Load()
-	if s.cfg.Options.RetireAfter > 0 && !standby {
+	if s.cfg.Options.RetireAfter > 0 && !standby && s.reg.Len() > 0 {
 		recs := []state.Record{{Type: state.RecCompact}}
 		if err := s.logRecords(recs); err != nil {
 			return fmt.Errorf("server: WAL append (compact): %w", err)
@@ -192,7 +195,7 @@ func (s *Session) checkpointLocked() error {
 			CheckpointBytes: s.cfg.CheckpointBytes,
 		},
 	}
-	if err := state.WriteFile(filepath.Join(s.dir, snapshotFile), snap); err != nil {
+	if err := state.WriteFile(filepath.Join(s.dir, SnapshotFile), snap); err != nil {
 		return fmt.Errorf("server: writing snapshot: %w", err)
 	}
 	if err := s.wal.Reset(); err != nil {

@@ -68,23 +68,34 @@ func pipelineSessionConfig(name string) SessionConfig {
 }
 
 // TestBatchedPipelineBitIdentical is the acceptance test of the batched
-// ingest path: a 520-statement workload with interleaved votes, accepts,
-// automatic+explicit checkpoints, and retirement-driven compactions,
-// driven once through a per-record serial session (batch 1, no
-// speculation, one statement per request) and once through a batched +
-// speculating session (batch 32, 4 pipeline workers, up to 64 statements
+// ingest path, once per engine: a 520-statement workload with interleaved
+// votes, accepts, automatic+explicit checkpoints, and retirement-driven
+// compactions, driven once through a per-record serial session (batch 1,
+// no speculation, one statement per request) and once through a batched
+// + pipelined session (batch 32, 4 pipeline workers, up to 64 statements
 // per request). Everything observable must be bit-identical: total work
 // and transition cost to the float bit, the recommendation, the WAL
 // sequence (same records in the same order, compactions included), and
-// the full exported tuner state. Run under -race this also exercises the
-// speculation workers against the live apply loop.
+// the full exported tuner state. WFIT must have speculated; the bandit
+// declines speculation, so every statement the pipeline captures must
+// count as a miss. Run under -race this also exercises the pipeline
+// workers against the live apply loop.
 func TestBatchedPipelineBitIdentical(t *testing.T) {
 	const total = 520
 	sqls := recoveryWorkloadSQL(t, total)
+	for _, kind := range []string{"wfit", "bandit"} {
+		t.Run(kind, func(t *testing.T) { testBatchedPipeline(t, kind, sqls) })
+	}
+}
+
+func testBatchedPipeline(t *testing.T, kind string, sqls []string) {
+	total := len(sqls)
 	cat, _ := datagen.Build()
+	cfg := pipelineSessionConfig("diff")
+	cfg.Tuner = kind
 
 	serialDir := filepath.Join(t.TempDir(), "serial")
-	serial, err := CreateSession(serialDir, cat, pipelineSessionConfig("diff"))
+	serial, err := CreateSession(serialDir, cat, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +103,7 @@ func TestBatchedPipelineBitIdentical(t *testing.T) {
 	drivePipeline(t, serial, sqls, 0, total, 1)
 
 	batchedDir := filepath.Join(t.TempDir(), "batched")
-	batched, err := CreateSessionWith(batchedDir, cat, pipelineSessionConfig("diff"), SessionRuntime{Batch: 32, Pipeline: 4})
+	batched, err := CreateSessionWith(batchedDir, cat, cfg, SessionRuntime{Batch: 32, Pipeline: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,14 +138,18 @@ func TestBatchedPipelineBitIdentical(t *testing.T) {
 		t.Fatalf("full tuner states diverged between serial and batched sessions")
 	}
 
-	// The batched session must actually have batched and speculated —
-	// otherwise this test silently degenerates into serial-vs-serial.
+	// The batched session must actually have batched and run its
+	// statements through the pipeline — otherwise this test silently
+	// degenerates into serial-vs-serial.
 	if bs.GroupCommits == 0 || bs.GroupCommitRecords <= bs.GroupCommits {
 		t.Fatalf("no real group commits happened: %d commits over %d records",
 			bs.GroupCommits, bs.GroupCommitRecords)
 	}
-	if bs.SpecHits == 0 {
+	switch {
+	case kind == "wfit" && bs.SpecHits == 0:
 		t.Fatalf("speculation never hit (%d misses) — the pipelined path went untested", bs.SpecMisses)
+	case kind == "bandit" && (bs.SpecHits != 0 || bs.SpecMisses == 0):
+		t.Fatalf("the non-speculating bandit reports %d hits / %d misses, want 0 hits and some misses", bs.SpecHits, bs.SpecMisses)
 	}
 	t.Logf("batched: %d group commits over %d records (%.1f avg), speculation %d hits / %d misses",
 		bs.GroupCommits, bs.GroupCommitRecords,

@@ -266,7 +266,7 @@ func (sv *Server) InstallSnapshot(data []byte) (*Session, error) {
 	// The shipped bytes land verbatim, through the same tmp + fsync +
 	// rename as a checkpoint: re-encoding a parsed copy could only
 	// introduce divergence from the primary's snapshot.
-	err = state.WriteFileAtomic(filepath.Join(dir, snapshotFile), func(w io.Writer) error {
+	err = state.WriteFileAtomic(filepath.Join(dir, SnapshotFile), func(w io.Writer) error {
 		_, err := w.Write(data)
 		return err
 	})

@@ -533,7 +533,7 @@ func TestPromotedSessionRefusesShip(t *testing.T) {
 	if !errors.Is(err, ErrPromoted) {
 		t.Fatalf("a promoted node's session answered a shipped batch with (%d, %v), want ErrPromoted", last, err)
 	}
-	snap, err := os.ReadFile(filepath.Join(sv.sessionsRoot(), "s", snapshotFile))
+	snap, err := os.ReadFile(filepath.Join(sv.sessionsRoot(), "s", SnapshotFile))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,7 +136,7 @@ func NewWithCatalog(cfg Config, cat *catalog.Catalog) (*Server, error) {
 			continue
 		}
 		dir := filepath.Join(sv.sessionsRoot(), e.Name())
-		if _, err := os.Stat(filepath.Join(dir, snapshotFile)); err != nil {
+		if _, err := os.Stat(filepath.Join(dir, SnapshotFile)); err != nil {
 			continue // not a session directory
 		}
 		sess, err := OpenSession(dir, cat, sv.runtime(e.Name(), dir))

@@ -37,9 +37,10 @@ import (
 	_ "repro/internal/tuner/bandit"
 )
 
-// snapshotFile and walFile are the two files of a session directory.
+// SnapshotFile and walFile are the two files of a session directory.
+// The replication shipper reads the snapshot by SnapshotFile.
 const (
-	snapshotFile = "state.snap"
+	SnapshotFile = "state.snap"
 	walFile      = "wal.log"
 )
 
@@ -151,7 +152,7 @@ func CreateSessionWith(dir string, cat *catalog.Catalog, cfg SessionConfig, rt S
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotFile)); err == nil {
+	if _, err := os.Stat(filepath.Join(dir, SnapshotFile)); err == nil {
 		return nil, fmt.Errorf("server: session directory %s already initialized", dir)
 	}
 	s := newSession(dir, cat, cfg, rt, index.NewRegistry())

@@ -108,7 +108,7 @@ func Read(r io.Reader) (*Snapshot, error) {
 	d := newReader(r)
 	s := &Snapshot{}
 	s.Defs = readDefs(d)
-	kind := "wfit"
+	kind := core.Kind
 	if version >= 3 {
 		kind = d.str()
 	}

@@ -66,7 +66,7 @@ func tunerCodecKinds() []string {
 
 func init() {
 	RegisterTunerCodec(TunerCodec{
-		Kind: "wfit",
+		Kind: core.Kind,
 		Encode: func(e *Encoder, st TunerState) {
 			writeTuner(e.w, st.(*core.TunerState))
 		},

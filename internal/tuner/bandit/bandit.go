@@ -7,12 +7,14 @@
 // predicts the next benefit, and the recommendation is the top-k
 // super-arm by upper confidence bound, net of amortized creation cost.
 //
-// The engine honors every invariant the seam demands: analysis is split
-// into a speculative side-effect-free stage validated by (epoch,
-// registry length) capture, all randomness (an occasional ε-greedy
-// exploration draw) comes from interaction.Rand with its position in
-// the exported state, retirement and registry compaction mirror WFIT's,
-// and recovery from the kind-tagged snapshot payload is bit-identical.
+// The package holds only the algorithm and its state. Its session-facing
+// policies are WFIT's own code: DBA votes live in core.Votes, idle
+// retirement is interaction.BenefitStats.RetireIdle on WFIT's schedule,
+// and restored histories pass interaction's checks. All randomness (an
+// occasional ε-greedy exploration draw) comes from interaction.Rand with
+// its position in the exported state, so recovery from the kind-tagged
+// snapshot payload is bit-identical. The engine does not speculate:
+// BeginAnalysis returns a handle that ApplyAnalysis analyzes serially.
 package bandit
 
 import (
@@ -78,12 +80,11 @@ type Bandit struct {
 	// stats holds the windowed per-arm benefit history (HistSize).
 	stats *interaction.BenefitStats
 
-	// pinned/banned map voted arms to the vote's statement position:
-	// F+ forces an arm into the super-arm and F− keeps it out, each for
-	// a grace window of HistSize statements (the same pin semantics as
-	// WFIT's feedback).
-	pinned map[index.ID]int
-	banned map[index.ID]int
+	// pinned and banned hold the DBA votes: F+ forces an arm into the
+	// super-arm and F− keeps it out, each for a grace window of HistSize
+	// statements (see core.Votes).
+	pinned core.Votes
+	banned core.Votes
 
 	// gram is the ridge Gram matrix λI + Σxxᵀ (featDim×featDim,
 	// row-major) and reward the accumulated Σr·x.
@@ -93,12 +94,6 @@ type Bandit struct {
 	lastIBGNodes  int
 	lastRunDur    time.Duration
 	lastFinishDur time.Duration
-
-	// epoch counts changes that invalidate a speculative Analysis:
-	// super-arm changes (the IBG evaluation context), materialization
-	// changes, feedback, and registry compactions. Registry growth is
-	// detected separately by length — see AnalysisValid.
-	epoch uint64
 }
 
 // New builds a fresh bandit engine against a what-if optimizer.
@@ -114,8 +109,8 @@ func New(opt *whatif.Optimizer, options core.Options) *Bandit {
 		universe:     options.InitialMaterialized,
 		selection:    options.InitialMaterialized,
 		stats:        interaction.NewBenefitStats(options.HistSize),
-		pinned:       make(map[index.ID]int),
-		banned:       make(map[index.ID]int),
+		pinned:       make(core.Votes),
+		banned:       make(core.Votes),
 		gram:         make([]float64, featDim*featDim),
 		reward:       make([]float64, featDim),
 	}
@@ -130,139 +125,71 @@ var _ tuner.Engine = (*Bandit)(nil)
 // Kind returns "bandit".
 func (t *Bandit) Kind() string { return Kind }
 
-// analysis is the speculative stage: candidate extraction, IBG build,
-// and per-arm benefit maximization, all side-effect-free against the
-// captured (epoch, registry length) state.
-type analysis struct {
-	t      *Bandit
-	st     *stmt.Statement
-	epoch  uint64
-	regLen int
-	// evalBase is the captured super-arm ∪ materialized set the IBG is
-	// built over alongside the statement's own candidates.
-	evalBase index.Set
+// analysis is the handle BeginAnalysis returns. The bandit does not
+// speculate: Run does nothing, AnalysisValid is false, and ApplyAnalysis
+// analyzes the statement serially.
+type analysis struct{ st *stmt.Statement }
 
-	ran    bool
-	ok     bool
-	runDur time.Duration
+// Run does nothing; the analysis happens in ApplyAnalysis.
+func (analysis) Run() {}
 
-	extracted index.Set
-	used      []index.ID
-	benefits  []float64
-	nodes     int
-}
+// Discard does nothing: the handle holds no resources.
+func (analysis) Discard() {}
 
-// BeginAnalysis captures the evaluation context for s. Run analyzes on
-// its calling goroutine; workers is ignored.
+// BeginAnalysis returns a handle for s that ApplyAnalysis analyzes
+// serially; workers is ignored.
 func (t *Bandit) BeginAnalysis(s *stmt.Statement, _ int) tuner.Analysis {
-	return t.begin(s)
+	return analysis{st: s}
 }
 
-// begin is BeginAnalysis without the interface's unused argument.
-func (t *Bandit) begin(s *stmt.Statement) *analysis {
-	return &analysis{
-		t:        t,
-		st:       s,
-		epoch:    t.epoch,
-		regLen:   t.reg.Len(),
-		evalBase: t.selection.Union(t.materialized),
-	}
-}
+// AnalysisValid is always false: no speculative result exists to apply.
+func (t *Bandit) AnalysisValid(tuner.Analysis) bool { return false }
 
-// Run performs the speculative analysis without interning candidates or
-// touching engine state.
-func (a *analysis) Run() { a.run(false) }
-
-func (a *analysis) run(intern bool) {
-	//lint:allow nondeterminism(wall-clock observability only; durations never feed tuning decisions)
-	start := time.Now()
-	a.ran = true
-	if intern {
-		a.extracted = a.t.extractor.Extract(a.st)
-	} else {
-		var known bool
-		a.extracted, known = a.t.extractor.Peek(a.st)
-		if !known {
-			// The statement mines a candidate the registry has not seen:
-			// interning is a mutation, so the speculation bails and the
-			// apply path re-runs serially.
-			a.ok = false
-			//lint:allow nondeterminism(wall-clock observability only; durations never feed tuning decisions)
-			a.runDur = time.Since(start)
-			return
-		}
-	}
-	eval := a.extracted.Union(a.evalBase)
-	g := ibg.Build(a.t.opt, a.st, eval)
-	a.nodes = g.NodeCount()
-	used := g.UsedUnion()
-	a.used = used.IDs()
-	a.benefits = make([]float64, len(a.used))
-	for i, id := range a.used {
-		a.benefits[i] = g.MaxBenefit(id)
-	}
-	g.Release()
-	a.ok = true
-	//lint:allow nondeterminism(wall-clock observability only; durations never feed tuning decisions)
-	a.runDur = time.Since(start)
-}
-
-// Discard releases the analysis without applying it.
-func (a *analysis) Discard() {}
-
-// AnalysisValid reports whether a's capture still reflects the engine.
-func (t *Bandit) AnalysisValid(a tuner.Analysis) bool {
-	ba := a.(*analysis)
-	return ba.t == t && ba.epoch == t.epoch && ba.regLen == t.reg.Len()
-}
-
-// ApplyAnalysis folds a completed analysis into the engine; if the
-// speculation went stale or bailed, it re-analyzes serially. Either way
-// the resulting state is bit-identical to AnalyzeQuery on the same
-// statement.
+// ApplyAnalysis analyzes a's statement serially and reports that no
+// speculative result was used.
 func (t *Bandit) ApplyAnalysis(a tuner.Analysis) bool {
-	ba := a.(*analysis)
-	if ba.ran && ba.ok && t.AnalysisValid(a) {
-		t.finishAnalysis(ba)
-		return true
-	}
-	fresh := t.begin(ba.st)
-	fresh.run(true)
-	t.finishAnalysis(fresh)
+	t.AnalyzeQuery(a.(analysis).st)
 	return false
 }
 
-// AnalyzeQuery is the serial path: capture, analyze, fold.
+// AnalyzeQuery observes the next statement: candidate extraction, an IBG
+// over the statement's candidates, the super-arm and the materialized
+// set, and each used arm's benefit maximization (the run); then the fold
+// advances the statement clock, grows the universe, updates the
+// regression from this statement's observed benefits, retires idle arms,
+// and recomputes the super-arm.
 func (t *Bandit) AnalyzeQuery(s *stmt.Statement) {
-	a := t.begin(s)
-	a.run(true)
-	t.finishAnalysis(a)
-}
-
-// finishAnalysis is the serialized fold: advance the statement clock,
-// grow the universe, update the regression from this statement's
-// observed benefits, retire idle arms, and recompute the super-arm.
-func (t *Bandit) finishAnalysis(a *analysis) {
 	//lint:allow nondeterminism(wall-clock observability only; durations never feed tuning decisions)
 	start := time.Now()
-	t.n++
-	t.lastIBGNodes = a.nodes
-	t.lastRunDur = a.runDur
-	t.universe = t.universe.Union(a.extracted)
+	extracted := t.extractor.Extract(s)
+	g := ibg.Build(t.opt, s, extracted.Union(t.selection.Union(t.materialized)))
+	nodes := g.NodeCount()
+	used := g.UsedUnion().IDs()
+	benefits := make([]float64, len(used))
+	for i, id := range used {
+		benefits[i] = g.MaxBenefit(id)
+	}
+	g.Release()
+	//lint:allow nondeterminism(wall-clock observability only; durations never feed tuning decisions)
+	fold := time.Now()
 
+	t.n++
+	t.lastIBGNodes = nodes
+	t.lastRunDur = fold.Sub(start)
+	t.universe = t.universe.Union(extracted)
 	// Observe each used arm: the context vector is computed from the
 	// history BEFORE this statement's observation enters the window, so
 	// the model always predicts the next benefit from the past.
-	for i, id := range a.used {
+	for i, id := range used {
 		x := t.features(id)
-		t.observe(x, a.benefits[i])
-		t.stats.Add(id, t.n, a.benefits[i])
+		t.observe(x, benefits[i])
+		t.stats.Add(id, t.n, benefits[i])
 	}
 
 	t.retire()
 	t.reselect()
 	//lint:allow nondeterminism(wall-clock observability only; durations never feed tuning decisions)
-	t.lastFinishDur = time.Since(start)
+	t.lastFinishDur = time.Since(fold)
 }
 
 // features builds the context vector for one arm.
@@ -285,53 +212,17 @@ func (t *Bandit) observe(x [featDim]float64, r float64) {
 }
 
 // retire drops arms that have not been observed beneficial for
-// RetireAfter statements, exactly WFIT's schedule: LastPos is 0 for an
-// arm mined but never observed, so it ages out on the same clock.
+// RetireAfter statements, on WFIT's schedule and with its sweep.
 func (t *Bandit) retire() {
-	ra := t.options.RetireAfter
-	if ra <= 0 {
+	cutoff, ok := t.options.RetireCutoff(t.n)
+	if !ok {
 		return
-	}
-	cutoff := t.n - ra
-	if cutoff < 0 {
-		return
-	}
-	keep := t.selection.Union(t.materialized).Union(t.s0).Union(t.activeVotes(t.pinned)).Union(t.activeVotes(t.banned))
-	var dead []index.ID
-	t.universe.Each(func(id index.ID) {
-		if keep.Contains(id) {
-			return
-		}
-		if t.stats.LastPos(id) <= cutoff {
-			dead = append(dead, id)
-		}
-	})
-	for _, id := range dead {
-		t.stats.Evict(id)
-	}
-	if len(dead) > 0 {
-		t.universe = t.universe.Minus(index.NewSet(dead...))
-		t.retired += len(dead)
-	}
-}
-
-// activeVotes expires votes older than the HistSize grace window and
-// returns the arms still covered. A non-positive HistSize means
-// unbounded grace, matching WFIT's pin semantics.
-func (t *Bandit) activeVotes(votes map[index.ID]int) index.Set {
-	if len(votes) == 0 {
-		return index.EmptySet
 	}
 	grace := t.options.HistSize
-	ids := make([]index.ID, 0, len(votes))
-	for id, pos := range votes {
-		if grace > 0 && t.n-pos >= grace {
-			delete(votes, id)
-			continue
-		}
-		ids = append(ids, id)
-	}
-	return index.NewSet(ids...)
+	keep := t.selection.Union(t.materialized).Union(t.s0).Union(t.pinned.Active(t.n, grace)).Union(t.banned.Active(t.n, grace))
+	var dead []index.ID
+	t.universe, dead = t.stats.RetireIdle(t.universe, keep, cutoff)
+	t.retired += len(dead)
 }
 
 // scoredArm is one arm's UCB score during super-arm selection.
@@ -342,11 +233,10 @@ type scoredArm struct {
 
 // reselect recomputes the super-arm: top-IdxCnt arms by UCB score net
 // of amortized creation cost, forced pins in, active bans out, plus an
-// occasional ε-greedy exploration arm. The epoch advances iff the
-// super-arm changed, invalidating in-flight speculation built over it.
+// occasional ε-greedy exploration arm.
 func (t *Bandit) reselect() {
-	pins := t.activeVotes(t.pinned)
-	bans := t.activeVotes(t.banned)
+	pins := t.pinned.Active(t.n, t.options.HistSize)
+	bans := t.banned.Active(t.n, t.options.HistSize)
 
 	inv := invert3(t.gram)
 	theta := mulVec3(inv, t.reward)
@@ -406,7 +296,6 @@ func (t *Bandit) reselect() {
 	if !sel.Equal(t.selection) {
 		t.selection = sel
 		t.reselections++
-		t.epoch++
 	}
 }
 
@@ -419,27 +308,17 @@ func (t *Bandit) Feedback(plus, minus index.Set) {
 	if plus.Empty() && minus.Empty() {
 		return
 	}
-	plus.Each(func(id index.ID) {
-		t.pinned[id] = t.n
-		delete(t.banned, id)
-	})
-	minus.Each(func(id index.ID) {
-		t.banned[id] = t.n
-		delete(t.pinned, id)
-	})
+	t.pinned.Cast(plus, t.n)
+	t.banned.Withdraw(plus)
+	t.banned.Cast(minus, t.n)
+	t.pinned.Withdraw(minus)
 	t.universe = t.universe.Union(plus)
 	t.reselect()
 }
 
 // SetMaterialized informs the engine of the externally-materialized
 // configuration.
-func (t *Bandit) SetMaterialized(m index.Set) {
-	if m.Equal(t.materialized) {
-		return
-	}
-	t.materialized = m
-	t.epoch++
-}
+func (t *Bandit) SetMaterialized(m index.Set) { t.materialized = m }
 
 // Materialized returns the engine's view of the materialized set.
 func (t *Bandit) Materialized() index.Set { return t.materialized }
@@ -447,38 +326,20 @@ func (t *Bandit) Materialized() index.Set { return t.materialized }
 // CompactRegistry drops unreferenced registry entries and remaps every
 // ID the engine holds, mirroring WFIT's compaction contract.
 func (t *Bandit) CompactRegistry() int {
-	live := t.universe.Union(t.materialized).Union(t.s0).Union(t.selection)
-	for id := range t.pinned {
-		live = live.Add(id)
-	}
-	for id := range t.banned {
-		live = live.Add(id)
-	}
+	live := t.universe.Union(t.materialized).Union(t.s0).Union(t.selection).Union(t.pinned.Voted()).Union(t.banned.Voted())
 	dropped := t.reg.Len() - live.Len()
 	if dropped <= 0 {
 		return 0
 	}
-	t.epoch++
 	remap := t.reg.Compact(live)
 	t.s0 = t.s0.Remap(remap)
 	t.materialized = t.materialized.Remap(remap)
 	t.universe = t.universe.Remap(remap)
 	t.selection = t.selection.Remap(remap)
 	t.stats.Remap(remap)
-	t.pinned = remapVotes(t.pinned, remap)
-	t.banned = remapVotes(t.banned, remap)
+	t.pinned = t.pinned.Remap(remap)
+	t.banned = t.banned.Remap(remap)
 	return dropped
-}
-
-func remapVotes(votes map[index.ID]int, remap []index.ID) map[index.ID]int {
-	if len(votes) == 0 {
-		return votes
-	}
-	out := make(map[index.ID]int, len(votes))
-	for id, pos := range votes {
-		out[remap[id]] = pos
-	}
-	return out
 }
 
 // Status reports the bandit gauges: Parts/States describe the super-arm

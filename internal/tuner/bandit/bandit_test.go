@@ -91,9 +91,11 @@ func TestCompactRegistryPreservesDecisions(t *testing.T) {
 
 // TestRestoreRejectsHistoryBeyondRegistry checks that Restore refuses a
 // state naming an index ID the registry does not hold, the invalid ID 0
-// included, in a benefit history, a set, a pin or a ban. Restored
-// unchecked, ID 0 in the selection, the materialized set or the universe
-// panics the next AnalyzeQuery ("index: unknown ID 0").
+// included, in a benefit history, a set, a pin or a ban, and a benefit
+// history that ends after the statement count. Restored unchecked, ID 0
+// in the selection, the materialized set or the universe panics the next
+// AnalyzeQuery ("index: unknown ID 0"), and so does the late history
+// ("interaction: Window positions must be non-decreasing").
 func TestRestoreRejectsHistoryBeyondRegistry(t *testing.T) {
 	cat, _ := datagen.Build()
 	reg := index.NewRegistry()
@@ -111,24 +113,32 @@ func TestRestoreRejectsHistoryBeyondRegistry(t *testing.T) {
 		t.Fatalf("Restore of an exported state: %v", err)
 	}
 	beyond := index.ID(reg.Len() + 1)
+	const outside = "outside registry"
 	cases := []struct {
 		name    string
 		corrupt func(st *State)
+		want    string
 	}{
-		{"benefit ID beyond registry", func(st *State) { st.Stats.Entries[len(st.Stats.Entries)-1].ID = beyond }},
-		{"benefit ID invalid", func(st *State) { st.Stats.Entries[0].ID = index.Invalid }},
-		{"selection ID invalid", func(st *State) { st.Selection = st.Selection.Add(index.Invalid) }},
-		{"materialized ID invalid", func(st *State) { st.Materialized = st.Materialized.Add(index.Invalid) }},
-		{"universe ID invalid", func(st *State) { st.Universe = st.Universe.Add(index.Invalid) }},
-		{"initial set ID beyond registry", func(st *State) { st.S0 = st.S0.Add(beyond) }},
-		{"pin ID beyond registry", func(st *State) { st.Pinned = append(st.Pinned, Vote{ID: beyond, Pos: st.N}) }},
-		{"ban ID invalid", func(st *State) { st.Banned = append([]Vote{{ID: index.Invalid, Pos: st.N}}, st.Banned...) }},
+		{"benefit ID beyond registry", func(st *State) { st.Stats.Entries[len(st.Stats.Entries)-1].ID = beyond }, outside},
+		{"benefit ID invalid", func(st *State) { st.Stats.Entries[0].ID = index.Invalid }, outside},
+		{"selection ID invalid", func(st *State) { st.Selection = st.Selection.Add(index.Invalid) }, outside},
+		{"materialized ID invalid", func(st *State) { st.Materialized = st.Materialized.Add(index.Invalid) }, outside},
+		{"universe ID invalid", func(st *State) { st.Universe = st.Universe.Add(index.Invalid) }, outside},
+		{"initial set ID beyond registry", func(st *State) { st.S0 = st.S0.Add(beyond) }, outside},
+		{"pin ID beyond registry", func(st *State) { st.Pinned = append(st.Pinned, core.PinnedVote{ID: beyond, Pos: st.N}) }, outside},
+		{"ban ID invalid", func(st *State) { st.Banned = append([]core.PinnedVote{{ID: index.Invalid, Pos: st.N}}, st.Banned...) }, outside},
+		{"benefit position beyond N", func(st *State) {
+			ws := &st.Stats.Entries[0].Window
+			pos := append([]int(nil), ws.Pos...)
+			pos[len(pos)-1] = st.N + 50
+			ws.Pos = pos
+		}, "beyond statement count"},
 	}
 	for _, c := range cases {
 		bad := b.ExportState().(*State)
 		c.corrupt(bad)
-		if _, err := Restore(opt, bad); err == nil || !strings.Contains(err.Error(), "outside registry") {
-			t.Errorf("%s: Restore error = %v, want one mentioning %q", c.name, err, "outside registry")
+		if _, err := Restore(opt, bad); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Restore error = %v, want one mentioning %q", c.name, err, c.want)
 		}
 	}
 }

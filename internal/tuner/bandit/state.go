@@ -2,7 +2,6 @@ package bandit
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/index"
@@ -11,13 +10,6 @@ import (
 	"repro/internal/tuner"
 	"repro/internal/whatif"
 )
-
-// Vote records one active F+ pin or F− ban: the arm and the statement
-// position of the vote that created it.
-type Vote struct {
-	ID  index.ID
-	Pos int
-}
 
 // State is the bandit engine's full exportable state. Together with the
 // index registry (serialized separately) it determines the engine's
@@ -37,8 +29,8 @@ type State struct {
 	Selection    index.Set
 
 	// Pinned and Banned carry the active votes in ascending ID order.
-	Pinned []Vote
-	Banned []Vote
+	Pinned []core.PinnedVote
+	Banned []core.PinnedVote
 
 	// Gram is the ridge Gram matrix (featDim×featDim, row-major) and
 	// Reward the accumulated reward vector.
@@ -71,23 +63,14 @@ func (t *Bandit) ExportState() state.TunerState {
 		Materialized: t.materialized,
 		Universe:     t.universe,
 		Selection:    t.selection,
-		Pinned:       exportVotes(t.pinned),
-		Banned:       exportVotes(t.banned),
+		Pinned:       t.pinned.Export(),
+		Banned:       t.banned.Export(),
 		Gram:         append([]float64(nil), t.gram...),
 		Reward:       append([]float64(nil), t.reward...),
 		Stats:        t.stats.Export(),
 		RandState:    t.rng.State(),
 	}
 	return st
-}
-
-func exportVotes(votes map[index.ID]int) []Vote {
-	out := make([]Vote, 0, len(votes))
-	for id, pos := range votes {
-		out = append(out, Vote{ID: id, Pos: pos})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // Restore rebuilds a bandit engine from an exported state against an
@@ -103,15 +86,6 @@ func Restore(opt *whatif.Optimizer, st *State) (*Bandit, error) {
 	t.materialized = st.Materialized
 	t.universe = st.Universe
 	t.selection = st.Selection
-	var votes []index.ID
-	for _, v := range st.Pinned {
-		t.pinned[v.ID] = v.Pos
-		votes = append(votes, v.ID)
-	}
-	for _, v := range st.Banned {
-		t.banned[v.ID] = v.Pos
-		votes = append(votes, v.ID)
-	}
 	if len(st.Gram) != featDim*featDim || len(st.Reward) != featDim {
 		return nil, fmt.Errorf("bandit: state carries a %d/%d regression, want %d/%d", len(st.Gram), len(st.Reward), featDim*featDim, featDim)
 	}
@@ -119,20 +93,19 @@ func Restore(opt *whatif.Optimizer, st *State) (*Bandit, error) {
 	copy(t.reward, st.Reward)
 	t.rng.SetState(st.RandState)
 
-	for _, ids := range [][]index.ID{t.s0.IDs(), t.materialized.IDs(), t.universe.IDs(), t.selection.IDs(), votes} {
+	for _, ids := range [][]index.ID{t.s0.IDs(), t.materialized.IDs(), t.universe.IDs(), t.selection.IDs()} {
 		if err := t.reg.CheckIDs(ids...); err != nil {
 			return nil, fmt.Errorf("bandit: state references %w", err)
 		}
 	}
-	// The statistics are indexed by ID, so an ID beyond the registry
-	// would size them by the ID instead of the registry.
-	for _, e := range st.Stats.Entries {
-		if err := t.reg.CheckIDs(e.ID); err != nil {
-			return nil, fmt.Errorf("bandit: benefit history for %w", err)
-		}
-	}
 	var err error
-	if t.stats, err = interaction.RestoreBenefitStats(st.Stats); err != nil {
+	if t.pinned, err = core.RestoreVotes(t.reg, st.Pinned); err != nil {
+		return nil, err
+	}
+	if t.banned, err = core.RestoreVotes(t.reg, st.Banned); err != nil {
+		return nil, err
+	}
+	if t.stats, err = interaction.RestoreBenefitStats(st.Stats, t.reg, st.N); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -198,7 +171,7 @@ func decodeState(d *state.Decoder, version int) *State {
 	return st
 }
 
-func encodeVotes(e *state.Encoder, votes []Vote) {
+func encodeVotes(e *state.Encoder, votes []core.PinnedVote) {
 	e.Len(len(votes))
 	for _, v := range votes {
 		e.U32(uint32(v.ID))
@@ -206,11 +179,11 @@ func encodeVotes(e *state.Encoder, votes []Vote) {
 	}
 }
 
-func decodeVotes(d *state.Decoder) []Vote {
+func decodeVotes(d *state.Decoder) []core.PinnedVote {
 	n := d.Len()
-	out := make([]Vote, 0, n)
+	out := make([]core.PinnedVote, 0, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
-		out = append(out, Vote{ID: index.ID(d.U32()), Pos: d.Int()})
+		out = append(out, core.PinnedVote{ID: index.ID(d.U32()), Pos: d.Int()})
 	}
 	if d.Err() != nil {
 		return nil

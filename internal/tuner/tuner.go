@@ -1,10 +1,10 @@
 // Package tuner defines the engine seam between the online tuning
 // algorithms and everything that drives them. An Engine is the full
 // session contract internal/server consumes — the Analyze/Apply
-// speculation split with epoch validation, recommendation and feedback,
-// materialized-set tracking, registry compaction, status gauges, and
-// versioned state export — and the same contract internal/bench drives
-// in-process. Engines register themselves in a process-global registry
+// speculation split (which an engine may decline), recommendation and
+// feedback, materialized-set tracking, registry compaction, status
+// gauges, and versioned state export — and the same contract
+// internal/bench drives in-process. Engines register themselves in a process-global registry
 // keyed by kind, the string that names them in SessionConfig, the HTTP
 // create API, daemon flags, and the kind tag of v3 snapshots.
 //
@@ -31,7 +31,8 @@ import (
 // construction, what-if probes, work-function deltas), split off so the
 // server's pipeline can run it concurrently with earlier statements.
 // Run computes; Discard releases resources without applying. The engine
-// that issued the handle is the only one that can apply it.
+// that issued the handle is the only one that can apply it. An engine
+// that does not speculate issues handles whose Run does nothing.
 type Analysis interface {
 	// Run performs the speculative analysis. It must not mutate engine
 	// state and must not intern new indexes in the registry.
@@ -91,17 +92,21 @@ type Engine interface {
 
 	// BeginAnalysis captures everything the speculative stage needs and
 	// returns a handle whose Run may execute concurrently. Run analyzes
-	// on its calling goroutine; workers is ignored.
+	// on its calling goroutine; workers is ignored. An engine may
+	// decline speculation by returning a handle that ApplyAnalysis
+	// analyzes serially.
 	BeginAnalysis(s *stmt.Statement, workers int) Analysis
 
 	// AnalysisValid reports whether a still reflects the engine's
-	// current state (no epoch bump or registry growth since capture).
+	// current state (WFIT: no epoch bump or registry growth since
+	// capture). It is always false for an engine that declines
+	// speculation; callers then analyze serially without waiting for Run.
 	AnalysisValid(a Analysis) bool
 
 	// ApplyAnalysis folds a completed analysis into the engine. If the
-	// speculation went stale it transparently re-analyzes serially; the
-	// result is bit-identical either way. Reports whether the
-	// speculative result was usable.
+	// speculation went stale, or the engine declines speculation, it
+	// analyzes serially; the result is bit-identical either way. Reports
+	// whether a speculative result was used.
 	ApplyAnalysis(a Analysis) bool
 
 	// Materialized returns the engine's view of the materialized set.

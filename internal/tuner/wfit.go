@@ -12,7 +12,7 @@ import (
 
 // KindWFIT is the registry key of the paper's semi-automatic tuner.
 // It is the default engine everywhere a kind is configurable.
-const KindWFIT = "wfit"
+const KindWFIT = core.Kind
 
 func init() {
 	Register(Factory{
