@@ -9,8 +9,10 @@
 //	wfit-serve -addr :7781 -data ./wfit-data [-checkpoint-every N]
 //	           [-checkpoint-bytes N] [-queue N] [-idxcnt N] [-statecnt N]
 //	           [-histsize N] [-retire-after N] [-tuner NAME] [-fsync]
-//	           [-batch N] [-pipeline N] [-standby URL] [-replicate-async]
-//	           [-follower]
+//	           [-batch N] [-standby URL] [-replicate-async] [-follower]
+//
+// -pipeline N is deprecated and ignored: every session analyzes each
+// statement on its apply path.
 //
 // Replication (see the README's "Replication & failover" section):
 // -standby URL ships every session's WAL to a warm standby at URL
@@ -84,7 +86,7 @@ func realMain() int {
 	checkpointBytes := flag.Int64("checkpoint-bytes", 0, "snapshot automatically when the WAL exceeds this many bytes, bounding recovery replay time (0 disables)")
 	queueDepth := flag.Int("queue", 256, "per-session ingest queue depth (backpressure bound)")
 	batch := flag.Int("batch", 64, "max WAL records per group commit: the ingest loop drains queued work up to this bound and persists it with one flush+fsync (1 = commit per record)")
-	pipeline := flag.Int("pipeline", 0, "speculative-analysis workers per session: statements queued behind the apply cursor are analyzed concurrently and validated at apply time (0 disables, negative = one per CPU); any value keeps trajectories bit-identical")
+	flag.Int("pipeline", 0, "deprecated and ignored: every session analyzes each statement on its apply path")
 	options := core.DefaultOptions()
 	flag.IntVar(&options.IdxCnt, "idxcnt", options.IdxCnt, "default idxCnt knob for new sessions")
 	flag.IntVar(&options.StateCnt, "statecnt", options.StateCnt, "default stateCnt knob for new sessions")
@@ -128,7 +130,6 @@ func realMain() int {
 		CheckpointBytes: *checkpointBytes,
 		Fsync:           *fsync,
 		Batch:           *batch,
-		Pipeline:        *pipeline,
 		Follower:        *follower,
 		Metrics:         metrics,
 	}

@@ -220,7 +220,7 @@ func runThroughput() (*bench.PipelinePerf, int) {
 		return nil, 1
 	}
 	defer os.RemoveAll(dataDir)
-	fmt.Println("Ingest throughput: per-record commits vs WAL group commit + speculative analysis")
+	fmt.Println("Ingest throughput: per-record commits vs WAL group commit")
 	p, err := bench.RunPipeline(bench.PipelineOptions{DataDir: dataDir})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pipeline bench: %v\n", err)
@@ -233,9 +233,9 @@ func runThroughput() (*bench.PipelinePerf, int) {
 // printPipeline renders the pipeline bench's mode table and speedups.
 func printPipeline(p *bench.PipelinePerf) {
 	for _, m := range p.Modes {
-		fmt.Printf("  %-14s %8.0f stmts/s, ack mean %7.0f µs (p50 %.0f, p99 %.0f), %d group commits / %d records, speculation %d/%d hit\n",
+		fmt.Printf("  %-14s %8.0f stmts/s, ack mean %7.0f µs (p50 %.0f, p99 %.0f), %d group commits / %d records\n",
 			m.Name, m.StmtsPerSec, m.AckUSMean, m.AckUSP50, m.AckUSP99,
-			m.GroupCommits, m.GroupCommitRecords, m.SpecHits, m.SpecHits+m.SpecMisses)
+			m.GroupCommits, m.GroupCommitRecords)
 	}
 	fmt.Printf("  group-commit speedup: %.2fx under fsync, %.2fx without; trajectories identical: %v\n",
 		p.SpeedupFsync, p.SpeedupNoFsync, p.TotalWorkIdentical)

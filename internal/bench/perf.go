@@ -60,7 +60,9 @@ type PerfSide struct {
 // v10 dropped the Service and Obs sections (e2ebench measures the
 // service end to end); v11 replaced the serial and parallel sides, their
 // speedup and their identical-results flag with the one analysis side (a
-// statement's analysis runs on one goroutine).
+// statement's analysis runs on one goroutine); v12 dropped the Pipeline
+// modes' pipeline, spec_hits and spec_misses (the service no longer
+// speculates).
 type PerfReport struct {
 	Schema     string `json:"schema"`
 	GoVersion  string `json:"go_version"`
@@ -72,8 +74,7 @@ type PerfReport struct {
 	// candidate retirement and registry compaction); nil when skipped.
 	Soak *SoakReport `json:"soak,omitempty"`
 	// Pipeline is the ingest-throughput comparison (per-record commits
-	// vs WAL group commit + speculative analysis, with and without
-	// fsync); nil when skipped.
+	// vs WAL group commit, with and without fsync); nil when skipped.
 	Pipeline *PipelinePerf `json:"pipeline,omitempty"`
 	// Failover is the replicated-pair kill test (client-observed outage
 	// blip across standby promotion, acked-loss accounting, replication
@@ -87,7 +88,7 @@ type PerfReport struct {
 
 // PerfSchema is the schema version stamped on every PerfReport (see
 // PerfReport for the history).
-const PerfSchema = "wfit-perf/v11"
+const PerfSchema = "wfit-perf/v12"
 
 // RunPerf evaluates the full WFIT once and returns a report holding the
 // measured analysis side. It runs alone (no concurrent runs) and starts

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"repro/internal/datagen"
@@ -14,8 +13,7 @@ import (
 
 // PipelineOptions configures the ingest-throughput bench: one session per
 // mode, each streaming the same workload slice over HTTP, comparing
-// per-record commits against group commit + speculative analysis, with
-// and without fsync.
+// per-record commits against group commit, with and without fsync.
 type PipelineOptions struct {
 	// DataDir roots the per-mode server state (required).
 	DataDir string
@@ -33,11 +31,6 @@ type PipelineOptions struct {
 	ClientBatch int
 	// Batch is the batched modes' group-commit record bound (default 32).
 	Batch int
-	// Pipeline is the batched modes' speculative-analysis worker count
-	// (zero or negative: one per CPU, so the batched modes always
-	// speculate; unlike wfit-serve's -pipeline, 0 does not disable it).
-	// The serial modes always run without speculation.
-	Pipeline int
 	// IdxCnt and StateCnt are the per-session tuner knobs (defaults 16
 	// and 200).
 	IdxCnt, StateCnt int
@@ -61,9 +54,6 @@ func (o *PipelineOptions) applyDefaults() {
 	if o.Batch <= 0 {
 		o.Batch = 32
 	}
-	if o.Pipeline <= 0 {
-		o.Pipeline = runtime.NumCPU()
-	}
 	if o.IdxCnt <= 0 {
 		o.IdxCnt = 16
 	}
@@ -79,11 +69,10 @@ func (o *PipelineOptions) applyDefaults() {
 type PipelineMode struct {
 	// Name is serial, serial_fsync, batched, or batched_fsync.
 	Name string `json:"name"`
-	// Fsync, ClientBatch, Batch, and Pipeline echo the configuration.
+	// Fsync, ClientBatch, and Batch echo the configuration.
 	Fsync       bool `json:"fsync"`
 	ClientBatch int  `json:"client_batch"`
 	Batch       int  `json:"batch"`
-	Pipeline    int  `json:"pipeline"`
 	// WallMS is the wall time to stream the whole slice; StmtsPerSec the
 	// resulting ingest throughput.
 	WallMS      float64 `json:"wall_ms"`
@@ -100,11 +89,9 @@ type PipelineMode struct {
 	// Gauges from /status after the run.
 	GroupCommits       int64 `json:"group_commits"`
 	GroupCommitRecords int64 `json:"group_commit_records"`
-	SpecHits           int64 `json:"spec_hits"`
-	SpecMisses         int64 `json:"spec_misses"`
 	// TotalWork is the session's final total-work account — identical
-	// across modes, the in-bench differential check that batching and
-	// speculation change throughput, never the tuning trajectory.
+	// across modes, the in-bench differential check that batching
+	// changes throughput, never the tuning trajectory.
 	TotalWork float64 `json:"total_work"`
 }
 
@@ -118,9 +105,8 @@ type PipelinePerf struct {
 	// throughput-smoke job asserts it stays >= 2 on runner hardware).
 	// The ratio is bounded by 1 + (fsync+HTTP)/analysis per statement,
 	// so it is hardware-dependent: large where durable writes are slow
-	// relative to the tuner (real disks) or where pipeline workers can
-	// overlap analysis (multi-core), smaller on single-core containers
-	// with write-back fsync. SpeedupNoFsync is the same ratio for the
+	// relative to the tuner (real disks), smaller on containers with
+	// write-back fsync. SpeedupNoFsync is the same ratio for the
 	// non-durable pair.
 	SpeedupFsync   float64 `json:"speedup_fsync"`
 	SpeedupNoFsync float64 `json:"speedup_no_fsync"`
@@ -157,10 +143,10 @@ func RunPipeline(o PipelineOptions) (*PipelinePerf, error) {
 
 	perf := &PipelinePerf{Statements: o.Statements, Warmup: o.Warmup}
 	modes := []*PipelineMode{
-		{Name: "serial", ClientBatch: 1, Batch: 1, Pipeline: 0},
-		{Name: "serial_fsync", Fsync: true, ClientBatch: 1, Batch: 1, Pipeline: 0},
-		{Name: "batched", ClientBatch: o.ClientBatch, Batch: o.Batch, Pipeline: o.Pipeline},
-		{Name: "batched_fsync", Fsync: true, ClientBatch: o.ClientBatch, Batch: o.Batch, Pipeline: o.Pipeline},
+		{Name: "serial", ClientBatch: 1, Batch: 1},
+		{Name: "serial_fsync", Fsync: true, ClientBatch: 1, Batch: 1},
+		{Name: "batched", ClientBatch: o.ClientBatch, Batch: o.Batch},
+		{Name: "batched_fsync", Fsync: true, ClientBatch: o.ClientBatch, Batch: o.Batch},
 	}
 	for _, m := range modes {
 		if err := runPipelineMode(o, m, warm, sqls); err != nil {
@@ -192,10 +178,9 @@ func RunPipeline(o PipelineOptions) (*PipelinePerf, error) {
 // warmup unmeasured, then streams and measures the workload slice.
 func runPipelineMode(o PipelineOptions, m *PipelineMode, warm, sqls []string) error {
 	sv, err := server.New(server.Config{
-		DataDir:  filepath.Join(o.DataDir, m.Name),
-		Fsync:    m.Fsync,
-		Batch:    m.Batch,
-		Pipeline: m.Pipeline,
+		DataDir: filepath.Join(o.DataDir, m.Name),
+		Fsync:   m.Fsync,
+		Batch:   m.Batch,
 	})
 	if err != nil {
 		return err
@@ -254,8 +239,6 @@ func runPipelineMode(o PipelineOptions, m *PipelineMode, warm, sqls []string) er
 		TotalWork          float64 `json:"total_work"`
 		GroupCommits       int64   `json:"group_commits"`
 		GroupCommitRecords int64   `json:"group_commit_records"`
-		SpecHits           int64   `json:"spec_hits"`
-		SpecMisses         int64   `json:"spec_misses"`
 	}
 	if err := getJSON(ts.URL+"/sessions/pipe/status", &status); err != nil {
 		return err
@@ -266,7 +249,5 @@ func runPipelineMode(o PipelineOptions, m *PipelineMode, warm, sqls []string) er
 	m.TotalWork = status.TotalWork
 	m.GroupCommits = status.GroupCommits
 	m.GroupCommitRecords = status.GroupCommitRecords
-	m.SpecHits = status.SpecHits
-	m.SpecMisses = status.SpecMisses
 	return nil
 }

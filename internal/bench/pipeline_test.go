@@ -5,7 +5,7 @@ import "testing"
 // TestRunPipelineSmall exercises the ingest-throughput bench end to end
 // at a tiny scale: all four modes run, every mode ingests the full slice,
 // and — the differential guarantee — the four trajectories' total work is
-// bit-identical, batching and speculation included.
+// bit-identical, batching included.
 func TestRunPipelineSmall(t *testing.T) {
 	p, err := RunPipeline(PipelineOptions{
 		DataDir:     t.TempDir(),
@@ -13,7 +13,6 @@ func TestRunPipelineSmall(t *testing.T) {
 		Statements:  48,
 		ClientBatch: 8,
 		Batch:       8,
-		Pipeline:    2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -36,8 +35,5 @@ func TestRunPipelineSmall(t *testing.T) {
 	if batched.GroupCommits == 0 || batched.GroupCommitRecords <= batched.GroupCommits {
 		t.Fatalf("batched mode did not group-commit: %d commits / %d records",
 			batched.GroupCommits, batched.GroupCommitRecords)
-	}
-	if batched.SpecHits+batched.SpecMisses == 0 {
-		t.Fatalf("batched mode never speculated")
 	}
 }

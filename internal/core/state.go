@@ -126,7 +126,7 @@ func RestoreWFIT(opt *whatif.Optimizer, st *TunerState) (*WFIT, error) {
 		return nil, err
 	}
 
-	// The partition must be in Normalize form, as finishAnalysis compares
+	// The partition must be in Normalize form, as AnalyzeQuery compares
 	// it with EqualNormalized, and carry exactly one work function per
 	// part, in any order: CompactRegistry keeps only partition members.
 	if !st.Partition.Validate() || !st.Partition.EqualNormalized(st.Partition.Normalize()) {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/index"
 	"repro/internal/interaction"
-	"repro/internal/stmt"
 	"repro/internal/whatif"
 )
 
@@ -101,21 +100,11 @@ type WFIT struct {
 	lastIBGNodes int
 
 	// lastRunDur/lastFinishDur split the most recent statement's
-	// analysis wall time across the Begin/Run/finish seam: run is the
-	// heavy read-only phase (mining, IBG build, maximizations) wherever
-	// it executed — inline or speculatively — and finish is the
-	// serialized fold (stats, partition, WFA updates). The service's
-	// per-statement traces read them right after the apply.
+	// analysis wall time: run is the read-only phase (mining, IBG build,
+	// maximizations) and finish the fold (stats, partition, WFA updates).
+	// The service's per-statement traces read them right after the apply.
 	lastRunDur    time.Duration
 	lastFinishDur time.Duration
-
-	// epoch counts the changes that can invalidate a speculative Analysis:
-	// repartitions (the IBG context C changes), materialization changes
-	// (M changes), and registry compactions (every ID is reinterpreted).
-	// Registry growth is detected separately, by length — see
-	// AnalysisValid. Bumps are deliberately conservative-but-minimal so
-	// pipelined sessions keep a high speculation hit rate.
-	epoch uint64
 }
 
 // NewWFIT builds a full WFIT instance. Per Figure 4's initialization, the
@@ -181,20 +170,15 @@ func (t *WFIT) Partition() interaction.Partition { return t.plus.Partition() }
 func (t *WFIT) LastIBGNodes() int { return t.lastIBGNodes }
 
 // LastAnalysisDurations reports the wall time of the most recent
-// statement's analysis, split across the speculative seam: run is the
-// heavy read-only phase (wherever it ran), finish the serialized fold.
+// statement's analysis, split in two: run is the read-only phase, finish
+// the fold.
 func (t *WFIT) LastAnalysisDurations() (run, finish time.Duration) {
 	return t.lastRunDur, t.lastFinishDur
 }
 
 // SetMaterialized records the DBA's actual physical configuration, which
 // candidate selection must keep covered (the M set of Figure 6).
-func (t *WFIT) SetMaterialized(m index.Set) {
-	if !m.Equal(t.materialized) {
-		t.epoch++
-	}
-	t.materialized = m
-}
+func (t *WFIT) SetMaterialized(m index.Set) { t.materialized = m }
 
 // Materialized returns the tuner's view of the physical configuration.
 // After CompactRegistry, this — not any set captured before the
@@ -204,21 +188,6 @@ func (t *WFIT) Materialized() index.Set { return t.materialized }
 
 // Recommend returns the current recommendation ⋃_k currRec_k.
 func (t *WFIT) Recommend() index.Set { return t.plus.Recommend() }
-
-// AnalyzeQuery implements WFIT.analyzeQuery (Figure 4): maintain the
-// candidate partition via chooseCands/repartition, then feed the
-// statement's index benefit graph to the WFA+ per-part work functions.
-// The graph is private to this call, so its pooled probe cache is
-// released at the end for the next statement.
-//
-// AnalyzeQuery is the one-call form of the Analyze/Apply split (see
-// Analysis): the heavy read-only phase runs inline on the interning path,
-// immediately followed by the serialized fold-in.
-func (t *WFIT) AnalyzeQuery(s *stmt.Statement) {
-	a := t.BeginAnalysis(s)
-	a.run(true)
-	t.finishAnalysis(a)
-}
 
 // retire implements the RetireAfter bound (one sweep per statement): a
 // universe member outside C ∪ M ∪ S0 whose benefit history holds no
@@ -382,7 +351,6 @@ func siftDown(h []scoredCandidate, k int) {
 // expression per configuration, at O(2^|Dm|) per overlapping part instead
 // of O(2^|Dm|) set materializations, intersections, and merge scans.
 func (t *WFIT) repartition(newPartition interaction.Partition) {
-	t.epoch++
 	oldParts := t.plus.parts
 	oldC := t.partsetC
 	currRec := t.Recommend()
@@ -470,7 +438,6 @@ func (t *WFIT) CompactRegistry() int {
 	if dropped <= 0 {
 		return 0
 	}
-	t.epoch++
 	remap := t.reg.Compact(live)
 	t.s0 = t.s0.Remap(remap)
 	t.materialized = t.materialized.Remap(remap)

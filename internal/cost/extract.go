@@ -72,13 +72,12 @@ func (e *Extractor) Extract(s *stmt.Statement) index.Set {
 }
 
 // Peek computes exactly the set Extract would return, but resolves every
-// candidate through Lookup instead of interning — it never mutates the
-// registry, so it is safe to run concurrently with an interning writer
-// (the registry is concurrency-safe). ok is false when any candidate has
-// not been interned yet; the caller must then fall back to Extract on the
-// serialized path. The speculative analysis pipeline uses Peek so that
-// registry ID assignment stays a pure function of the applied event
-// order, which bit-identical recovery depends on.
+// candidate through Lookup instead of interning, so it never mutates the
+// registry. ok is false when any candidate has not been interned yet.
+//
+// Deprecated: call Extract. e2ebench's layer pass is the last caller: its
+// side copy times mining through Peek after the engine's own Extract has
+// interned every candidate of the statement.
 func (e *Extractor) Peek(s *stmt.Statement) (index.Set, bool) {
 	var ids []index.ID
 	for _, table := range s.Tables {
@@ -103,8 +102,7 @@ func (e *Extractor) Peek(s *stmt.Statement) (index.Set, bool) {
 // interaction mass.
 func (e *Extractor) candidates(s *stmt.Statement, table string) [][]string {
 	// Sort a COPY of the cached per-table view: candidate generation must
-	// stay read-only on the statement, which a speculative analysis may
-	// share with a concurrent serialized recompute.
+	// stay read-only on the statement.
 	preds := append([]stmt.Pred(nil), s.TablePreds(table)...)
 	// Equality predicates first (better index prefixes), then by column
 	// name — a deterministic order stable across re-instantiations of
@@ -188,11 +186,10 @@ func (e *Extractor) candidates(s *stmt.Statement, table string) [][]string {
 }
 
 // resolve turns up to MaxPerTable column sets into registry IDs, either
-// interning them (the serialized apply path) or looking them up without
-// mutation (peek=true, the speculative path). In peek mode a single
-// missing definition aborts with nil: the cap and dedup are applied in
-// the identical order either way, so a successful peek returns exactly
-// the IDs the interning call would have.
+// interning them (Extract) or looking them up without mutation (peek=true,
+// Peek). In peek mode a single missing definition aborts with nil: the
+// cap and dedup are applied in the identical order either way, so a
+// successful peek returns exactly the IDs the interning call would have.
 func (e *Extractor) resolve(table string, colSets [][]string, peek bool) []index.ID {
 	max := e.MaxPerTable
 	if max <= 0 {

@@ -8,7 +8,7 @@ import (
 
 // deterministicPkgs are the packages whose behavior must be a pure
 // function of the WAL stream: every bit-identical differential proof
-// (crash recovery, compaction replay, batched speculation, failover
+// (crash recovery, compaction replay, batched ingest, failover
 // promotion) quantifies over exactly this code. A wall-clock read or a
 // global random stream here silently breaks all of them.
 var deterministicPkgs = []string{

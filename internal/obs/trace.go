@@ -3,7 +3,7 @@ package obs
 import "sync"
 
 // StatementTrace records where one ingested statement spent its time,
-// split by pipeline stage (all values in microseconds of wall time on
+// split by ingest stage (all values in microseconds of wall time on
 // the session's apply path). WAL and fsync are group-commit costs
 // amortized over the records of the chunk the statement rode in.
 type StatementTrace struct {
@@ -21,20 +21,15 @@ type StatementTrace struct {
 	// FsyncUS is the statement's share of its chunk's fsync (0 when
 	// fsync is disabled).
 	FsyncUS float64 `json:"fsync_us"`
-	// AnalysisUS is the what-if analysis (IBG build + benefit/
-	// interaction extraction). For speculative hits this work ran
-	// concurrently with earlier statements; the value is its wall time.
+	// AnalysisUS is the what-if analysis (candidate mining, IBG build,
+	// benefit/interaction extraction).
 	AnalysisUS float64 `json:"analysis_us"`
 	// ApplyUS is the apply-path remainder: WFA fold, recommendation
-	// bookkeeping, and (for speculative hits) any wait for the
-	// speculated analysis to finish.
+	// bookkeeping, and pricing the statement's total work.
 	ApplyUS float64 `json:"apply_us"`
 	// WhatIfCalls is the number of what-if optimizer probes the
 	// statement's analysis issued (its IBG node count).
 	WhatIfCalls int `json:"whatif_calls"`
-	// SpecHit reports whether the analysis was served by the
-	// speculative pipeline.
-	SpecHit bool `json:"spec_hit"`
 }
 
 // TraceRing retains the most recent N statement traces plus,

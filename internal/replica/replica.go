@@ -3,10 +3,10 @@
 // incremental stream cannot continue, whole snapshots) to a warm standby
 // over HTTP, and a follower-side handler that applies the stream through
 // the session's one apply path — the one live ingest and crash recovery
-// use, speculating when the standby runs with -pipeline. The handler acks
-// a batch once it is durable in the follower's WAL and applies it after
-// the reply, before it releases the session lock, so no read, promotion
-// or later batch on the standby sees the batch unapplied.
+// use. The handler acks a batch once it is durable in the follower's WAL
+// and applies it after the reply, before it releases the session lock,
+// so no read, promotion or later batch on the standby sees the batch
+// unapplied.
 //
 // The wire unit is the WAL's own frame format (state.EncodeRecords), so
 // the standby's log is byte-identical to the stretch of the primary's it

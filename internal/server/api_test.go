@@ -264,7 +264,7 @@ func TestAPIMalformedInputs(t *testing.T) {
 		{"missing name", "POST", "/sessions", map[string]any{}, http.StatusBadRequest},
 		{"bad name", "POST", "/sessions", map[string]any{"name": "no/slashes"}, http.StatusBadRequest},
 		{"unknown field", "POST", "/sessions", map[string]any{"name": "x", "bogus": 1}, http.StatusBadRequest},
-		{"runtime knob field", "POST", "/sessions", map[string]any{"name": "x", "pipeline": 2}, http.StatusBadRequest},
+		{"runtime knob field", "POST", "/sessions", map[string]any{"name": "x", "batch": 2}, http.StatusBadRequest},
 		{"unknown session sql", "POST", "/sessions/nope/sql", map[string]any{"sql": []string{"SELECT count(*) FROM tpch.part"}}, http.StatusNotFound},
 		{"unknown session status", "GET", "/sessions/nope/status", nil, http.StatusNotFound},
 		{"unknown session rec", "GET", "/sessions/nope/recommendation", nil, http.StatusNotFound},

@@ -24,8 +24,7 @@ type event struct {
 // live job's, parsed before it was queued), or nil for records read back
 // from the WAL or shipped by the primary, which are parsed here and have
 // no job to reply to (j nil). It is the one place statements are
-// numbered, and it runs before any of them applies: the apply path must
-// not write st.ID later, when a speculative Run may be reading it.
+// numbered, and it runs before any of them applies.
 func (s *Session) appendEvents(events []event, j *job, recs []state.Record, sts []*stmt.Statement, id int) ([]event, int, error) {
 	for k, rec := range recs {
 		ev := event{j: j, rec: rec, last: k == len(recs)-1}

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"hash/fnv"
-	"runtime"
 	"strings"
 	"sync/atomic"
 
@@ -149,8 +148,8 @@ func (c *SessionConfig) validate() error {
 // SessionRuntime carries the knobs and wiring a session takes from the
 // serving process — the daemon's flags, or server.Config — and never from
 // its creation request or its snapshot: durability (fsync) and throughput
-// (batch, pipeline) are operational choices of the process, not persisted
-// tuner state, and none of them changes the tuner trajectory. Created and
+// (batch) are operational choices of the process, not persisted tuner
+// state, and none of them changes the tuner trajectory. Created and
 // recovered sessions read them alike.
 type SessionRuntime struct {
 	// Fsync syncs the WAL to stable storage on every commit. Off by
@@ -167,15 +166,6 @@ type SessionRuntime struct {
 	// the WAL tail in chunks of the same bound (default 1, a commit per
 	// record).
 	Batch int
-	// Pipeline is the number of worker goroutines that speculatively run
-	// the read-only analysis phase (candidate peek, IBG construction,
-	// what-if probing) for statements behind the apply cursor within a
-	// chunk — of live ingest, of recovery, or of a standby's shipped
-	// batch. Each speculation is validated against the tuner's change
-	// epoch at apply time and recomputed serially on a miss, so any
-	// setting produces bit-identical trajectories. 0 disables
-	// speculation; negative means one worker per CPU.
-	Pipeline int
 	// NewShipper, when set, attaches a replication stream to the session.
 	// The factory receives the sequence number the session's snapshot
 	// already covers and the WAL tail replayed past it — the backlog a
@@ -204,14 +194,11 @@ type SessionRuntime struct {
 // would reject.
 func (rt SessionRuntime) Check() error { return rt.applyDefaults() }
 
-// applyDefaults resolves the throughput knobs (Batch 0 becomes 1, a
-// negative Pipeline one worker per CPU) and rejects a negative Batch.
+// applyDefaults resolves the throughput knob (Batch 0 becomes 1) and
+// rejects a negative Batch.
 func (rt *SessionRuntime) applyDefaults() error {
 	if rt.Batch == 0 {
 		rt.Batch = 1
-	}
-	if rt.Pipeline < 0 {
-		rt.Pipeline = runtime.NumCPU()
 	}
 	if rt.Batch < 1 {
 		return &ConfigError{Err: fmt.Errorf("batch must be positive, got %d", rt.Batch)}

@@ -127,8 +127,8 @@ func (s *Session) submit(ctx context.Context, j *job) (jobReply, error) {
 // Ingest parses and analyzes a batch of SQL statements in order. Parse
 // errors fail the whole batch up front — nothing is applied or WAL-logged
 // (the documented ParseError contract); the parsed batch then travels as
-// ONE queued job, so the apply loop can group-commit its records and
-// pipeline its analysis instead of lock-stepping statement by statement.
+// ONE queued job, so the apply loop can group-commit its records instead
+// of lock-stepping statement by statement.
 // An apply error reports the statements that did land before it.
 func (s *Session) Ingest(ctx context.Context, sqls []string) ([]StatementResult, index.Set, error) {
 	if len(sqls) == 0 {

@@ -58,8 +58,8 @@ func drivePipeline(t *testing.T, sess *Session, sqls []string, from, to, stride 
 // pipelineSessionConfig is the differential tests' config: automatic
 // checkpoints every 150 statements with retirement enabled, so registry
 // compactions land at checkpoint boundaries mid-workload — the alignment
-// the group-commit chunk cutting must reproduce exactly. The batch and
-// pipeline knobs travel in a SessionRuntime.
+// the group-commit chunk cutting must reproduce exactly. The batch knob
+// travels in a SessionRuntime.
 func pipelineSessionConfig(name string) SessionConfig {
 	cfg := testSessionConfig(name)
 	cfg.Options.RetireAfter = 120
@@ -71,15 +71,11 @@ func pipelineSessionConfig(name string) SessionConfig {
 // ingest path, once per engine: a 520-statement workload with interleaved
 // votes, accepts, automatic+explicit checkpoints, and retirement-driven
 // compactions, driven once through a per-record serial session (batch 1,
-// no speculation, one statement per request) and once through a batched
-// + pipelined session (batch 32, 4 pipeline workers, up to 64 statements
-// per request). Everything observable must be bit-identical: total work
-// and transition cost to the float bit, the recommendation, the WAL
-// sequence (same records in the same order, compactions included), and
-// the full exported tuner state. WFIT must have speculated; the bandit
-// declines speculation, so every statement the pipeline captures must
-// count as a miss. Run under -race this also exercises the pipeline
-// workers against the live apply loop.
+// one statement per request) and once through a batched session (batch
+// 32, up to 64 statements per request). Everything observable must be
+// bit-identical: total work and transition cost to the float bit, the
+// recommendation, the WAL sequence (same records in the same order,
+// compactions included), and the full exported tuner state.
 func TestBatchedPipelineBitIdentical(t *testing.T) {
 	const total = 520
 	sqls := recoveryWorkloadSQL(t, total)
@@ -103,7 +99,7 @@ func testBatchedPipeline(t *testing.T, kind string, sqls []string) {
 	drivePipeline(t, serial, sqls, 0, total, 1)
 
 	batchedDir := filepath.Join(t.TempDir(), "batched")
-	batched, err := CreateSessionWith(batchedDir, cat, cfg, SessionRuntime{Batch: 32, Pipeline: 4})
+	batched, err := CreateSessionWith(batchedDir, cat, cfg, SessionRuntime{Batch: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,29 +134,22 @@ func testBatchedPipeline(t *testing.T, kind string, sqls []string) {
 		t.Fatalf("full tuner states diverged between serial and batched sessions")
 	}
 
-	// The batched session must actually have batched and run its
-	// statements through the pipeline — otherwise this test silently
-	// degenerates into serial-vs-serial.
+	// The batched session must actually have batched — otherwise this
+	// test silently degenerates into serial-vs-serial.
 	if bs.GroupCommits == 0 || bs.GroupCommitRecords <= bs.GroupCommits {
 		t.Fatalf("no real group commits happened: %d commits over %d records",
 			bs.GroupCommits, bs.GroupCommitRecords)
 	}
-	switch {
-	case kind == "wfit" && bs.SpecHits == 0:
-		t.Fatalf("speculation never hit (%d misses) — the pipelined path went untested", bs.SpecMisses)
-	case kind == "bandit" && (bs.SpecHits != 0 || bs.SpecMisses == 0):
-		t.Fatalf("the non-speculating bandit reports %d hits / %d misses, want 0 hits and some misses", bs.SpecHits, bs.SpecMisses)
-	}
-	t.Logf("batched: %d group commits over %d records (%.1f avg), speculation %d hits / %d misses",
+	t.Logf("batched: %d group commits over %d records (%.1f avg)",
 		bs.GroupCommits, bs.GroupCommitRecords,
-		float64(bs.GroupCommitRecords)/float64(bs.GroupCommits), bs.SpecHits, bs.SpecMisses)
+		float64(bs.GroupCommitRecords)/float64(bs.GroupCommits))
 }
 
 // TestGroupCommitCrashWindow models a kill -9 landing in the window
 // between a group commit and the apply of its records: the WAL holds an
 // acknowledged-on-disk batch the in-memory tuner never saw. Recovery must
 // replay that batch and land bit-identical to a session that applied the
-// same statements live — speculating on the way, as live ingest does.
+// same statements live.
 func TestGroupCommitCrashWindow(t *testing.T) {
 	const applied = 80
 	const inFlight = 12 // group-committed but never applied
@@ -169,7 +158,7 @@ func TestGroupCommitCrashWindow(t *testing.T) {
 
 	// Control: applies everything live.
 	controlDir := filepath.Join(t.TempDir(), "control")
-	control, err := CreateSessionWith(controlDir, cat, pipelineSessionConfig("cw"), SessionRuntime{Batch: 32, Pipeline: 2})
+	control, err := CreateSessionWith(controlDir, cat, pipelineSessionConfig("cw"), SessionRuntime{Batch: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +169,7 @@ func TestGroupCommitCrashWindow(t *testing.T) {
 	// window is reconstructed on its WAL — a group commit whose records
 	// were durable but unapplied.
 	crashDir := filepath.Join(t.TempDir(), "crash")
-	victim, err := CreateSessionWith(crashDir, cat, pipelineSessionConfig("cw"), SessionRuntime{Batch: 32, Pipeline: 2})
+	victim, err := CreateSessionWith(crashDir, cat, pipelineSessionConfig("cw"), SessionRuntime{Batch: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +191,7 @@ func TestGroupCommitCrashWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recovered, err := OpenSession(crashDir, cat, SessionRuntime{Batch: 32, Pipeline: 2})
+	recovered, err := OpenSession(crashDir, cat, SessionRuntime{Batch: 32})
 	if err != nil {
 		t.Fatalf("recovering: %v", err)
 	}
@@ -218,11 +207,6 @@ func TestGroupCommitCrashWindow(t *testing.T) {
 	if !reflect.DeepEqual(exportTuner(control), exportTuner(recovered)) {
 		t.Fatalf("tuner state diverged after replaying the crash-window batch")
 	}
-	// Recovery applied the tail through the live path's pipeline.
-	if rs.SpecHits+rs.SpecMisses == 0 {
-		t.Fatal("recovery never speculated with Pipeline: 2")
-	}
-	t.Logf("recovery: speculation %d hits / %d misses", rs.SpecHits, rs.SpecMisses)
 }
 
 // TestIngestParseErrorAtomic pins the documented ParseError contract for
@@ -231,7 +215,7 @@ func TestGroupCommitCrashWindow(t *testing.T) {
 func TestIngestParseErrorAtomic(t *testing.T) {
 	sqls := recoveryWorkloadSQL(t, 10)
 	cat, _ := datagen.Build()
-	sess, err := CreateSessionWith(filepath.Join(t.TempDir(), "atomic"), cat, pipelineSessionConfig("atomic"), SessionRuntime{Batch: 32, Pipeline: 2})
+	sess, err := CreateSessionWith(filepath.Join(t.TempDir(), "atomic"), cat, pipelineSessionConfig("atomic"), SessionRuntime{Batch: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

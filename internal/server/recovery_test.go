@@ -178,11 +178,10 @@ func TestRecoveryFromWALOnly(t *testing.T) {
 		t.Fatalf("tuner state diverged after WAL-only recovery")
 	}
 	got := recovered.Status()
-	// The throughput gauges count THIS process's group commits and
-	// speculation outcomes — operational counters, deliberately not part
-	// of the persisted state a recovery reproduces.
+	// The throughput gauges count THIS process's group commits —
+	// operational counters, deliberately not part of the persisted state
+	// a recovery reproduces.
 	got.GroupCommits, got.GroupCommitRecords = wantStatus.GroupCommits, wantStatus.GroupCommitRecords
-	got.SpecHits, got.SpecMisses = wantStatus.SpecHits, wantStatus.SpecMisses
 	got.Checkpoints = wantStatus.Checkpoints
 	if got != wantStatus {
 		t.Fatalf("status diverged: %+v vs %+v", got, wantStatus)

@@ -88,10 +88,9 @@ var ErrPromoted = errors.New("server: node is primary; replication stream reject
 
 // ApplyReplicated applies a batch of shipped primary records on a
 // follower: append them to the local WAL, then apply them through
-// applyChunk, the path live ingest and recovery use — speculating when
-// Pipeline is set. The follower's WAL is byte-identical to the stretch of
-// the primary's it mirrors, and its tuner trajectory is the one replaying
-// that WAL yields.
+// applyChunk, the path live ingest and recovery use. The follower's WAL
+// is byte-identical to the stretch of the primary's it mirrors, and its
+// tuner trajectory is the one replaying that WAL yields.
 //
 // durable, when set, is called once the batch is in the WAL (flushed, and
 // synced under Fsync) and before any of it applies: the point at which the

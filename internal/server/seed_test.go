@@ -112,7 +112,6 @@ func TestServerSessionDefaultComposition(t *testing.T) {
 		QueueDepth:      33,
 		CheckpointEvery: 44,
 		Batch:           16,
-		Pipeline:        2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +142,5 @@ func TestServerSessionDefaultComposition(t *testing.T) {
 		t.Fatalf("QueueDepth = %d, want the server default 33", st.QueueDepth)
 	case st.Batch != 16:
 		t.Fatalf("Batch = %d, want the server's 16", st.Batch)
-	case st.Pipeline != 2:
-		t.Fatalf("Pipeline = %d, want the server default 2", st.Pipeline)
 	}
 }

@@ -40,14 +40,17 @@ type Config struct {
 	// CheckpointBytes defaults new sessions' WAL-growth checkpoint
 	// trigger (0 disables).
 	CheckpointBytes int64
-	// Fsync, Batch and Pipeline are every session's runtime knobs,
-	// created and recovered alike (see SessionRuntime): WAL fsync per
-	// commit, the group-commit record bound, and the speculative-analysis
-	// worker count (zero: off, 1, and 0). They are properties of the
-	// serving process, not of the persisted state, and never change the
-	// tuner trajectory.
-	Fsync    bool
-	Batch    int
+	// Fsync and Batch are every session's runtime knobs, created and
+	// recovered alike (see SessionRuntime): WAL fsync per commit and the
+	// group-commit record bound (zero: off and 1). They are properties of
+	// the serving process, not of the persisted state, and never change
+	// the tuner trajectory.
+	Fsync bool
+	Batch int
+	// Pipeline is ignored.
+	//
+	// Deprecated: sessions analyze each statement on the apply path.
+	// e2ebench's traced pass is the last caller that sets it.
 	Pipeline int
 	// NewShipper, when set, attaches a replication stream to every
 	// session (created and recovered): the factory receives the session's
@@ -160,7 +163,6 @@ func (sv *Server) runtime(name, dir string) SessionRuntime {
 	rt := SessionRuntime{
 		Fsync:    sv.cfg.Fsync,
 		Batch:    sv.cfg.Batch,
-		Pipeline: sv.cfg.Pipeline,
 		Hooks:    sv.cfg.WALHooks,
 		Metrics:  sv.cfg.Metrics,
 		follower: &sv.follower,

@@ -9,10 +9,9 @@
 // cost model, and what-if optimizer, sharing only the immutable catalog.
 // This is a deliberate deviation from a single shared optimizer — registry
 // ID assignment must be deterministic per session for recovery to be
-// bit-identical (IDs order work-function bits and break score ties). The
-// optimizer is safe for concurrent use, so the analysis pipeline can run
-// several of a session's statement analyses at once, each on one
-// goroutine.
+// bit-identical (IDs order work-function bits and break score ties). A
+// session analyzes its statements one at a time, in log order, on its
+// single-writer loop.
 package server
 
 import (
@@ -73,9 +72,7 @@ type Session struct {
 	closed bool
 
 	// mu guards the tuner and every counter below. The ingest loop holds
-	// it per drained batch; read endpoints hold it briefly. Speculative
-	// analysis goroutines run WITHOUT it — they touch only state captured
-	// at launch plus the concurrency-safe registry and what-if optimizer.
+	// it per drained batch; read endpoints hold it briefly.
 	mu             sync.Mutex
 	tuner          tuner.Engine
 	wal            *state.WAL
@@ -92,8 +89,6 @@ type Session struct {
 	// Throughput gauges (guarded by mu).
 	groupCommits int64
 	groupRecords int64
-	specHits     int64
-	specMisses   int64
 	checkpoints  int64
 
 	// maxOffered (followers only, guarded by mu) is the highest primary

@@ -30,16 +30,19 @@ type SessionStatus struct {
 	PairWindows    int `json:"pair_windows"`
 	Retired        int `json:"retired"`
 	// Throughput gauges (see README "Throughput & batching"): the
-	// configured knobs, the number of WAL group commits and the records
-	// they covered (records/commits = achieved batch size), and how often
-	// the speculative analysis pipeline's work was consumed at apply time
-	// versus recomputed.
+	// configured group-commit bound, and the number of WAL group commits
+	// and the records they covered (records/commits = achieved batch
+	// size).
 	Batch              int   `json:"batch"`
-	Pipeline           int   `json:"pipeline"`
 	GroupCommits       int64 `json:"group_commits"`
 	GroupCommitRecords int64 `json:"group_commit_records"`
-	SpecHits           int64 `json:"spec_hits"`
-	SpecMisses         int64 `json:"spec_misses"`
+	// SpecHits and SpecMisses are always 0, and neither /status nor
+	// /metrics reports them.
+	//
+	// Deprecated: no session speculates. e2ebench's traced pass is the
+	// last reader.
+	SpecHits   int64 `json:"-"`
+	SpecMisses int64 `json:"-"`
 	// What-if optimizations the session has run, and how many
 	// checkpoints it has taken (each one a snapshot + WAL truncation).
 	WhatIfCalls int64 `json:"whatif_calls"`
@@ -86,11 +89,8 @@ func (s *Session) Status() SessionStatus {
 		PairWindows:        es.PairWindows,
 		Retired:            es.Retired,
 		Batch:              s.rt.Batch,
-		Pipeline:           s.rt.Pipeline,
 		GroupCommits:       s.groupCommits,
 		GroupCommitRecords: s.groupRecords,
-		SpecHits:           s.specHits,
-		SpecMisses:         s.specMisses,
 		WhatIfCalls:        s.opt.Calls(),
 		Checkpoints:        s.checkpoints,
 	}

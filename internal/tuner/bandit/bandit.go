@@ -13,8 +13,8 @@
 // and restored histories pass interaction's checks. All randomness (an
 // occasional ε-greedy exploration draw) comes from interaction.Rand with
 // its position in the exported state, so recovery from the kind-tagged
-// snapshot payload is bit-identical. The engine does not speculate:
-// BeginAnalysis returns a handle that ApplyAnalysis analyzes serially.
+// snapshot payload is bit-identical. Like WFIT, it analyzes each
+// statement in one sequential AnalyzeQuery.
 package bandit
 
 import (
@@ -61,6 +61,8 @@ func init() {
 // mean for WFIT (no retirement, unbounded windows); the same
 // SessionConfig defaults apply to both engines.
 type Bandit struct {
+	tuner.NoSpeculation
+
 	opt       *whatif.Optimizer
 	extractor *cost.Extractor
 	reg       *index.Registry
@@ -124,33 +126,6 @@ var _ tuner.Engine = (*Bandit)(nil)
 
 // Kind returns "bandit".
 func (t *Bandit) Kind() string { return Kind }
-
-// analysis is the handle BeginAnalysis returns. The bandit does not
-// speculate: Run does nothing, AnalysisValid is false, and ApplyAnalysis
-// analyzes the statement serially.
-type analysis struct{ st *stmt.Statement }
-
-// Run does nothing; the analysis happens in ApplyAnalysis.
-func (analysis) Run() {}
-
-// Discard does nothing: the handle holds no resources.
-func (analysis) Discard() {}
-
-// BeginAnalysis returns a handle for s that ApplyAnalysis analyzes
-// serially; workers is ignored.
-func (t *Bandit) BeginAnalysis(s *stmt.Statement, _ int) tuner.Analysis {
-	return analysis{st: s}
-}
-
-// AnalysisValid is always false: no speculative result exists to apply.
-func (t *Bandit) AnalysisValid(tuner.Analysis) bool { return false }
-
-// ApplyAnalysis analyzes a's statement serially and reports that no
-// speculative result was used.
-func (t *Bandit) ApplyAnalysis(a tuner.Analysis) bool {
-	t.AnalyzeQuery(a.(analysis).st)
-	return false
-}
 
 // AnalyzeQuery observes the next statement: candidate extraction, an IBG
 // over the statement's candidates, the super-arm and the materialized

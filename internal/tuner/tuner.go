@@ -1,12 +1,12 @@
 // Package tuner defines the engine seam between the online tuning
 // algorithms and everything that drives them. An Engine is the full
-// session contract internal/server consumes — the Analyze/Apply
-// speculation split (which an engine may decline), recommendation and
-// feedback, materialized-set tracking, registry compaction, status
-// gauges, and versioned state export — and the same contract
-// internal/bench drives in-process. Engines register themselves in a process-global registry
-// keyed by kind, the string that names them in SessionConfig, the HTTP
-// create API, daemon flags, and the kind tag of v3 snapshots.
+// session contract internal/server consumes — one sequential analysis
+// per statement, recommendation and feedback, materialized-set
+// tracking, registry compaction, status gauges, and versioned state
+// export — and the same contract internal/bench drives in-process.
+// Engines register themselves in a process-global registry keyed by
+// kind, the string that names them in SessionConfig, the HTTP create
+// API, daemon flags, and the kind tag of v3 snapshots.
 //
 // Every engine must be deterministic: a pure function of the statement
 // and feedback stream, drawing randomness only from interaction.Rand
@@ -26,20 +26,37 @@ import (
 	"repro/internal/whatif"
 )
 
-// Analysis is one in-flight statement analysis: the expensive,
-// side-effect-free stage of an engine's per-statement work (IBG
-// construction, what-if probes, work-function deltas), split off so the
-// server's pipeline can run it concurrently with earlier statements.
-// Run computes; Discard releases resources without applying. The engine
-// that issued the handle is the only one that can apply it. An engine
-// that does not speculate issues handles whose Run does nothing.
+// Analysis was the handle of a speculative statement analysis. No engine
+// issues one: Engine.BeginAnalysis returns nil.
+//
+// Deprecated: engines analyze through AnalyzeQuery alone. e2ebench's
+// layer pass is the last caller.
 type Analysis interface {
-	// Run performs the speculative analysis. It must not mutate engine
-	// state and must not intern new indexes in the registry.
 	Run()
-	// Discard releases the analysis without applying it.
 	Discard()
 }
+
+// NoSpeculation supplies Engine's three deprecated speculation methods.
+// Every engine embeds it.
+//
+// Deprecated: it goes with the methods once e2ebench's layer pass, their
+// last caller, calls AnalyzeQuery alone.
+type NoSpeculation struct{}
+
+// BeginAnalysis returns nil, which tells the caller to call AnalyzeQuery.
+//
+// Deprecated: call AnalyzeQuery. e2ebench's layer pass is the last caller.
+func (NoSpeculation) BeginAnalysis(*stmt.Statement, int) Analysis { return nil }
+
+// AnalysisValid returns false.
+//
+// Deprecated: call AnalyzeQuery. e2ebench's layer pass is the last caller.
+func (NoSpeculation) AnalysisValid(Analysis) bool { return false }
+
+// ApplyAnalysis does nothing and returns false.
+//
+// Deprecated: call AnalyzeQuery. e2ebench's layer pass is the last caller.
+func (NoSpeculation) ApplyAnalysis(Analysis) bool { return false }
 
 // Core is the minimal tuning contract shared by every driver: the
 // current recommendation, the DBA feedback channel (§5 F+/F− votes),
@@ -76,10 +93,8 @@ type Status struct {
 	Retired int
 }
 
-// Engine is the full tuner contract a server session drives. All
-// methods are single-goroutine except Analysis.Run on handles returned
-// by BeginAnalysis, which may run concurrently with BeginAnalysis calls
-// for later statements (but not with any mutating method).
+// Engine is the full tuner contract a server session drives. Its
+// methods are called from one goroutine at a time.
 type Engine interface {
 	Core
 
@@ -87,26 +102,23 @@ type Engine interface {
 	Kind() string
 
 	// AnalyzeQuery observes the next statement and updates all internal
-	// state: the serial path, equivalent to BeginAnalysis + Run + Apply.
+	// state, on the calling goroutine from start to finish.
 	AnalyzeQuery(s *stmt.Statement)
 
-	// BeginAnalysis captures everything the speculative stage needs and
-	// returns a handle whose Run may execute concurrently. Run analyzes
-	// on its calling goroutine; workers is ignored. An engine may
-	// decline speculation by returning a handle that ApplyAnalysis
-	// analyzes serially.
+	// BeginAnalysis returns nil (see NoSpeculation).
+	//
+	// Deprecated: call AnalyzeQuery. e2ebench's layer pass is the last
+	// caller.
 	BeginAnalysis(s *stmt.Statement, workers int) Analysis
-
-	// AnalysisValid reports whether a still reflects the engine's
-	// current state (WFIT: no epoch bump or registry growth since
-	// capture). It is always false for an engine that declines
-	// speculation; callers then analyze serially without waiting for Run.
+	// AnalysisValid returns false (see NoSpeculation).
+	//
+	// Deprecated: call AnalyzeQuery. e2ebench's layer pass is the last
+	// caller.
 	AnalysisValid(a Analysis) bool
-
-	// ApplyAnalysis folds a completed analysis into the engine. If the
-	// speculation went stale, or the engine declines speculation, it
-	// analyzes serially; the result is bit-identical either way. Reports
-	// whether a speculative result was used.
+	// ApplyAnalysis does nothing and returns false (see NoSpeculation).
+	//
+	// Deprecated: call AnalyzeQuery. e2ebench's layer pass is the last
+	// caller.
 	ApplyAnalysis(a Analysis) bool
 
 	// Materialized returns the engine's view of the materialized set.
@@ -114,7 +126,7 @@ type Engine interface {
 
 	// CompactRegistry drops every registry entry the engine no longer
 	// references and remaps surviving IDs densely, returning the number
-	// of entries dropped. Invalidates in-flight analyses.
+	// of entries dropped.
 	CompactRegistry() int
 
 	// Status returns the engine's current gauge values.
@@ -124,9 +136,9 @@ type Engine interface {
 	// (= what-if optimizer calls for that statement).
 	LastIBGNodes() int
 
-	// LastAnalysisDurations reports wall-clock time of the last
-	// statement's speculative and apply stages (observability only; the
-	// values never influence tuning decisions).
+	// LastAnalysisDurations reports the wall-clock time of the last
+	// statement's analysis, split into its read-only run and its fold
+	// (observability only; the values never influence tuning decisions).
 	LastAnalysisDurations() (run, finish time.Duration)
 
 	// ExportState captures the engine's complete state for a snapshot.

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/state"
-	"repro/internal/stmt"
 	"repro/internal/whatif"
 )
 
@@ -18,7 +17,7 @@ func init() {
 	Register(Factory{
 		Kind: KindWFIT,
 		New: func(opt *whatif.Optimizer, options core.Options) Engine {
-			return WFIT{core.NewWFIT(opt, options)}
+			return WFIT{WFIT: core.NewWFIT(opt, options)}
 		},
 		Restore: func(opt *whatif.Optimizer, st state.TunerState) (Engine, error) {
 			ts, ok := st.(*core.TunerState)
@@ -29,39 +28,25 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return WFIT{t}, nil
+			return WFIT{WFIT: t}, nil
 		},
 	})
 }
 
 // WFIT adapts *core.WFIT to the Engine interface. The wrapper exists
-// only to align signatures — BeginAnalysis returns the concrete
-// *core.Analysis, ExportState the concrete *core.TunerState — and adds
-// no behavior; with it, every bit-identical recovery and differential
-// guarantee proved against core.WFIT transfers to the seam unchanged.
+// only to align signatures — ExportState returns the concrete
+// *core.TunerState — and adds no behavior; with it, every bit-identical
+// recovery and differential guarantee proved against core.WFIT
+// transfers to the seam unchanged.
 type WFIT struct {
 	*core.WFIT
+	NoSpeculation
 }
 
 var _ Engine = WFIT{}
 
 // Kind returns "wfit".
 func (WFIT) Kind() string { return KindWFIT }
-
-// BeginAnalysis starts a speculative analysis (see core.WFIT.BeginAnalysis).
-func (e WFIT) BeginAnalysis(s *stmt.Statement, _ int) Analysis {
-	return e.WFIT.BeginAnalysis(s)
-}
-
-// AnalysisValid reports whether a's capture is still current.
-func (e WFIT) AnalysisValid(a Analysis) bool {
-	return e.WFIT.AnalysisValid(a.(*core.Analysis))
-}
-
-// ApplyAnalysis folds a into the tuner, re-analyzing serially if stale.
-func (e WFIT) ApplyAnalysis(a Analysis) bool {
-	return e.WFIT.ApplyAnalysis(a.(*core.Analysis))
-}
 
 // Status reports the WFIT gauges: universe, partition shape, statistics
 // window counts, and retirement.
