@@ -147,13 +147,14 @@ func realMain() int {
 			})
 		}
 	}
+	start := time.Now()
 	sv, err := server.New(svCfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "wfit-serve: %v\n", err)
 		return 1
 	}
 	if n := len(sv.Sessions()); n > 0 {
-		fmt.Printf("wfit-serve: recovered %d session(s) from %s\n", n, *dataDir)
+		fmt.Printf("wfit-serve: recovered %d session(s) from %s in %.3fs\n", n, *dataDir, time.Since(start).Seconds())
 	}
 
 	mux := http.NewServeMux()

@@ -104,6 +104,10 @@ func RestoreWFIT(opt *whatif.Optimizer, st *TunerState) (*WFIT, error) {
 	if st.Options.MaxPartSize > MaxPartBits {
 		return nil, fmt.Errorf("core: tuner state caps parts at %d indices, more than MaxPartBits=%d", st.Options.MaxPartSize, MaxPartBits)
 	}
+	if h := st.Options.HistSize; st.IdxStats.Hist != h || st.IntStats.Hist != h {
+		return nil, fmt.Errorf("core: tuner state keeps %d-entry benefit and %d-entry interaction histories under HistSize %d",
+			st.IdxStats.Hist, st.IntStats.Hist, h)
+	}
 	options := st.Options
 	options.InitialMaterialized = st.S0
 	t := newWFITBase(opt, options)

@@ -129,6 +129,21 @@ func TestRestoreRejectsImpossibleHistories(t *testing.T) {
 		{"entries over the cap", func(st *TunerState) {
 			st.IdxStats.Entries[0].Window = interaction.WindowState{Cap: 1, Pos: []int{1, 2}, Vals: []float64{1, 1}}
 		}, "over its cap", nil},
+		{"unbounded benefit window", func(st *TunerState) {
+			st.IdxStats.Entries[0].Window.Cap = 0
+		}, "capped at 0 entries", nil},
+		{"pair window cap other than the statistics'", func(st *TunerState) {
+			st.IntStats.Entries[0].Window.Cap = 2 * st.IntStats.Hist
+		}, "capped at 200 entries", nil},
+		{"statistics histories other than HistSize", func(st *TunerState) {
+			st.Options.HistSize = st.IdxStats.Hist + 1
+		}, "HistSize", nil},
+		{"pair histories other than HistSize", func(st *TunerState) {
+			st.IntStats.Hist *= 2
+			for i := range st.IntStats.Entries {
+				st.IntStats.Entries[i].Window.Cap = st.IntStats.Hist
+			}
+		}, "HistSize", nil},
 		{"recommendation beyond the part", func(st *TunerState) {
 			st.Parts[0].CurrRec |= 1 << len(st.Parts[0].Cand)
 		}, "beyond its", func(w *WFIT) { w.Feedback(index.EmptySet, w.Partition().Union()) }},

@@ -108,19 +108,29 @@ func (s *BenefitStats) Export() BenefitStatsState {
 	return st
 }
 
-// restoreHistory rebuilds one exported history of statistics restored
-// after n statements. It refuses a history for an index outside reg, which
-// would size the ID-indexed statistics by the ID instead of the registry,
-// and one that ends after n, which the next statement, appending at n+1,
-// would panic on.
-func restoreHistory(reg *index.Registry, n int, what string, st WindowState, ids ...index.ID) (*Window, error) {
+// restoreHistory rebuilds one exported history of statistics with
+// histories of hist entries, restored after n statements. It refuses a
+// history for an index outside reg, which would size the ID-indexed
+// statistics by the ID instead of the registry, one that ends after n,
+// which the next statement, appending at n+1, would panic on, and one
+// whose cap is not hist, which no live window has (the statistics create
+// every window as NewWindow(hist)): a history restored with cap 0 would
+// grow without bound.
+func restoreHistory(reg *index.Registry, n, hist int, what string, st WindowState, ids ...index.ID) (*Window, error) {
 	if err := reg.CheckIDs(ids...); err != nil {
 		return nil, fmt.Errorf("interaction: %s history for %w", what, err)
 	}
 	if k := len(st.Pos); k > 0 && st.Pos[k-1] > n {
 		return nil, fmt.Errorf("interaction: %s history position %d beyond statement count %d", what, st.Pos[k-1], n)
 	}
-	return RestoreWindow(st)
+	w, err := RestoreWindow(st)
+	if err != nil {
+		return nil, err
+	}
+	if st.Cap != hist {
+		return nil, fmt.Errorf("interaction: %s history capped at %d entries in statistics of %d-entry histories", what, st.Cap, hist)
+	}
+	return w, nil
 }
 
 // RestoreBenefitStats rebuilds benefit statistics, and the summary of
@@ -129,7 +139,7 @@ func restoreHistory(reg *index.Registry, n int, what string, st WindowState, ids
 func RestoreBenefitStats(st BenefitStatsState, reg *index.Registry, n int) (*BenefitStats, error) {
 	s := NewBenefitStats(st.Hist)
 	for _, e := range st.Entries {
-		w, err := restoreHistory(reg, n, "benefit", e.Window, e.ID)
+		w, err := restoreHistory(reg, n, st.Hist, "benefit", e.Window, e.ID)
 		if err != nil {
 			return nil, err
 		}
@@ -172,7 +182,7 @@ func RestoreInteractionStats(st InteractionStatsState, reg *index.Registry, n in
 		if e.A >= e.B || i > 0 && (e.A < st.Entries[i-1].A || e.A == st.Entries[i-1].A && e.B <= st.Entries[i-1].B) {
 			return nil, fmt.Errorf("interaction: pair entry %d (%d, %d) is an unordered pair or out of ascending order", i, e.A, e.B)
 		}
-		w, err := restoreHistory(reg, n, "interaction", e.Window, e.A, e.B)
+		w, err := restoreHistory(reg, n, st.Hist, "interaction", e.Window, e.A, e.B)
 		if err != nil {
 			return nil, err
 		}

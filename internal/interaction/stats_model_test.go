@@ -225,3 +225,27 @@ func TestRestoreInteractionStatsRejectsDisorder(t *testing.T) {
 		t.Fatalf("restore of ascending pairs: %v, Len %d", err, s.Len())
 	}
 }
+
+// TestRestoreRejectsWindowCapOtherThanHist checks that a restore refuses a
+// window whose cap is not its statistics' Hist, as every live window's is.
+// Restored unchecked, a benefit window with cap 0 holding 150 entries
+// under Hist 100 grows to 151 on the next Add.
+func TestRestoreRejectsWindowCapOtherThanHist(t *testing.T) {
+	reg := testRegistry(4)
+	long := WindowState{Cap: 0}
+	for i := 1; i <= 150; i++ {
+		long.Pos = append(long.Pos, i)
+		long.Vals = append(long.Vals, 1)
+	}
+	if _, err := RestoreBenefitStats(BenefitStatsState{Hist: 100, Entries: []BenefitWindow{{ID: 1, Window: long}}}, reg, 150); err == nil {
+		t.Fatal("benefit restore accepted a window with cap 0 under Hist 100")
+	}
+	pair := WindowState{Cap: 7, Pos: []int{1}, Vals: []float64{2}}
+	if _, err := RestoreInteractionStats(InteractionStatsState{Hist: 100, Entries: []PairWindow{{A: 1, B: 2, Window: pair}}}, reg, 1); err == nil {
+		t.Fatal("interaction restore accepted a window with cap 7 under Hist 100")
+	}
+	pair.Cap = 100
+	if _, err := RestoreInteractionStats(InteractionStatsState{Hist: 100, Entries: []PairWindow{{A: 1, B: 2, Window: pair}}}, reg, 1); err != nil {
+		t.Fatalf("interaction restore of a window capped at Hist: %v", err)
+	}
+}

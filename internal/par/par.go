@@ -1,6 +1,7 @@
 // Package par provides the tiny data-parallel primitive behind the
-// experiment harness's environment construction and concurrent runs: run
-// n independent units of work across a bounded set of goroutines, with
+// experiment harness's environment construction and concurrent runs, and
+// the tuning service's start-up recovery of its sessions: run n
+// independent units of work across a bounded set of goroutines, with
 // results written by index so callers stay deterministic regardless of
 // scheduling.
 package par

@@ -24,16 +24,14 @@ type indexJSON struct {
 	CreateCost float64  `json:"create_cost,omitempty"`
 }
 
-func setJSON(reg *index.Registry, s index.Set) []indexJSON {
-	out := make([]indexJSON, 0, s.Len())
-	s.Each(func(id index.ID) {
-		def := reg.Get(id)
-		out = append(out, indexJSON{
-			Table:      def.Table,
-			Columns:    append([]string(nil), def.Columns...),
-			CreateCost: def.CreateCost,
-		})
-	})
+// defsJSON encodes definitions a session resolved under its lock. The
+// replies never resolve IDs themselves: once the session lock is
+// released, a compacting checkpoint may renumber them.
+func defsJSON(defs []*index.Index) []indexJSON {
+	out := make([]indexJSON, 0, len(defs))
+	for _, def := range defs {
+		out = append(out, indexJSON{Table: def.Table, Columns: def.Columns, CreateCost: def.CreateCost})
+	}
 	return out
 }
 
@@ -273,14 +271,14 @@ func (sv *Server) handleSQL(w http.ResponseWriter, r *http.Request, sess *Sessio
 		writeErr(w, http.StatusBadRequest, "sql batch is empty")
 		return
 	}
-	results, rec, err := sess.Ingest(r.Context(), req.SQL)
+	rep, err := sess.ingest(r.Context(), req.SQL)
 	if err != nil {
 		writeApplyErr(w, err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, sqlResponse{
-		Results:        results,
-		Recommendation: setJSON(sess.Registry(), rec),
+		Results:        rep.results,
+		Recommendation: defsJSON(rep.recDefs),
 	})
 }
 
@@ -300,12 +298,11 @@ func writeApplyErr(w http.ResponseWriter, err error) {
 }
 
 func (sv *Server) handleRecommendation(w http.ResponseWriter, r *http.Request, sess *Session) {
-	rec, create, drop := sess.Recommendation()
-	reg := sess.Registry()
+	rec, create, drop := sess.recommendationDefs()
 	WriteJSON(w, http.StatusOK, map[string]any{
-		"recommendation": setJSON(reg, rec),
-		"would_create":   setJSON(reg, create),
-		"would_drop":     setJSON(reg, drop),
+		"recommendation": defsJSON(rec),
+		"would_create":   defsJSON(create),
+		"would_drop":     defsJSON(drop),
 	})
 }
 
@@ -323,28 +320,27 @@ func (sv *Server) handleVotes(w http.ResponseWriter, r *http.Request, sess *Sess
 		writeErr(w, http.StatusBadRequest, "vote with no plus or minus indices")
 		return
 	}
-	rec, err := sess.Vote(r.Context(), specsOf(req.Plus), specsOf(req.Minus))
+	rep, err := sess.vote(r.Context(), specsOf(req.Plus), specsOf(req.Minus))
 	if err != nil {
 		writeApplyErr(w, err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, map[string]any{
-		"recommendation": setJSON(sess.Registry(), rec),
+		"recommendation": defsJSON(rep.recDefs),
 	})
 }
 
 func (sv *Server) handleAccept(w http.ResponseWriter, r *http.Request, sess *Session) {
-	res, err := sess.Accept(r.Context())
+	rep, err := sess.accept(r.Context())
 	if err != nil {
 		writeApplyErr(w, err)
 		return
 	}
-	reg := sess.Registry()
 	WriteJSON(w, http.StatusOK, map[string]any{
-		"materialized":    setJSON(reg, res.Materialized),
-		"created":         setJSON(reg, res.Created),
-		"dropped":         setJSON(reg, res.Dropped),
-		"transition_cost": res.TransitionCost,
+		"materialized":    defsJSON(rep.acceptDefs.materialized),
+		"created":         defsJSON(rep.acceptDefs.created),
+		"dropped":         defsJSON(rep.acceptDefs.dropped),
+		"transition_cost": rep.accept.TransitionCost,
 	})
 }
 

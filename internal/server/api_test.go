@@ -91,7 +91,6 @@ func TestAPIReplyFraming(t *testing.T) {
 	if !ok {
 		t.Fatal("session prod not found")
 	}
-	reg := sess.Registry()
 	check := func(what string, resp *http.Response, body []byte, want any) {
 		t.Helper()
 		if resp.ContentLength != int64(len(body)) || resp.Header.Get("Content-Length") != strconv.Itoa(len(body)) || len(resp.TransferEncoding) != 0 {
@@ -135,24 +134,24 @@ func TestAPIReplyFraming(t *testing.T) {
 	if err := json.Unmarshal(body, &ack); err != nil || len(ack.Results) != len(batch) {
 		t.Fatalf("SQL ack %s: %v", body, err)
 	}
-	rec, create, drop := sess.Recommendation()
-	if rec.Empty() {
+	rec, create, drop := sess.recommendationDefs()
+	if len(rec) == 0 {
 		t.Fatal("no recommendation after selective scans")
 	}
-	check("SQL ack", resp, body, sqlResponse{Results: ack.Results, Recommendation: setJSON(reg, rec)})
+	check("SQL ack", resp, body, sqlResponse{Results: ack.Results, Recommendation: defsJSON(rec)})
 
 	resp, body = rig.raw("GET", "/sessions/prod/recommendation", nil, http.StatusOK)
 	check("recommendation read", resp, body, map[string]any{
-		"recommendation": setJSON(reg, rec),
-		"would_create":   setJSON(reg, create),
-		"would_drop":     setJSON(reg, drop),
+		"recommendation": defsJSON(rec),
+		"would_create":   defsJSON(create),
+		"would_drop":     defsJSON(drop),
 	})
 
 	resp, body = rig.raw("POST", "/sessions/prod/votes", map[string]any{
 		"plus": []indexJSON{{Table: "tpch.part", Columns: []string{"p_size"}}},
 	}, http.StatusOK)
-	rec, _, _ = sess.Recommendation()
-	check("vote reply", resp, body, map[string]any{"recommendation": setJSON(reg, rec)})
+	rec, _, _ = sess.recommendationDefs()
+	check("vote reply", resp, body, map[string]any{"recommendation": defsJSON(rec)})
 }
 
 func TestAPIEndToEnd(t *testing.T) {

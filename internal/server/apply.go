@@ -42,7 +42,10 @@ func (s *Session) applyChunk(chunk []event, shares *stageShares, hold bool) (int
 		case state.RecAccept:
 			accept := s.applyAccept()
 			if ev.j != nil {
+				// Resolved now: a checkpoint due after this record may
+				// compact before the job replies.
 				ev.j.accept = accept
+				ev.j.acceptDefs = acceptDefs{s.defsOf(accept.Materialized), s.defsOf(accept.Created), s.defsOf(accept.Dropped)}
 			}
 		case state.RecCompact:
 			dropped := s.tuner.CompactRegistry()

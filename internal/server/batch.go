@@ -209,11 +209,13 @@ func (s *Session) reply(j *job, rep jobReply) {
 
 // replyDone sends a job its success reply: the accept outcome for accept
 // jobs, otherwise the accumulated statement results plus the
-// recommendation as of the job's last applied event.
+// recommendation as of the job's last applied event, each with its
+// definitions.
 func (s *Session) replyDone(j *job) {
 	if j.recs[0].Type == state.RecAccept {
-		s.reply(j, jobReply{accept: j.accept})
+		s.reply(j, jobReply{accept: j.accept, acceptDefs: j.acceptDefs})
 		return
 	}
-	s.reply(j, jobReply{results: j.results, rec: s.tuner.Recommend()})
+	rec := s.tuner.Recommend()
+	s.reply(j, jobReply{results: j.results, rec: rec, recDefs: s.defsOf(rec)})
 }

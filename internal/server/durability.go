@@ -16,8 +16,10 @@ import (
 // registry and tuner, then apply every WAL record the snapshot does not
 // already cover, through the apply path live ingest uses. The recovered
 // session is bit-identical to one that never stopped. rt selects the
-// reopened session's runtime knobs.
+// reopened session's runtime knobs. It logs one recovered event with the
+// WAL records it replayed and how long the recovery took.
 func OpenSession(dir string, cat *catalog.Catalog, rt SessionRuntime) (*Session, error) {
+	start := time.Now()
 	snap, err := state.ReadFile(filepath.Join(dir, SnapshotFile))
 	if err != nil {
 		return nil, fmt.Errorf("server: reading session snapshot: %w", err)
@@ -53,10 +55,14 @@ func OpenSession(dir string, cat *catalog.Catalog, rt SessionRuntime) (*Session,
 	s.transitionCost = snap.Session.TransitionCost
 	s.changes = snap.Session.Changes
 	s.materialized = s.tuner.Materialized()
-	if err := s.attach(snap.Session.LastSeq); err != nil {
+	replayed, err := s.attach(snap.Session.LastSeq)
+	if err != nil {
 		return nil, err
 	}
 	s.start()
+	obs.Event("server", "recovered",
+		"session", s.cfg.Name, "wal_records", replayed, "statements", s.statements,
+		"dur_ms", fmt.Sprintf("%.2f", time.Since(start).Seconds()*1e3))
 	return s, nil
 }
 
@@ -66,8 +72,8 @@ func OpenSession(dir string, cat *catalog.Catalog, rt SessionRuntime) (*Session,
 // applyChunk. It then hangs the commit observer and, when replication is
 // configured, the shipper, which gets the replayed records as the backlog
 // a recovered primary re-offers its standby without forcing a snapshot
-// re-ship.
-func (s *Session) attach(covered uint64) error {
+// re-ship. It returns how many records it replayed.
+func (s *Session) attach(covered uint64) (int, error) {
 	var tail []state.Record
 	wal, err := state.OpenWAL(filepath.Join(s.dir, walFile), func(rec state.Record) error {
 		if rec.Seq > covered { // the snapshot already folded earlier records in
@@ -76,7 +82,7 @@ func (s *Session) attach(covered uint64) error {
 		return nil
 	})
 	if err != nil {
-		return fmt.Errorf("server: opening WAL: %w", err)
+		return 0, fmt.Errorf("server: opening WAL: %w", err)
 	}
 	// Restore the sequence counter from the snapshot when the on-disk log
 	// holds nothing past it (the normal state after a clean checkpoint:
@@ -87,7 +93,7 @@ func (s *Session) attach(covered uint64) error {
 	if wal.LastSeq() < covered {
 		if err := wal.SetSeq(covered); err != nil {
 			wal.Close()
-			return err
+			return 0, err
 		}
 	}
 	wal.Fsync = s.rt.Fsync
@@ -102,7 +108,7 @@ func (s *Session) attach(covered uint64) error {
 	}
 	if err != nil {
 		wal.Close()
-		return fmt.Errorf("server: replaying WAL: %w", err)
+		return 0, fmt.Errorf("server: replaying WAL: %w", err)
 	}
 	if s.obsv != nil {
 		// Every commit's flush and fsync durations land in the stage
@@ -120,7 +126,7 @@ func (s *Session) attach(covered uint64) error {
 	if s.rt.NewShipper != nil {
 		s.shipper = s.rt.NewShipper(covered, tail)
 	}
-	return nil
+	return len(tail), nil
 }
 
 // Checkpoint forces a snapshot now. It synchronizes with the apply loop,

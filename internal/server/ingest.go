@@ -28,7 +28,10 @@ type StatementResult struct {
 	Cost float64 `json:"cost"`
 }
 
-// AcceptResult reports a materialization.
+// AcceptResult reports a materialization. Its sets hold the IDs the
+// accept applied under, valid until the next compaction renumbers them;
+// with CheckpointBytes set, the checkpoint an accept's record makes due
+// may compact before Accept returns.
 type AcceptResult struct {
 	Materialized   index.Set
 	Created        index.Set
@@ -54,8 +57,9 @@ type job struct {
 
 	// results and accept accumulate outcomes as the apply loop works
 	// through the job's events (only the apply loop touches them).
-	results []StatementResult
-	accept  AcceptResult
+	results    []StatementResult
+	accept     AcceptResult
+	acceptDefs acceptDefs
 }
 
 type jobReply struct {
@@ -63,6 +67,26 @@ type jobReply struct {
 	results []StatementResult
 	rec     index.Set
 	accept  AcceptResult
+	// recDefs and acceptDefs are rec and accept as definitions, resolved
+	// under the session lock before a compaction could renumber the sets'
+	// IDs (see defsOf): the HTTP replies encode from them.
+	recDefs    []*index.Index
+	acceptDefs acceptDefs
+}
+
+// acceptDefs are an AcceptResult's sets as definitions.
+type acceptDefs struct {
+	materialized, created, dropped []*index.Index
+}
+
+// defsOf resolves set to its definitions; the caller holds s.mu. A
+// compaction renumbers every ID once the lock is released, but
+// definitions are immutable (Registry.Compact renumbers copies), so the
+// result stays valid.
+func (s *Session) defsOf(set index.Set) []*index.Index {
+	out := make([]*index.Index, 0, set.Len())
+	set.Each(func(id index.ID) { out = append(out, s.reg.Get(id)) })
+	return out
 }
 
 func (s *Session) start() {
@@ -129,42 +153,56 @@ func (s *Session) submit(ctx context.Context, j *job) (jobReply, error) {
 // (the documented ParseError contract); the parsed batch then travels as
 // ONE queued job, so the apply loop can group-commit its records instead
 // of lock-stepping statement by statement.
-// An apply error reports the statements that did land before it.
+// An apply error reports the statements that did land before it. The
+// recommendation's IDs are valid until the next compaction renumbers them.
 func (s *Session) Ingest(ctx context.Context, sqls []string) ([]StatementResult, index.Set, error) {
+	rep, err := s.ingest(ctx, sqls)
+	return rep.results, rep.rec, err
+}
+
+func (s *Session) ingest(ctx context.Context, sqls []string) (jobReply, error) {
 	if len(sqls) == 0 {
 		// An empty batch logs and applies nothing; submitting it would
 		// produce a job with no events — and therefore no reply.
-		return nil, index.EmptySet, nil
+		return jobReply{}, nil
 	}
 	j := &job{recs: make([]state.Record, len(sqls)), sts: make([]*stmt.Statement, len(sqls))}
 	for i, sql := range sqls {
 		st, err := s.parser.Parse(sql)
 		if err != nil {
-			return nil, index.EmptySet, &ParseError{Err: fmt.Errorf("statement %d: %w", i+1, err)}
+			return jobReply{}, &ParseError{Err: fmt.Errorf("statement %d: %w", i+1, err)}
 		}
 		j.recs[i] = state.Record{Type: state.RecStatement, SQL: sql}
 		j.sts[i] = st
 	}
-	rep, err := s.submit(ctx, j)
-	return rep.results, rep.rec, err
+	return s.submit(ctx, j)
 }
 
-// Vote casts explicit DBA feedback and returns the new recommendation. A
-// spec the catalog rejects fails the vote with a ParseError before it is
+// Vote casts explicit DBA feedback and returns the new recommendation,
+// whose IDs are valid until the next compaction renumbers them. A spec
+// the catalog rejects fails the vote with a ParseError before it is
 // queued, so nothing of it is logged or applied.
 func (s *Session) Vote(ctx context.Context, plus, minus []state.IndexSpec) (index.Set, error) {
+	rep, err := s.vote(ctx, plus, minus)
+	return rep.rec, err
+}
+
+func (s *Session) vote(ctx context.Context, plus, minus []state.IndexSpec) (jobReply, error) {
 	rec := state.Record{Type: state.RecVote, Plus: plus, Minus: minus}
 	if err := s.validateVote(rec); err != nil {
-		return index.EmptySet, &ParseError{Err: err}
+		return jobReply{}, &ParseError{Err: err}
 	}
-	rep, err := s.submit(ctx, &job{recs: []state.Record{rec}})
-	return rep.rec, err
+	return s.submit(ctx, &job{recs: []state.Record{rec}})
 }
 
 // Accept materializes the current recommendation.
 func (s *Session) Accept(ctx context.Context) (AcceptResult, error) {
-	rep, err := s.submit(ctx, &job{recs: []state.Record{{Type: state.RecAccept}}})
+	rep, err := s.accept(ctx)
 	return rep.accept, err
+}
+
+func (s *Session) accept(ctx context.Context) (jobReply, error) {
+	return s.submit(ctx, &job{recs: []state.Record{{Type: state.RecAccept}}})
 }
 
 // validateVote checks every spec of a record (only votes carry any)

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -312,5 +315,213 @@ func TestRecoveryKeepsCheckpointSchedule(t *testing.T) {
 	}
 	if !reflect.DeepEqual(exportTuner(recovered), exportTuner(twin)) {
 		t.Fatal("the recovered session's tuner state diverged from the uninterrupted twin's")
+	}
+}
+
+// recoveryPlan is one session of a multi-session data dir: its config,
+// the statements driveSession feeds it (checkpointing every 150), and
+// whether an explicit checkpoint then leaves its WAL tail empty.
+type recoveryPlan struct {
+	cfg       SessionConfig
+	cut       int
+	emptyTail bool
+}
+
+// recoveryPlans are five sessions, more than most machines' processors:
+// both engines, one whose checkpoints compact the registry, one whose WAL
+// tail is empty, and one that never checkpointed at all.
+func recoveryPlans() []recoveryPlan {
+	bandit := func(name string) SessionConfig {
+		cfg := testSessionConfig(name)
+		cfg.Tuner = "bandit"
+		return cfg
+	}
+	return []recoveryPlan{
+		{cfg: testSessionConfig("s1-wfit"), cut: 337},
+		{cfg: bandit("s2-bandit"), cut: 260},
+		{cfg: retireSessionConfig("s3-retire"), cut: 337},
+		{cfg: testSessionConfig("s4-empty-tail"), cut: 200, emptyTail: true},
+		{cfg: bandit("s5-wal-only"), cut: 120},
+	}
+}
+
+// buildRecoveryDir creates the plans' sessions under a server on dir and
+// drives each to its cut. With kill set it then kills them all, leaving
+// the dir as kill -9 would; otherwise it returns the live server.
+func buildRecoveryDir(t *testing.T, dir string, plans []recoveryPlan, sqls []string, kill bool) *Server {
+	t.Helper()
+	sv, err := New(Config{DataDir: dir, CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range plans {
+		sess, err := sv.CreateSession(p.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		driveSession(t, sess, sqls, 0, p.cut, true)
+		if p.emptyTail {
+			if _, err := sess.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if kill {
+			sess.Kill()
+		}
+	}
+	return sv
+}
+
+// walRecords counts the records a session directory's WAL holds.
+func walRecords(t *testing.T, dir string) int {
+	t.Helper()
+	n := 0
+	wal, err := state.OpenWAL(filepath.Join(dir, walFile), func(state.Record) error {
+		n++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal.Close()
+	return n
+}
+
+// snapshotBytes encodes the session's registry, tuner state and counters
+// as a snapshot: sessions in the same state encode to the same bytes.
+func snapshotBytes(t *testing.T, s *Session) []byte {
+	t.Helper()
+	s.mu.Lock()
+	snap := &state.Snapshot{
+		Defs:  state.CaptureRegistry(s.reg),
+		Tuner: s.tuner.ExportState(),
+		Session: state.SessionState{
+			Name: s.cfg.Name, Statements: s.statements, TotalWork: s.totalWork,
+			TransitionCost: s.transitionCost, Changes: s.changes, LastSeq: s.wal.LastSeq(),
+		},
+	}
+	var buf bytes.Buffer
+	err := state.Write(&buf, snap)
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestParallelRecoveryBitIdentical kills five sessions of one data dir
+// mid-stream and recovers them with New, which replays them side by side.
+// Each recovered session must match an uninterrupted twin: statements,
+// total work to the bit, recommendation, and its registry and exported
+// tuner state byte for byte.
+func TestParallelRecoveryBitIdentical(t *testing.T) {
+	plans := recoveryPlans()
+	sqls := recoveryWorkloadSQL(t, 337)
+	ref := buildRecoveryDir(t, t.TempDir(), plans, sqls, false)
+	defer ref.Close()
+
+	dir := t.TempDir()
+	buildRecoveryDir(t, dir, plans, sqls, true)
+	for _, p := range plans {
+		n := walRecords(t, filepath.Join(dir, "sessions", p.cfg.Name))
+		if (n == 0) != p.emptyTail {
+			t.Fatalf("setup: session %s left %d WAL records at the kill", p.cfg.Name, n)
+		}
+	}
+	sv, err := New(Config{DataDir: dir, CheckpointEvery: -1})
+	if err != nil {
+		t.Fatalf("recovering the data dir: %v", err)
+	}
+	defer sv.Close()
+	if got := len(sv.Sessions()); got != len(plans) {
+		t.Fatalf("recovered %d sessions, want %d", got, len(plans))
+	}
+	for _, p := range plans {
+		name := p.cfg.Name
+		got, ok := sv.Session(name)
+		if !ok {
+			t.Fatalf("session %s not recovered", name)
+		}
+		want, _ := ref.Session(name)
+		gs, ws := got.Status(), want.Status()
+		if gs.Statements != p.cut || gs.Statements != ws.Statements || math.Float64bits(gs.TotalWork) != math.Float64bits(ws.TotalWork) {
+			t.Fatalf("%s: recovered %d statements / total work %v, uninterrupted %d / %v",
+				name, gs.Statements, gs.TotalWork, ws.Statements, ws.TotalWork)
+		}
+		gotRec, _, _ := got.Recommendation()
+		wantRec, _, _ := want.Recommendation()
+		if !gotRec.Equal(wantRec) {
+			t.Fatalf("%s: recommendations diverged after parallel recovery:\n  recovered:     %s\n  uninterrupted: %s",
+				name, gotRec.Format(got.Registry()), wantRec.Format(want.Registry()))
+		}
+		if !bytes.Equal(snapshotBytes(t, got), snapshotBytes(t, want)) {
+			t.Fatalf("%s: registry or tuner state diverged after parallel recovery", name)
+		}
+	}
+}
+
+// TestParallelRecoveryFailsCleanly corrupts two of five snapshots. New
+// must fail naming the first in directory order, and close every session
+// it did open, each checkpointing its WAL tail away; once the two
+// snapshots are repaired, all five recover.
+func TestParallelRecoveryFailsCleanly(t *testing.T) {
+	plans := recoveryPlans()
+	sqls := recoveryWorkloadSQL(t, 337)
+	dir := t.TempDir()
+	sv := buildRecoveryDir(t, dir, plans, sqls, false)
+	want := make(map[string]SessionStatus)
+	for _, s := range sv.Sessions() {
+		want[s.Name()] = s.Status()
+		s.Kill()
+	}
+
+	sessDir := func(name string) string { return filepath.Join(dir, "sessions", name) }
+	corrupt := []string{plans[1].cfg.Name, plans[3].cfg.Name}
+	saved := make(map[string][]byte)
+	for _, name := range corrupt {
+		path := filepath.Join(sessDir(name), SnapshotFile)
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved[name] = b
+		if err := os.WriteFile(path, []byte("not a snapshot"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	_, err := New(Config{DataDir: dir, CheckpointEvery: -1})
+	if err == nil || !strings.Contains(err.Error(), "recovering session "+corrupt[0]+":") {
+		t.Fatalf("New over two corrupt snapshots: error %v, want one naming %s", err, corrupt[0])
+	}
+	for _, p := range plans {
+		if name := p.cfg.Name; name != corrupt[0] && name != corrupt[1] {
+			if n := walRecords(t, sessDir(name)); n != 0 {
+				t.Fatalf("session %s holds %d WAL records after the failed start: it was not closed", name, n)
+			}
+		}
+	}
+
+	for name, b := range saved {
+		if err := os.WriteFile(filepath.Join(sessDir(name), SnapshotFile), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sv, err = New(Config{DataDir: dir, CheckpointEvery: -1})
+	if err != nil {
+		t.Fatalf("recovering the repaired data dir: %v", err)
+	}
+	defer sv.Close()
+	for _, p := range plans {
+		name := p.cfg.Name
+		s, ok := sv.Session(name)
+		if !ok {
+			t.Fatalf("session %s not recovered from the repaired dir", name)
+		}
+		got := s.Status()
+		if got.Statements != want[name].Statements || math.Float64bits(got.TotalWork) != math.Float64bits(want[name].TotalWork) {
+			t.Fatalf("%s: recovered %d statements / total work %v, before the kill %d / %v",
+				name, got.Statements, got.TotalWork, want[name].Statements, want[name].TotalWork)
+		}
 	}
 }

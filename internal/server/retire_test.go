@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/index"
 )
 
 // retireSessionConfig is testSessionConfig with the bounded-memory knobs
@@ -189,4 +190,94 @@ func TestSessionConfigValidation(t *testing.T) {
 	rig.call("POST", "/sessions", map[string]any{"name": "neg", "retire_after": -7}, http.StatusBadRequest, &resp)
 	// A valid retire-enabled session still creates fine.
 	rig.call("POST", "/sessions", map[string]any{"name": "ok", "retire_after": 200, "checkpoint_bytes": 1 << 20}, http.StatusCreated, &resp)
+}
+
+// TestRepliesOutliveCompaction holds a SQL reply, an accept reply and a
+// recommendation read across a compacting checkpoint, as a reply being
+// encoded while another request on the session checkpoints does. Each
+// must still name the indexes it named when the session lock was
+// released: the checkpoint renumbers every registry ID, so the replies'
+// ID sets, resolved after it, name other indexes.
+func TestRepliesOutliveCompaction(t *testing.T) {
+	const n = 290
+	sqls := recoveryWorkloadSQL(t, n)
+	cat, _ := datagen.Build()
+	sess, err := CreateSession(filepath.Join(t.TempDir(), "held"), cat, retireSessionConfig("held"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	ctx := context.Background()
+	for i := 0; i < n-1; i++ {
+		if _, _, err := sess.Ingest(ctx, sqls[i:i+1]); err != nil {
+			t.Fatalf("ingest %d: %v", i+1, err)
+		}
+	}
+	keys := func(defs []indexJSON) []string {
+		out := make([]string, len(defs))
+		for i, d := range defs {
+			out[i] = index.Key(d.Table, d.Columns)
+		}
+		return out
+	}
+	// resolve names set's IDs in the registry as it stands now; an ID past
+	// a compacted registry names nothing.
+	resolve := func(set index.Set) []string {
+		out := make([]string, 0, set.Len())
+		set.Each(func(id index.ID) {
+			if sess.Registry().CheckIDs(id) != nil {
+				out = append(out, "<none>")
+				return
+			}
+			out = append(out, sess.Registry().Get(id).Key())
+		})
+		return out
+	}
+
+	sqlRep, err := sess.ingest(ctx, sqls[n-1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	accRep, err := sess.accept(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, create, drop := sess.Recommendation()
+	recDefs, createDefs, dropDefs := sess.recommendationDefs()
+	held := []struct {
+		what string
+		set  index.Set
+		defs []*index.Index
+	}{
+		{"SQL reply recommendation", sqlRep.rec, sqlRep.recDefs},
+		{"accept reply materialized", accRep.accept.Materialized, accRep.acceptDefs.materialized},
+		{"accept reply created", accRep.accept.Created, accRep.acceptDefs.created},
+		{"accept reply dropped", accRep.accept.Dropped, accRep.acceptDefs.dropped},
+		{"recommendation", rec, recDefs},
+		{"would create", create, createDefs},
+		{"would drop", drop, dropDefs},
+	}
+	want := make([][]string, len(held))
+	for i, h := range held {
+		want[i] = resolve(h.set)
+	}
+	if sqlRep.rec.Empty() || accRep.accept.Materialized.Empty() {
+		t.Fatalf("setup: empty recommendation (%d) or materialization (%d)", sqlRep.rec.Len(), accRep.accept.Materialized.Len())
+	}
+
+	regBefore := sess.Registry().Len()
+	if _, err := sess.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if regAfter := sess.Registry().Len(); regAfter >= regBefore {
+		t.Fatalf("setup: the checkpoint did not compact (registry %d -> %d)", regBefore, regAfter)
+	}
+	if reflect.DeepEqual(resolve(sqlRep.rec), want[0]) {
+		t.Fatalf("setup: the compaction left the recommendation's IDs naming the same indexes")
+	}
+	for i, h := range held {
+		if got := keys(defsJSON(h.defs)); !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("%s after a compacting checkpoint names %v, want %v", h.what, got, want[i])
+		}
+	}
 }

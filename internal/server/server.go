@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/state"
 )
 
@@ -95,13 +96,18 @@ type Server struct {
 }
 
 // New builds a server over the benchmark catalog and recovers every
-// session already present in the data directory.
+// session already present in the data directory (see NewWithCatalog).
 func New(cfg Config) (*Server, error) {
 	cat, _ := datagen.Build()
 	return NewWithCatalog(cfg, cat)
 }
 
-// NewWithCatalog is New with an explicit catalog (shared, read-only).
+// NewWithCatalog is New with an explicit catalog (shared, read-only). It
+// recovers the data directory's sessions side by side, at most GOMAXPROCS
+// at once, and returns once every one is back, so a caller that listens
+// afterwards serves no half-recovered directory. If any session fails to
+// recover, it closes every session that did and returns the first failure
+// in directory order.
 func NewWithCatalog(cfg Config, cat *catalog.Catalog) (*Server, error) {
 	sv := &Server{cfg: cfg, cat: cat, sessions: make(map[string]*Session)}
 	sv.follower.Store(cfg.Follower)
@@ -134,20 +140,42 @@ func NewWithCatalog(cfg Config, cat *catalog.Catalog) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	var names []string // ReadDir's order: sorted by directory name
 	for _, e := range entries {
 		if !e.IsDir() {
 			continue
 		}
-		dir := filepath.Join(sv.sessionsRoot(), e.Name())
-		if _, err := os.Stat(filepath.Join(dir, SnapshotFile)); err != nil {
+		if _, err := os.Stat(filepath.Join(sv.sessionsRoot(), e.Name(), SnapshotFile)); err != nil {
 			continue // not a session directory
 		}
-		sess, err := OpenSession(dir, cat, sv.runtime(e.Name(), dir))
-		if err != nil {
-			sv.Close()
-			return nil, fmt.Errorf("server: recovering session %s: %w", e.Name(), err)
+		names = append(names, e.Name())
+	}
+	// Each recovery reads only its own snapshot and WAL and builds its own
+	// registry, cost model, optimizer and tuner, so the sessions can share
+	// the internal/par pool (a lone session recovers on this goroutine)
+	// and each still recovers bit-identically.
+	type recovery struct {
+		sess *Session
+		err  error
+	}
+	recovered := par.Map(0, len(names), func(i int) recovery {
+		dir := filepath.Join(sv.sessionsRoot(), names[i])
+		sess, err := OpenSession(dir, cat, sv.runtime(names[i], dir))
+		return recovery{sess, err}
+	})
+	var first error
+	for i, r := range recovered {
+		if r.err != nil {
+			if first == nil {
+				first = fmt.Errorf("server: recovering session %s: %w", names[i], r.err)
+			}
+			continue
 		}
-		sv.sessions[sess.Name()] = sess
+		sv.sessions[r.sess.Name()] = r.sess
+	}
+	if first != nil {
+		sv.Close()
+		return nil, first
 	}
 	return sv, nil
 }

@@ -156,7 +156,7 @@ func CreateSessionWith(dir string, cat *catalog.Catalog, cfg SessionConfig, rt S
 		return nil, &ConfigError{Err: err}
 	}
 	s.tuner = eng
-	if err := s.attach(0); err != nil {
+	if _, err := s.attach(0); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
@@ -176,7 +176,8 @@ func CreateSessionWith(dir string, cat *catalog.Catalog, cfg SessionConfig, rt S
 	return s, nil
 }
 
-// Registry exposes the session's index registry (for formatting sets).
+// Registry exposes the session's index registry, for formatting the sets
+// the session returns before the next compaction renumbers their IDs.
 func (s *Session) Registry() *index.Registry { return s.reg }
 
 // Name returns the session name.

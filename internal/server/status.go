@@ -110,10 +110,24 @@ func (s *Session) Status() SessionStatus {
 }
 
 // Recommendation returns the current recommendation and its diff against
-// the materialized configuration.
+// the materialized configuration. Their IDs are valid until the next
+// compaction renumbers them.
 func (s *Session) Recommendation() (rec, create, drop index.Set) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.recommendationLocked()
+}
+
+// recommendationDefs is Recommendation as definitions, resolved under the
+// lock (see defsOf).
+func (s *Session) recommendationDefs() (rec, create, drop []*index.Index) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r, c, d := s.recommendationLocked()
+	return s.defsOf(r), s.defsOf(c), s.defsOf(d)
+}
+
+func (s *Session) recommendationLocked() (rec, create, drop index.Set) {
 	rec = s.tuner.Recommend()
 	return rec, rec.Minus(s.materialized), s.materialized.Minus(rec)
 }

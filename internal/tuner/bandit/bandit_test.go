@@ -91,8 +91,9 @@ func TestCompactRegistryPreservesDecisions(t *testing.T) {
 
 // TestRestoreRejectsHistoryBeyondRegistry checks that Restore refuses a
 // state naming an index ID the registry does not hold, the invalid ID 0
-// included, in a benefit history, a set, a pin or a ban, and a benefit
-// history that ends after the statement count. Restored unchecked, ID 0
+// included, in a benefit history, a set, a pin or a ban, a benefit
+// history that ends after the statement count, and histories bounded
+// other than by HistSize. Restored unchecked, ID 0
 // in the selection, the materialized set or the universe panics the next
 // AnalyzeQuery ("index: unknown ID 0"), and so does the late history
 // ("interaction: Window positions must be non-decreasing").
@@ -133,6 +134,13 @@ func TestRestoreRejectsHistoryBeyondRegistry(t *testing.T) {
 			pos[len(pos)-1] = st.N + 50
 			ws.Pos = pos
 		}, "beyond statement count"},
+		{"unbounded benefit window", func(st *State) { st.Stats.Entries[0].Window.Cap = 0 }, "capped at 0 entries"},
+		{"statistics histories other than HistSize", func(st *State) {
+			st.Stats.Hist *= 2
+			for i := range st.Stats.Entries {
+				st.Stats.Entries[i].Window.Cap = st.Stats.Hist
+			}
+		}, "HistSize"},
 	}
 	for _, c := range cases {
 		bad := b.ExportState().(*State)

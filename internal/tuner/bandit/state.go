@@ -86,6 +86,9 @@ func Restore(opt *whatif.Optimizer, st *State) (*Bandit, error) {
 	t.materialized = st.Materialized
 	t.universe = st.Universe
 	t.selection = st.Selection
+	if st.Stats.Hist != st.Options.HistSize {
+		return nil, fmt.Errorf("bandit: state keeps %d-entry benefit histories under HistSize %d", st.Stats.Hist, st.Options.HistSize)
+	}
 	if len(st.Gram) != featDim*featDim || len(st.Reward) != featDim {
 		return nil, fmt.Errorf("bandit: state carries a %d/%d regression, want %d/%d", len(st.Gram), len(st.Reward), featDim*featDim, featDim)
 	}
