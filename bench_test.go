@@ -135,9 +135,9 @@ func BenchmarkOverheadPerQuery(b *testing.B) {
 	env := fullEnvironment(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o := env.RunOverhead()
+		o := env.RunPerf().Analysis
 		if i == b.N-1 {
-			b.ReportMetric(float64(o.PerStmtAnalysis.Microseconds()), "µs/stmt")
+			b.ReportMetric(o.USPerStmtMean, "µs/stmt")
 			b.ReportMetric(o.WhatIfPerStmt.Mean, "whatif/stmt")
 			b.ReportMetric(o.WhatIfPerStmt.P90, "whatif/stmt-p90")
 		}

@@ -9,16 +9,16 @@
 //	wfit-serve -addr :7781 -data ./wfit-data [-checkpoint-every N]
 //	           [-checkpoint-bytes N] [-queue N] [-idxcnt N] [-statecnt N]
 //	           [-histsize N] [-retire-after N] [-tuner NAME] [-fsync]
-//	           [-batch N] [-standby URL] [-replicate-async] [-follower]
+//	           [-batch N] [-standby URL] [-follower]
 //
 // -pipeline N is deprecated and ignored: every session analyzes each
 // statement on its apply path.
 //
 // Replication (see the README's "Replication & failover" section):
-// -standby URL ships every session's WAL to a warm standby at URL
-// (synchronously unless -replicate-async); -follower starts this node AS
-// a standby — it applies the replication stream, serves reads, and
-// rejects client writes with 503 until POST /replication/promote.
+// -standby URL ships every session's WAL to a warm standby at URL before
+// acking each write; -follower starts this node AS a standby — it applies
+// the replication stream, serves reads, and rejects client writes with
+// 503 until POST /replication/promote.
 //
 // The HTTP/JSON API (see the README's "Running as a service" section):
 //
@@ -95,7 +95,6 @@ func realMain() int {
 	tunerKind := flag.String("tuner", "", "default tuner engine for new sessions (empty: wfit); recovered sessions keep the engine persisted in their snapshot")
 	fsync := flag.Bool("fsync", false, "fsync the WAL on every append (power-loss durability)")
 	standby := flag.String("standby", "", "warm-standby base URL to ship every session's WAL to (empty: unreplicated)")
-	replicateAsync := flag.Bool("replicate-async", false, "ship the WAL in the background instead of before acking writes (lower latency, unshipped tail lost on primary death)")
 	follower := flag.Bool("follower", false, "start as a warm standby: apply the replication stream, serve reads, reject client writes until promoted")
 	pprofOn := flag.Bool("pprof", false, "expose the runtime profiler at /debug/pprof/ (off by default: the endpoints leak process internals)")
 	readHeaderTimeout := flag.Duration("read-header-timeout", 10*time.Second, "how long a client may take to send request headers (slowloris bound)")
@@ -134,13 +133,11 @@ func realMain() int {
 		Metrics:         metrics,
 	}
 	if *standby != "" {
-		standbyURL, sync := *standby, !*replicateAsync
 		svCfg.NewShipper = func(name, dir string, base uint64, tail []state.Record) server.Shipper {
 			return replica.NewShipper(replica.Config{
 				Session: name,
 				Dir:     dir,
-				Standby: standbyURL,
-				Sync:    sync,
+				Standby: *standby,
 				Base:    base,
 				Backlog: tail,
 				Metrics: metrics,

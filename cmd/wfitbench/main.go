@@ -8,16 +8,16 @@
 //	wfitbench [-fig N] [-overhead] [-perf] [-gauntlet] [-small] [-csv]
 //	          [-seed S] [-workers W] [-benchout FILE]
 //
-// Without -fig, every experiment runs in order, followed by the §6.2
-// overhead numbers, a measurement of the per-statement analysis loop
-// and the group-commit ingest comparison
-// (the same run -throughput makes), written as a JSON trajectory file
-// (-benchout, default BENCH_wfit.json). Output is an ASCII chart per
-// figure (OPT-normalized total work over the workload), optionally
-// followed by CSV series data. -gauntlet races every registered tuner
-// engine over every workload scenario (the CI gauntlet-smoke entry
-// point); alone it writes just the "gauntlet" section, with -perf it
-// rides along.
+// Without -fig, every experiment runs in order, followed by one measured
+// run of the full WFIT's analysis loop (printed as the §6.2 overhead
+// numbers and the per-statement distribution) and the group-commit
+// ingest comparison (the same run -throughput makes), written as a JSON
+// trajectory file (-benchout, default BENCH_wfit.json). Output is an
+// ASCII chart per figure (OPT-normalized total work over the workload),
+// optionally followed by CSV series data. -gauntlet races every
+// registered tuner engine over every workload scenario (the CI
+// gauntlet-smoke entry point); alone it writes just the "gauntlet"
+// section, with -perf it rides along.
 package main
 
 import (
@@ -41,7 +41,7 @@ func main() {
 // even when a run fails partway.
 func realMain() int {
 	fig := flag.Int("fig", 0, "run a single figure (8..12); 0 runs everything")
-	overhead := flag.Bool("overhead", false, "run only the overhead measurement")
+	overhead := flag.Bool("overhead", false, "run only the analysis-loop measurement and print its §6.2 overhead numbers")
 	perf := flag.Bool("perf", false, "run only the analysis-loop benchmark and the ingest-throughput bench")
 	small := flag.Bool("small", false, "use the scaled-down environment (fast sanity run)")
 	csv := flag.Bool("csv", false, "print CSV series after each chart")
@@ -163,11 +163,11 @@ func realMain() int {
 		return code
 	}
 	if *overhead {
-		printOverhead(env)
+		printOverhead(env.RunPerf())
 		return writeRideAlongs(0)
 	}
 	if *perf {
-		return runPerf(env, *benchout, soakReport, gauntletReport)
+		return runPerf(env.RunPerf(), *benchout, soakReport, gauntletReport)
 	}
 
 	run := func(n int) int {
@@ -207,8 +207,9 @@ func realMain() int {
 			return code
 		}
 	}
-	printOverhead(env)
-	return runPerf(env, *benchout, soakReport, gauntletReport)
+	r := env.RunPerf()
+	printOverhead(r)
+	return runPerf(r, *benchout, soakReport, gauntletReport)
 }
 
 // runThroughput drives the ingest-throughput bench against a temp data
@@ -344,13 +345,12 @@ func writeReport(r *bench.PerfReport, outPath string) int {
 	return 0
 }
 
-// runPerf measures the per-statement analysis loop, then the
-// group-commit ingest comparison, prints both, and writes the JSON
+// runPerf prints the measured per-statement analysis loop, runs the
+// group-commit ingest comparison, prints it, and writes the JSON
 // trajectory. It returns a process exit code instead of exiting so
 // deferred profile writers still run.
-func runPerf(env *bench.Env, outPath string, soak *bench.SoakReport, gauntlet *bench.GauntletReport) int {
+func runPerf(r *bench.PerfReport, outPath string, soak *bench.SoakReport, gauntlet *bench.GauntletReport) int {
 	fmt.Println("\nAnalysis-loop perf: full WFIT, one goroutine per statement analysis")
-	r := env.RunPerf()
 	r.Soak = soak
 	r.Gauntlet = gauntlet
 	s := r.Analysis
@@ -400,14 +400,15 @@ func printRuns(env *bench.Env, title string, runs []*bench.RunResult, csv bool, 
 	}
 }
 
-// printOverhead reports the §6.2 overhead numbers.
-func printOverhead(env *bench.Env) {
-	o := env.RunOverhead()
+// printOverhead reports the §6.2 overhead numbers of the measured
+// analysis loop.
+func printOverhead(r *bench.PerfReport) {
+	s := r.Analysis
 	fmt.Println("Overhead (§6.2), full WFIT with online candidate maintenance:")
 	fmt.Printf("  analysis time per statement: %v (paper: ~300ms on 2GHz Opteron + DB2)\n",
-		o.PerStmtAnalysis.Round(time.Microsecond))
+		time.Duration(s.USPerStmtMean*float64(time.Microsecond)).Round(time.Microsecond))
+	w := s.WhatIfPerStmt
 	fmt.Printf("  what-if calls per statement: min=%.0f p50=%.0f mean=%.1f p90=%.0f max=%.0f (paper: 5..100)\n",
-		o.WhatIfPerStmt.Min, o.WhatIfPerStmt.P50, o.WhatIfPerStmt.Mean,
-		o.WhatIfPerStmt.P90, o.WhatIfPerStmt.Max)
-	fmt.Printf("  total what-if calls: %d over %d statements\n", o.TotalWhatIf, o.Statements)
+		w.Min, w.P50, w.Mean, w.P90, w.Max)
+	fmt.Printf("  total what-if calls: %d over %d statements\n", s.WhatIfCalls, r.Statements)
 }

@@ -241,11 +241,12 @@ func TestVotesForceConsistentRecommendations(t *testing.T) {
 
 func TestOverheadReport(t *testing.T) {
 	env := sharedSmallEnv(t)
-	o := env.RunOverhead()
-	if o.Statements != env.Workload.Len() {
+	r := env.RunPerf()
+	o := r.Analysis
+	if r.Statements != env.Workload.Len() {
 		t.Fatalf("statement count wrong")
 	}
-	if o.TotalWhatIf <= 0 {
+	if o.WhatIfCalls <= 0 {
 		t.Fatalf("no what-if calls recorded")
 	}
 	if o.WhatIfPerStmt.Mean <= 0 || o.WhatIfPerStmt.Max < o.WhatIfPerStmt.Min {

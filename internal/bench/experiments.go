@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/workload"
@@ -11,11 +10,6 @@ import (
 
 // finest returns the finest configured partition granularity.
 func (e *Env) finest() int { return e.Options.StateCnts[0] }
-
-// coarsest returns the coarsest configured granularity.
-func (e *Env) coarsest() int {
-	return e.Options.StateCnts[len(e.Options.StateCnts)-1]
-}
 
 // middle returns the middle granularity (the paper's default 500), falling
 // back to the finest when only one is configured.
@@ -139,31 +133,5 @@ func NewOverhead(counts []int) Overhead {
 		Mean: float64(total) / float64(len(sorted)),
 		P50:  float64(sorted[len(sorted)/2]),
 		P90:  float64(sorted[len(sorted)*9/10]),
-	}
-}
-
-// OverheadReport is the §6.2 overhead experiment: analysis time per
-// statement and what-if optimizer calls per statement for the full WFIT.
-type OverheadReport struct {
-	PerStmtAnalysis time.Duration
-	WhatIfPerStmt   Overhead
-	TotalWhatIf     int64
-	Statements      int
-}
-
-// RunOverhead measures tuning overhead with the full WFIT (the deployment
-// configuration, where WFIT performs its own what-if calls).
-func (e *Env) RunOverhead() *OverheadReport {
-	options := core.DefaultOptions()
-	options.IdxCnt = e.Options.IdxCnt
-	options.StateCnt = e.middle()
-	auto := e.NewWFITAutoAlgo("AUTO", options)
-	run := e.Run(RunSpec{Algo: auto})
-	n := len(e.Workload.Statements)
-	return &OverheadReport{
-		PerStmtAnalysis: run.AnalyzeTime / time.Duration(n),
-		WhatIfPerStmt:   NewOverhead(auto.IBGNodeCounts()),
-		TotalWhatIf:     auto.WhatIfCalls(),
-		Statements:      n,
 	}
 }

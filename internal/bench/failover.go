@@ -157,7 +157,7 @@ func RunFailover(o FailoverOptions) (*FailoverPerf, error) {
 		DataDir: filepath.Join(o.DataDir, "primary"),
 		NewShipper: func(name, dir string, base uint64, tail []state.Record) server.Shipper {
 			return replica.NewShipper(replica.Config{
-				Session: name, Dir: dir, Standby: standbyTS.URL, Sync: true,
+				Session: name, Dir: dir, Standby: standbyTS.URL,
 				Base: base, Backlog: tail,
 			})
 		},

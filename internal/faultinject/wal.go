@@ -1,7 +1,7 @@
 package faultinject
 
 import (
-	"time"
+	"context"
 
 	"repro/internal/state"
 )
@@ -34,7 +34,7 @@ func WALHooks(in *Injector, writePoint, syncPoint string) *state.WALHooks {
 				return real()
 			}
 			if f.Kind == KindDelay {
-				if err := f.Sleep(noDeadline{}); err != nil {
+				if err := f.Sleep(context.Background()); err != nil {
 					return err
 				}
 				return real()
@@ -43,12 +43,3 @@ func WALHooks(in *Injector, writePoint, syncPoint string) *state.WALHooks {
 		},
 	}
 }
-
-// noDeadline is a context that never cancels, for delay faults on
-// operations that carry no context of their own.
-type noDeadline struct{}
-
-func (noDeadline) Deadline() (deadline time.Time, ok bool) { return time.Time{}, false }
-func (noDeadline) Done() <-chan struct{}                   { return nil }
-func (noDeadline) Err() error                              { return nil }
-func (noDeadline) Value(key any) any                       { return nil }

@@ -106,14 +106,6 @@ func (p *Pass) CalleeFunc(call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// IsPkgFunc reports whether the call invokes the package-level function
-// pkgPath.name.
-func (p *Pass) IsPkgFunc(call *ast.CallExpr, pkgPath, name string) bool {
-	fn := p.CalleeFunc(call)
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath &&
-		fn.Name() == name && fn.Type().(*types.Signature).Recv() == nil
-}
-
 // allowRx matches //lint:allow name(reason) directives.
 var allowRx = regexp.MustCompile(`^//lint:allow\s+([a-z0-9-]+)\((.*)\)\s*$`)
 

@@ -16,23 +16,20 @@
 // after lost acks idempotent and turns every divergence into a loud 409
 // instead of silent drift.
 //
-// Two ship modes:
+// Commit returns only after the standby made the group durable in its
+// WAL, so an acked client write is durable on both nodes. The primary
+// runs Commit beside its own apply of the group and joins it before
+// replying, so neither node's apply sits on the round trip. A ship
+// failure does NOT fail the local write: the write is acked from local
+// durability, ShipperStats.Errors counts the failure, and the records
+// stay pending for the next Commit (semi-sync).
 //
-//   - sync: Commit returns only after the standby made the group durable
-//     in its WAL — an acked client write is durable on both nodes. The
-//     primary runs Commit beside its own apply of the group and joins it
-//     before replying, so neither node's apply sits on the round trip. A
-//     ship failure does NOT fail the local write: the service degrades to
-//     async semantics and surfaces the condition through
-//     ShipperStats.Errors (semi-sync).
-//   - async: Commit buffers and returns; a background loop ships with
-//     jittered backoff. The loss window on primary death is the unshipped
-//     pending buffer.
-//
-// In both modes the pending buffer is trimmed at every checkpoint: a
-// snapshot covering seq ≤ base supersedes buffered records ≤ base (a
-// lagging standby re-bootstraps from the snapshot), so shipper memory is
-// bounded by one checkpoint interval.
+// The shipper keeps every record past the session's last checkpoint, so
+// shipper memory is bounded by one checkpoint interval. A standby that
+// cannot continue the stream is resumed from its own cursor when that is
+// at or past the checkpoint (a standby restarted on an older copy of its
+// data dir), and bootstrapped from the checkpoint's snapshot otherwise
+// (a late joiner, or a standby restarted on an empty data dir).
 package replica
 
 import (
@@ -41,10 +38,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"time"
 
@@ -60,13 +57,8 @@ const (
 	metricSnapshotShips = "wfit_replication_snapshot_ships_total"
 )
 
-const (
-	// shipChunk bounds how many records one POST carries.
-	shipChunk = 512
-	// retryMin/retryMax bound the async loop's jittered backoff.
-	retryMin = 50 * time.Millisecond
-	retryMax = 1 * time.Second
-)
+// shipChunk bounds how many records one POST carries.
+const shipChunk = 512
 
 // ErrFenced is returned by Commit after the standby reported itself
 // promoted: this node is a zombie primary and must not keep shipping.
@@ -84,15 +76,18 @@ type Config struct {
 	Dir string
 	// Standby is the standby's base URL (scheme://host:port).
 	Standby string
-	// Sync selects ship-before-ack mode (see the package comment).
+	// Sync is ignored: every Commit ships before it returns.
+	//
+	// Deprecated: e2ebench is its last setter.
 	Sync bool
 	// Client overrides the HTTP client (tests wrap the transport with
 	// fault injection). Nil gets a 10s-timeout default.
 	Client *http.Client
-	// Base is the sequence number the session's snapshot covers at
-	// attach time; Backlog is the replayed WAL tail past it. Seeding the
-	// two lets a restarted primary resume the stream without forcing a
-	// snapshot re-ship.
+	// Base is the sequence number the session's on-disk snapshot covers
+	// at attach time, and Backlog the replayed WAL tail past it. The
+	// shipper keeps both until the next checkpoint, so a restarted
+	// primary resumes the stream from the standby's cursor and ships the
+	// snapshot only to a standby behind Base.
 	Base uint64
 	// Backlog — see Base.
 	Backlog []state.Record
@@ -114,26 +109,18 @@ type Shipper struct {
 	cSnap *obs.Counter
 
 	mu        sync.Mutex
-	pending   []state.Record // committed, not yet standby-confirmed
-	acked     uint64         // highest seq the standby confirmed
+	base      uint64         // the seq the session's on-disk snapshot covers
+	recs      []state.Record // every committed record past base, in seq order
+	acked     uint64         // the standby's cursor: it holds every record up to here
 	errors    int64
 	snapshots int64
 	fenced    bool
 	closed    bool
-
-	notify chan struct{} // async mode: kick the ship loop
-	done   chan struct{}
-	loopWG sync.WaitGroup
 }
 
-// NewShipper builds (and, in async mode, starts) a shipper.
+// NewShipper builds a shipper. It ships nothing until the first Commit.
 func NewShipper(cfg Config) *Shipper {
-	s := &Shipper{
-		cfg:    cfg,
-		client: cfg.Client,
-		notify: make(chan struct{}, 1),
-		done:   make(chan struct{}),
-	}
+	s := &Shipper{cfg: cfg, client: cfg.Client, base: cfg.Base}
 	if s.client == nil {
 		s.client = &http.Client{Timeout: 10 * time.Second}
 	}
@@ -146,19 +133,17 @@ func NewShipper(cfg Config) *Shipper {
 		s.cErrs = reg.Counter(metricShipErrors, lbl)
 		s.cSnap = reg.Counter(metricSnapshotShips, lbl)
 	}
-	s.pending = append(s.pending, cfg.Backlog...)
-	if !cfg.Sync {
-		s.loopWG.Add(1)
-		go s.loop()
-		if len(s.pending) > 0 {
-			s.kick()
-		}
-	}
+	s.recs = append(s.recs, cfg.Backlog...)
 	return s
 }
 
-// Commit implements server.Shipper. Sync mode ships everything pending
-// before returning; async mode buffers and kicks the loop.
+// Commit implements server.Shipper: it ships every record past the
+// standby's cursor, recs included, and returns once the standby has made
+// them durable. A standby that answers need_snapshot is resumed from its
+// own cursor when every record past it is still held, and bootstrapped
+// from the snapshot otherwise. Each happens at most once per call, so a
+// standby that still cannot continue fails the call instead of wedging
+// the session.
 func (s *Shipper) Commit(recs []state.Record) error {
 	s.mu.Lock()
 	if s.closed || s.fenced {
@@ -170,38 +155,46 @@ func (s *Shipper) Commit(recs []state.Record) error {
 		s.mu.Unlock()
 		return err
 	}
-	s.pending = append(s.pending, recs...)
+	s.recs = append(s.recs, recs...)
 	s.mu.Unlock()
-	if !s.cfg.Sync {
-		s.kick()
-		return nil
-	}
+	rewound, bootstrapped := false, false
 	for {
-		progressed, empty, err := s.shipOnce()
-		if err != nil {
-			return err
-		}
-		if empty {
+		chunk := s.unconfirmed()
+		if len(chunk) == 0 {
 			return nil
 		}
-		if !progressed {
-			// Defensive: shipOnce either progresses, empties, or errors.
-			return fmt.Errorf("replica: ship made no progress")
+		rep, err := s.postWAL(chunk)
+		switch {
+		case err != nil:
+			return s.fail(err)
+		case rep.Promoted:
+			return s.fence()
+		case !rep.NeedSnapshot:
+			if !s.confirm(rep.LastSeq) {
+				return s.fail(fmt.Errorf("replica: standby acked seq %d, short of shipped seq %d", rep.LastSeq, chunk[len(chunk)-1].Seq))
+			}
+		case !rewound && s.rewind(rep.LastSeq):
+			rewound = true
+		case bootstrapped:
+			return s.fail(fmt.Errorf("replica: standby at seq %d cannot continue the stream", rep.LastSeq))
+		default:
+			bootstrapped = true
+			if err := s.shipSnapshot(); err != nil {
+				return err
+			}
 		}
 	}
 }
 
-// Checkpointed implements server.Shipper: records the snapshot now on
-// disk covers are dropped from the retry buffer (snapshot bootstrap
-// supersedes them), bounding memory by one checkpoint interval.
+// Checkpointed implements server.Shipper: the snapshot now on disk covers
+// every record up to base, so those records are dropped (a standby
+// behind base is bootstrapped from the snapshot instead), bounding memory
+// by one checkpoint interval.
 func (s *Shipper) Checkpointed(base uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i := 0
-	for i < len(s.pending) && s.pending[i].Seq <= base {
-		i++
-	}
-	s.pending = s.pending[i:]
+	s.base = base
+	s.recs = s.recs[s.after(base):]
 }
 
 // Stats implements server.Shipper.
@@ -209,169 +202,88 @@ func (s *Shipper) Stats() server.ShipperStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return server.ShipperStats{
-		Sync:          s.cfg.Sync,
 		AckedSeq:      s.acked,
-		Pending:       len(s.pending),
+		Pending:       len(s.recs) - s.after(s.acked),
 		Errors:        s.errors,
 		SnapshotShips: s.snapshots,
 	}
 }
 
-// Close implements server.Shipper: stop shipping. Pending records are NOT
-// flushed — Close is also the crash path, and the unshipped buffer is
-// exactly the async mode's documented loss window. (On a graceful session
-// close the final checkpoint has already trimmed the buffer; the standby
-// re-bootstraps from the snapshot when the node returns.)
+// Close implements server.Shipper: later Commits fail. Nothing is
+// flushed, because Close is also the crash path; a session's final
+// checkpoint has already covered the records, and the standby resumes
+// or re-bootstraps when the node returns.
 func (s *Shipper) Close() error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
 	s.closed = true
 	s.mu.Unlock()
-	if !s.cfg.Sync {
-		close(s.done)
-		s.loopWG.Wait()
-	}
 	return nil
 }
 
-// kick nudges the async loop without blocking.
-func (s *Shipper) kick() {
-	select {
-	case s.notify <- struct{}{}:
-	default:
-	}
+// after returns the index of the first held record past seq.
+func (s *Shipper) after(seq uint64) int {
+	return sort.Search(len(s.recs), func(i int) bool { return s.recs[i].Seq > seq })
 }
 
-// loop is the async ship loop: drain pending, retry failures with
-// jittered exponential backoff, stop on Close.
-func (s *Shipper) loop() {
-	defer s.loopWG.Done()
-	backoff := retryMin
-	for {
-		select {
-		case <-s.done:
-			return
-		case <-s.notify:
-		}
-		for {
-			progressed, empty, err := s.shipOnce()
-			if empty {
-				backoff = retryMin
-				break
-			}
-			if err == nil && progressed {
-				backoff = retryMin
-				continue
-			}
-			if errors.Is(err, ErrFenced) {
-				return // nothing left to do; Commit now fails fast
-			}
-			t := time.NewTimer(jitter(backoff))
-			select {
-			case <-s.done:
-				t.Stop()
-				return
-			case <-t.C:
-			}
-			if backoff *= 2; backoff > retryMax {
-				backoff = retryMax
-			}
-		}
-	}
-}
-
-// jitter spreads a backoff over [d/2, d) so a fleet of shippers does not
-// hammer a recovering standby in lockstep.
-func jitter(d time.Duration) time.Duration {
-	return d/2 + time.Duration(rand.Int63n(int64(d/2))) //nolint:gosec // backoff spread, not crypto
-}
-
-// shipOnce ships at most one chunk (or one snapshot bootstrap). It
-// reports whether the standby's cursor advanced, whether the pending
-// buffer is now empty, and the error of a failed attempt. The HTTP round
-// trip runs without the mutex: the single-writer apply loop is the only
-// committer, so pending can only grow underneath it.
-func (s *Shipper) shipOnce() (progressed, empty bool, err error) {
-	s.mu.Lock()
-	if s.fenced {
-		s.mu.Unlock()
-		return false, false, ErrFenced
-	}
-	if len(s.pending) == 0 {
-		s.mu.Unlock()
-		return false, true, nil
-	}
-	n := len(s.pending)
-	if n > shipChunk {
-		n = shipChunk
-	}
-	chunk := make([]state.Record, n)
-	copy(chunk, s.pending[:n])
-	s.mu.Unlock()
-
-	rep, err := s.postWAL(chunk)
-	switch {
-	case err != nil:
-		s.fail()
-		return false, false, err
-	case rep.Promoted:
-		s.fence()
-		return false, false, ErrFenced
-	case rep.NeedSnapshot:
-		last, serr := s.shipSnapshot()
-		if serr != nil {
-			s.fail()
-			return false, false, serr
-		}
-		return true, s.confirm(last), nil
-	default:
-		return true, s.confirm(rep.LastSeq), nil
-	}
-}
-
-// confirm advances the standby cursor and trims confirmed records,
-// reporting whether pending is now empty.
-func (s *Shipper) confirm(acked uint64) bool {
+// unconfirmed returns the next chunk of records past the standby's
+// cursor. The round trip runs without the mutex and without a copy:
+// Commit and Checkpointed never overlap, so nothing changes the held
+// records while the chunk is in flight.
+func (s *Shipper) unconfirmed() []state.Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if acked > s.acked {
-		s.acked = acked
-	}
-	i := 0
-	for i < len(s.pending) && s.pending[i].Seq <= s.acked {
-		i++
-	}
-	s.pending = s.pending[i:]
-	return len(s.pending) == 0
+	rest := s.recs[s.after(s.acked):]
+	return rest[:min(len(rest), shipChunk)]
 }
 
-func (s *Shipper) fail() {
+// confirm moves the cursor to last, the standby's reply to a chunk it
+// made durable, and reports whether the cursor advanced.
+func (s *Shipper) confirm(last uint64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if last <= s.acked {
+		return false
+	}
+	s.acked = last
+	return true
+}
+
+// rewind moves the cursor back to have, the cursor of a standby that
+// lost records it had confirmed, when every record past have is still
+// held. It reports whether the cursor moved.
+func (s *Shipper) rewind(have uint64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if have < s.base || have >= s.acked {
+		return false
+	}
+	s.acked = have
+	return true
+}
+
+// fail counts a failed ship and returns its error.
+func (s *Shipper) fail(err error) error {
 	s.mu.Lock()
 	s.errors++
 	s.mu.Unlock()
 	if s.cErrs != nil {
 		s.cErrs.Inc()
 	}
+	return err
 }
 
 // fence marks the shipper permanently fenced: the standby reported itself
 // promoted, so this node's timeline is dead. Loud by design — the event
 // is the operator's cue that a zombie primary tried to keep shipping.
-func (s *Shipper) fence() {
+func (s *Shipper) fence() error {
 	s.mu.Lock()
 	alreadyFenced := s.fenced
 	s.fenced = true
-	s.errors++
 	s.mu.Unlock()
-	if s.cErrs != nil {
-		s.cErrs.Inc()
-	}
 	if !alreadyFenced {
 		obs.Event("replica", "fenced", "session", s.cfg.Session, "standby", s.cfg.Standby)
 	}
+	return s.fail(ErrFenced)
 }
 
 // walReply is the follower's response to both ship endpoints.
@@ -389,29 +301,29 @@ func (s *Shipper) postWAL(recs []state.Record) (*walReply, error) {
 }
 
 // shipSnapshot bootstraps the standby from the session's on-disk
-// snapshot, returning the sequence number the standby confirmed. Pending
-// records past the snapshot stay pending and ship next.
-func (s *Shipper) shipSnapshot() (uint64, error) {
+// snapshot and moves the cursor to the sequence number the standby
+// confirmed; the records past it ship next. A failure is counted.
+func (s *Shipper) shipSnapshot() error {
 	data, err := os.ReadFile(filepath.Join(s.cfg.Dir, server.SnapshotFile))
 	if err != nil {
-		return 0, fmt.Errorf("replica: reading snapshot for bootstrap: %w", err)
+		return s.fail(fmt.Errorf("replica: reading snapshot for bootstrap: %w", err))
 	}
 	url := fmt.Sprintf("%s/replication/sessions/%s/snapshot", s.cfg.Standby, s.cfg.Session)
 	rep, err := s.post(url, data)
 	if err != nil {
-		return 0, err
+		return s.fail(err)
 	}
 	if rep.Promoted {
-		s.fence()
-		return 0, ErrFenced
+		return s.fence()
 	}
 	s.mu.Lock()
+	s.acked = rep.LastSeq
 	s.snapshots++
 	s.mu.Unlock()
 	if s.cSnap != nil {
 		s.cSnap.Inc()
 	}
-	return rep.LastSeq, nil
+	return nil
 }
 
 // post performs one ship round trip and decodes the follower's reply.

@@ -108,7 +108,7 @@ func standbyHandler(sv *server.Server) http.Handler {
 }
 
 // newPrimary starts a primary whose every session ships to standbyURL.
-func newPrimary(t *testing.T, cat *catalog.Catalog, dir, standbyURL string, sync bool, client *http.Client, hooks *state.WALHooks) *node {
+func newPrimary(t *testing.T, cat *catalog.Catalog, dir, standbyURL string, client *http.Client, hooks *state.WALHooks) *node {
 	t.Helper()
 	cfg := server.Config{
 		DataDir:  dir,
@@ -118,7 +118,6 @@ func newPrimary(t *testing.T, cat *catalog.Catalog, dir, standbyURL string, sync
 				Session: name,
 				Dir:     sdir,
 				Standby: standbyURL,
-				Sync:    sync,
 				Client:  client,
 				Base:    base,
 				Backlog: tail,
@@ -203,7 +202,7 @@ func TestFailoverPromotionBitIdentical(t *testing.T) {
 
 	standby := newStandby(t, cat, t.TempDir())
 	defer standby.close()
-	primary := newPrimary(t, cat, t.TempDir(), standby.ts.URL, true, client, faultinject.WALHooks(inj, "wal.write", "wal.sync"))
+	primary := newPrimary(t, cat, t.TempDir(), standby.ts.URL, client, faultinject.WALHooks(inj, "wal.write", "wal.sync"))
 	defer primary.ts.Close()
 
 	sess, err := primary.sv.CreateSession(replCfg("t", 50, 60))
@@ -258,7 +257,7 @@ func TestFailoverPromotionBitIdentical(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "primary") {
 		t.Fatalf("promote failed: HTTP %d %s", resp.StatusCode, body)
 	}
-	zombie := replica.NewShipper(replica.Config{Session: "t", Dir: t.TempDir(), Standby: standby.ts.URL, Sync: true})
+	zombie := replica.NewShipper(replica.Config{Session: "t", Dir: t.TempDir(), Standby: standby.ts.URL})
 	if err := zombie.Commit([]state.Record{{Seq: 1, Type: state.RecAccept}}); err == nil {
 		t.Fatal("promoted standby accepted a zombie primary's stream")
 	}
@@ -297,10 +296,11 @@ func TestFailoverPromotionBitIdentical(t *testing.T) {
 }
 
 // TestLateJoinerSnapshotBootstrap attaches a standby that missed the
-// session's whole history past a checkpoint: the retry buffer was trimmed
-// at the checkpoint, so the stream cannot continue incrementally and the
-// shipper must bootstrap the standby from the snapshot, then stream the
-// tail — converging to zero lag with the primary's exact state.
+// session's whole history past a checkpoint: every ship failed while the
+// standby was partitioned away, and the checkpoints dropped the records
+// they cover, so the stream cannot continue incrementally. The write that
+// heals the partition must bootstrap the standby from the snapshot and
+// ship the tail before it returns — zero lag, the primary's exact state.
 func TestLateJoinerSnapshotBootstrap(t *testing.T) {
 	const total = 80
 	sqls := workloadSQL(t, total)
@@ -317,40 +317,28 @@ func TestLateJoinerSnapshotBootstrap(t *testing.T) {
 
 	standby := newStandby(t, cat, t.TempDir())
 	defer standby.close()
-	primary := newPrimary(t, cat, t.TempDir(), standby.ts.URL, false, client, nil)
+	primary := newPrimary(t, cat, t.TempDir(), standby.ts.URL, client, nil)
 	defer primary.ts.Close()
 
 	sess, err := primary.sv.CreateSession(replCfg("t", 30, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every partitioned write is acked from local durability, and its
+	// failed ship is counted.
 	drive(t, sess, sqls, 0, total-1)
-
-	// Shipping is asynchronous: the commit only kicks the loop, so give
-	// the failing attempt a moment to be recorded.
-	st := sess.Status()
-	for wait := time.Now().Add(5 * time.Second); st.Replication.ShipErrors == 0; st = sess.Status() {
-		if time.Now().After(wait) {
-			t.Fatal("partition recorded no ship errors")
-		}
-		time.Sleep(10 * time.Millisecond)
+	if st := sess.Status(); st.Replication.ShipErrors == 0 {
+		t.Fatal("partition recorded no ship errors")
 	}
 
-	// Partition heals; the next commit kicks the loop, which discovers
-	// the gap and bootstraps from the snapshot.
+	// The partition heals: the next write finds the standby without the
+	// session, bootstraps it from the snapshot and ships the tail.
 	inj.Clear("ship")
 	drive(t, sess, sqls, total-1, total)
-
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		st = sess.Status()
-		if st.Replication.Lag == 0 && st.Replication.Pending == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("standby never caught up: lag %d, pending %d", st.Replication.Lag, st.Replication.Pending)
-		}
-		time.Sleep(20 * time.Millisecond)
+	st := sess.Status()
+	if st.Replication.Lag != 0 || st.Replication.Pending != 0 {
+		t.Fatalf("standby not caught up when the healing write returned: lag %d, pending %d",
+			st.Replication.Lag, st.Replication.Pending)
 	}
 	if st.Replication.SnapshotShips == 0 {
 		t.Fatal("late joiner was not snapshot-bootstrapped")
@@ -395,7 +383,7 @@ func TestStandbyTornTailRepairAndReshipDedup(t *testing.T) {
 	standbyDir := t.TempDir()
 	primaryDir := t.TempDir()
 	standby := newStandby(t, cat, standbyDir)
-	primary := newPrimary(t, cat, primaryDir, standby.ts.URL, true, nil, nil)
+	primary := newPrimary(t, cat, primaryDir, standby.ts.URL, nil, nil)
 	defer primary.ts.Close()
 
 	// Checkpoints off on both sides: the full stream stays in both WALs,
@@ -521,7 +509,7 @@ func TestStandbyRestartKeepsPrimaryStream(t *testing.T) {
 	standby := open()
 	serve(standby)
 
-	primary := newPrimary(t, cat, t.TempDir(), front.URL, true, nil, nil)
+	primary := newPrimary(t, cat, t.TempDir(), front.URL, nil, nil)
 	defer primary.close()
 	sess, err := primary.sv.CreateSession(replCfg("t", 1000, 5))
 	if err != nil {
@@ -558,7 +546,7 @@ func TestRetireSessionCreationShipsCleanly(t *testing.T) {
 	cat, _ := datagen.Build()
 	standby := newStandby(t, cat, t.TempDir())
 	defer standby.close()
-	primary := newPrimary(t, cat, t.TempDir(), standby.ts.URL, true, nil, nil)
+	primary := newPrimary(t, cat, t.TempDir(), standby.ts.URL, nil, nil)
 	defer primary.close()
 
 	sess, err := primary.sv.CreateSession(replCfg("t", 20, 5))
@@ -574,4 +562,101 @@ func TestRetireSessionCreationShipsCleanly(t *testing.T) {
 		t.Fatal("standby has no session t")
 	}
 	assertSameState(t, "standby", follower, sess)
+}
+
+// TestStandbyBehindAckedCursorResyncs is the regression test for a
+// standby that comes back behind the cursor its primary holds: the
+// primary had dropped the records the standby confirmed, so the next
+// write drew a snapshot, gapped on the chunk after it, drew the snapshot
+// again, and waited on that ship forever — and so did every later write
+// on the session. A standby restarted on an older copy of its data dir
+// must resume from its own cursor without a snapshot, and one restarted
+// on an empty data dir must be bootstrapped exactly once; either way the
+// write returns with the pair bit-identical.
+func TestStandbyBehindAckedCursorResyncs(t *testing.T) {
+	const copied, acked = 25, 30 // checkpoints every 20 statements
+	sqls := workloadSQL(t, acked+1)
+	cat, _ := datagen.Build()
+	for _, tc := range []struct {
+		name      string
+		wiped     bool
+		posts     int64 // ship round trips the resyncing write makes
+		snapshots int64
+	}{
+		{name: "rolled back", posts: 2},
+		{name: "wiped", wiped: true, posts: 3, snapshots: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The primary ships to one URL across the restart; it reaches
+			// whichever standby is current.
+			var current atomic.Pointer[server.Server]
+			var posts atomic.Int64
+			front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				posts.Add(1)
+				standbyHandler(current.Load()).ServeHTTP(w, r)
+			}))
+			defer front.Close()
+			standbyDir := t.TempDir()
+			current.Store(newStandby(t, cat, standbyDir).sv)
+
+			primary := newPrimary(t, cat, t.TempDir(), front.URL, nil, nil)
+			defer primary.close()
+			sess, err := primary.sv.CreateSession(replCfg("t", 20, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			drive(t, sess, sqls, 0, copied)
+			follower, ok := current.Load().Session("t")
+			if !ok {
+				t.Fatal("standby has no session t")
+			}
+			follower.LastSeq() // waits out the apply of the last shipped batch
+			copyDir := filepath.Join(t.TempDir(), "copy")
+			if err := os.CopyFS(copyDir, os.DirFS(standbyDir)); err != nil {
+				t.Fatal(err)
+			}
+			drive(t, sess, sqls, copied, acked)
+
+			// kill -9 the standby, then restart it on the copy taken at
+			// statement 25 or on an empty data dir.
+			follower.Kill()
+			restartDir := copyDir
+			if tc.wiped {
+				restartDir = t.TempDir()
+			}
+			current.Store(newStandby(t, cat, restartDir).sv)
+			before := sess.Status().Replication
+			posts.Store(0)
+
+			done := make(chan error, 1)
+			go func() {
+				_, _, err := sess.Ingest(context.Background(), sqls[acked:acked+1])
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(15 * time.Second):
+				t.Fatalf("the write after the standby restart never returned (%d ship round trips)", posts.Load())
+			}
+			st := sess.Status().Replication
+			if got := st.SnapshotShips - before.SnapshotShips; got != tc.snapshots {
+				t.Fatalf("resync shipped %d snapshots, want %d", got, tc.snapshots)
+			}
+			if got := posts.Load(); got != tc.posts {
+				t.Fatalf("resync took %d ship round trips, want %d", got, tc.posts)
+			}
+			if st.Lag != 0 || st.Pending != 0 || st.ShipErrors != before.ShipErrors {
+				t.Fatalf("resync left lag %d, pending %d, ship errors %d (were %d)",
+					st.Lag, st.Pending, st.ShipErrors, before.ShipErrors)
+			}
+			follower, ok = current.Load().Session("t")
+			if !ok {
+				t.Fatal("restarted standby has no session t")
+			}
+			assertSameState(t, tc.name, follower, sess)
+		})
+	}
 }

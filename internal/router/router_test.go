@@ -83,7 +83,7 @@ func newPrimary(t *testing.T, cat *catalog.Catalog, standbyURL string) *node {
 		DataDir: t.TempDir(),
 		NewShipper: func(name, sdir string, base uint64, tail []state.Record) server.Shipper {
 			return replica.NewShipper(replica.Config{
-				Session: name, Dir: sdir, Standby: standbyURL, Sync: true,
+				Session: name, Dir: sdir, Standby: standbyURL,
 				Base: base, Backlog: tail,
 			})
 		},

@@ -109,8 +109,9 @@ func (sv *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		resp := map[string]any{"status": "ok", "role": sv.Role()}
 		if sv.Follower() {
-			// The router's health loop reads this to tell a caught-up
-			// standby from a stale one before promoting it.
+			// The router shows this in its /healthz member view, so an
+			// operator can tell a caught-up standby from a stale one;
+			// promotion does not read it.
 			resp["lag_records"] = sv.MaxReplicationLag()
 		}
 		WriteJSON(w, http.StatusOK, resp)

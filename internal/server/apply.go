@@ -12,10 +12,10 @@ import (
 
 // applyChunk applies a chunk of WAL records to the tuner in log order. It
 // is the one place a record takes effect, whether the chunk is a group
-// commit of live ingest, a stretch of the WAL tail recovery replays, or a
-// batch the primary shipped. An event that completes a live job replies
-// to it, except the chunk's last one when hold is set: a checkpoint is
-// due after it, and its job reports that outcome. shares are a group
+// commit of live ingest, the WAL tail recovery replays, or a batch the
+// primary shipped. An event that completes a live job replies to it,
+// except the chunk's last one when hold is set: a checkpoint is due
+// after it, and its job reports that outcome. shares are a group
 // commit's per-record shares, traced for its statements (nil: no live
 // jobs). On error it returns the index of the failed event; every event
 // before it has applied.

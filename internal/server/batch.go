@@ -169,13 +169,13 @@ func (s *Session) cutChunk(pending []event) (n int, due bool) {
 // logRecords group-commits recs to the WAL — one flush, plus one fsync
 // under Fsync — assigning their sequence numbers, then offers them to the
 // standby on a goroutine of their own, so the chunk applies while its
-// ship is in flight. A synchronous shipper returns only after the standby
-// made the records durable. Every reply, the next logRecords and every
-// snapshot join the ship first (joinShip): no client hears an ack the
-// standby has not made durable, and no two shipper calls overlap. A ship
-// failure never fails the local write — the shipper records it and the
-// session degrades to async semantics until the stream recovers
-// (semi-sync).
+// ship is in flight. The shipper returns only after the standby made the
+// records durable. Every reply, the next logRecords and every snapshot
+// join the ship first (joinShip): no client hears an ack the standby has
+// not made durable, and no two shipper calls overlap. A ship failure
+// never fails the local write: the write is acked from local durability,
+// and the shipper counts the failure and ships the records with a later
+// group commit (semi-sync).
 func (s *Session) logRecords(recs []state.Record) error {
 	s.joinShip()
 	if _, err := s.wal.AppendBatch(recs); err != nil {

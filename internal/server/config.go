@@ -162,9 +162,8 @@ type SessionRuntime struct {
 	// applying it in order — amortizing the per-record persistence cost
 	// without changing the event stream: group boundaries are cut exactly
 	// where a checkpoint would fall, so the WAL byte stream and the tuner
-	// trajectory are identical to per-record commits. Recovery applies
-	// the WAL tail in chunks of the same bound (default 1, a commit per
-	// record).
+	// trajectory are identical to per-record commits. The default is 1, a
+	// commit per record.
 	Batch int
 	// NewShipper, when set, attaches a replication stream to the session.
 	// The factory receives the sequence number the session's snapshot

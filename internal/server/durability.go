@@ -68,11 +68,11 @@ func OpenSession(dir string, cat *catalog.Catalog, rt SessionRuntime) (*Session,
 
 // attach opens the session's WAL and applies every record in it past
 // covered, the last sequence number the session's snapshot holds (0 for
-// a session being created), in chunks of the Batch bound through
-// applyChunk. It then hangs the commit observer and, when replication is
-// configured, the shipper, which gets the replayed records as the backlog
-// a recovered primary re-offers its standby without forcing a snapshot
-// re-ship. It returns how many records it replayed.
+// a session being created), in one applyChunk call. It then hangs the
+// commit observer and, when replication is configured, the shipper,
+// which gets the replayed records as the backlog a recovered primary
+// re-offers its standby without forcing a snapshot re-ship. It returns
+// how many records it replayed.
 func (s *Session) attach(covered uint64) (int, error) {
 	var tail []state.Record
 	wal, err := state.OpenWAL(filepath.Join(s.dir, walFile), func(rec state.Record) error {
@@ -100,10 +100,9 @@ func (s *Session) attach(covered uint64) (int, error) {
 	wal.SetHooks(s.rt.Hooks)
 	s.wal = wal
 	events, _, err := s.appendEvents(nil, nil, tail, nil, s.statements)
-	for i := 0; err == nil && i < len(events); i += s.rt.Batch {
-		chunk := events[i:min(i+s.rt.Batch, len(events))]
-		if k, aerr := s.applyChunk(chunk, nil, false); aerr != nil {
-			err = fmt.Errorf("seq %d: %w", chunk[k].rec.Seq, aerr)
+	if err == nil {
+		if k, aerr := s.applyChunk(events, nil, false); aerr != nil {
+			err = fmt.Errorf("seq %d: %w", events[k].rec.Seq, aerr)
 		}
 	}
 	if err != nil {
@@ -210,8 +209,8 @@ func (s *Session) checkpointLocked() error {
 	s.sinceCkpt = 0
 	if s.shipper != nil {
 		// The snapshot on disk now covers everything ≤ LastSeq: the shipper
-		// may drop those records from its retry buffer (a lagging standby
-		// re-bootstraps from the snapshot instead).
+		// may drop those records (a standby behind it re-bootstraps from
+		// the snapshot instead).
 		s.shipper.Checkpointed(s.wal.LastSeq())
 	}
 	s.checkpoints++

@@ -268,7 +268,7 @@ type noopShipper struct{}
 
 func (noopShipper) Commit([]state.Record) error { return nil }
 func (noopShipper) Checkpointed(uint64)         {}
-func (noopShipper) Stats() ShipperStats         { return ShipperStats{Sync: true} }
+func (noopShipper) Stats() ShipperStats         { return ShipperStats{} }
 func (noopShipper) Close() error                { return nil }
 
 func mustCatalog(t *testing.T) *catalog.Catalog {

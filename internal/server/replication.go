@@ -16,18 +16,16 @@ import (
 // called after a group of records is durably in the local WAL, on a
 // goroutine of its own while the apply loop applies the group; the loop
 // joins it before any client is replied to, before the next Commit and
-// before any Checkpointed, so calls never overlap. A synchronous shipper
-// that returns nil only after the standby made the records durable gives
-// ship-before-ack semantics, an asynchronous one buffers and returns
-// immediately. A Commit error never fails the local write — the session
-// degrades to asynchronous semantics and the shipper reports the
-// condition through Stats (semi-synchronous replication).
+// before any Checkpointed, so calls never overlap. Commit returns nil
+// only after the standby made the records durable: ship before ack. A
+// Commit error never fails the local write: the write is acked from local
+// durability, the shipper counts the failure in Stats and ships the
+// records with a later Commit (semi-synchronous replication).
 //
 // Checkpointed(base) is called after a snapshot covering every record up
-// to base has landed on disk: records ≤ base can be dropped from any
-// retry buffer, because a standby that still needs them can be
-// bootstrapped from the snapshot instead. This bounds shipper memory by
-// one checkpoint interval.
+// to base has landed on disk: records ≤ base can be dropped, because a
+// standby that still needs them can be bootstrapped from the snapshot
+// instead. This bounds shipper memory by one checkpoint interval.
 type Shipper interface {
 	Commit(recs []state.Record) error
 	Checkpointed(base uint64)
@@ -37,15 +35,15 @@ type Shipper interface {
 
 // ShipperStats is a point-in-time view of a replication stream.
 type ShipperStats struct {
-	// Sync reports ship-before-ack mode.
-	Sync bool
-	// AckedSeq is the highest sequence number the standby has confirmed.
+	// AckedSeq is the standby's cursor: every record up to it is durable
+	// there. It moves back when a standby returns with less than it had
+	// confirmed.
 	AckedSeq uint64
 	// Pending is the number of committed records not yet confirmed.
 	Pending int
 	// Errors counts failed ship attempts (the semi-sync degradation
-	// gauge: nonzero with Sync set means some acks were returned without
-	// standby confirmation).
+	// gauge: nonzero means some acks were returned without standby
+	// confirmation).
 	Errors int64
 	// SnapshotShips counts full-snapshot bootstraps of the standby.
 	SnapshotShips int64
@@ -184,9 +182,9 @@ func (s *Session) ReplicationLag() uint64 {
 }
 
 // MaxReplicationLag returns the worst per-session replication lag in
-// records across the server's sessions — the follower /healthz signal
-// the router's health loop reads to tell a caught-up standby from a
-// stale one before promoting it.
+// records across the server's sessions — the follower /healthz field the
+// router shows in its own /healthz member view, so an operator can tell a
+// caught-up standby from a stale one. Promotion does not read it.
 func (sv *Server) MaxReplicationLag() uint64 {
 	var worst uint64
 	for _, s := range sv.Sessions() {

@@ -186,7 +186,7 @@ func (r *recordingShipper) Commit(recs []state.Record) error {
 	return nil
 }
 func (r *recordingShipper) Checkpointed(uint64) {}
-func (r *recordingShipper) Stats() ShipperStats { return ShipperStats{Sync: true} }
+func (r *recordingShipper) Stats() ShipperStats { return ShipperStats{} }
 func (r *recordingShipper) Close() error        { return nil }
 
 // TestStandbyAppliesAcrossCompactions ships a retire-enabled primary's
@@ -283,7 +283,7 @@ func (g *gateShipper) Checkpointed(uint64) {
 	g.mu.Unlock()
 }
 
-func (g *gateShipper) Stats() ShipperStats { return ShipperStats{Sync: true} }
+func (g *gateShipper) Stats() ShipperStats { return ShipperStats{} }
 func (g *gateShipper) Close() error        { return nil }
 
 // TestPrimaryReplyWaitsForShip holds every Commit of a replicated primary

@@ -217,9 +217,7 @@ func (s *Session) Kill() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.shipper != nil {
-		// Stop the stream's goroutines; a real crash would not flush, and
-		// Close is documented not to (pending unshipped records are the
-		// async mode's loss window — the differential tests measure it).
+		// A crash ships nothing more, and Close flushes nothing.
 		s.shipper.Close() //nolint:errcheck
 	}
 	s.wal.Abort()

@@ -54,7 +54,6 @@ type SessionStatus struct {
 
 // ReplicationStatus is the replication section of SessionStatus.
 type ReplicationStatus struct {
-	Mode          string `json:"mode"` // "sync" or "async"
 	AckedSeq      uint64 `json:"acked_seq"`
 	LocalSeq      uint64 `json:"local_seq"`
 	Lag           uint64 `json:"lag"` // LocalSeq - AckedSeq
@@ -96,11 +95,8 @@ func (s *Session) Status() SessionStatus {
 	}
 	if s.shipper != nil {
 		st := s.shipper.Stats()
-		r := &ReplicationStatus{Mode: "async", AckedSeq: st.AckedSeq, LocalSeq: s.wal.LastSeq(),
+		r := &ReplicationStatus{AckedSeq: st.AckedSeq, LocalSeq: s.wal.LastSeq(),
 			Pending: st.Pending, ShipErrors: st.Errors, SnapshotShips: st.SnapshotShips}
-		if st.Sync {
-			r.Mode = "sync"
-		}
 		if r.LocalSeq > r.AckedSeq {
 			r.Lag = r.LocalSeq - r.AckedSeq
 		}

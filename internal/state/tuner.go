@@ -164,8 +164,5 @@ func (d *Decoder) Options(version int) core.Options { return readOptions(d.r, ve
 // BenefitStats reads exported per-index benefit windows.
 func (d *Decoder) BenefitStats() interaction.BenefitStatsState { return readBenefitStats(d.r) }
 
-// Fail records a payload-level decode error (the first one sticks).
-func (d *Decoder) Fail(err error) { d.r.fail(err) }
-
 // Err returns the sticky decode error, if any.
 func (d *Decoder) Err() error { return d.r.err }
